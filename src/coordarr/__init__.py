@@ -9,7 +9,7 @@ from .complexes import (
     SimplicialComplex,
     parse_complex,
 )
-from .linalg import BigradedTable, CohomologyBlock, ExactMatrix, SnfResult
+from .linalg import BigradedTable, CheckFailed, CohomologyBlock, ExactMatrix, SnfResult
 from .resolvents import PairingScalar, Resolvent, UChain, build_resolvent
 from .kernels import (
     KernelData,
@@ -27,6 +27,7 @@ __all__ = [
     "SimplicialComplex",
     "parse_complex",
     "BigradedTable",
+    "CheckFailed",
     "CohomologyBlock",
     "ExactMatrix",
     "SnfResult",

@@ -364,22 +364,14 @@ class _CechEngine:
     def admissible(self, size: int, iset: int) -> list[int]:
         return [i for i, (_, inter) in enumerate(self.tuples(size)) if inter & iset == 0]
 
-    def rank(self, iset: int, t: int) -> int:
-        """Rank of the degree-t coboundary on the index-set component."""
-        if t < 0 or t + 1 > self.m:
-            return 0
-        cols = self.admissible(t + 1, iset)
-        if not cols or t + 2 > self.m:
-            return 0
-        col_bitmap = 0
-        for c in cols:
-            col_bitmap |= 1 << c
-        key = (t, col_bitmap)
-        cached = self._rank_cache.get(key)
-        if cached is not None:
-            return cached
-        col_pos = {c: i for i, c in enumerate(cols)}
+    def block(self, iset: int, t: int) -> ExactMatrix:
+        """Degree-t coboundary on the index-set component, from the
+        admissible (t+1)-tuples to the admissible (t+2)-tuples; the complex
+        is not augmented, so for t < 0 it is the empty map into degree 0."""
         rows = self.admissible(t + 2, iset)
+        if t < 0:
+            return ExactMatrix(len(rows), 0)
+        col_pos = {c: i for i, c in enumerate(self.admissible(t + 1, iset))}
         structure = self.structure(t)
         entries: dict[tuple[int, int], int] = {}
         for new_row, r in enumerate(rows):
@@ -387,9 +379,23 @@ class _CechEngine:
                 pos = col_pos.get(col)
                 if pos is not None:
                     entries[(new_row, pos)] = sign
-        value = rank_rational(ExactMatrix(len(rows), len(cols), entries))
-        self._rank_cache[key] = value
-        return value
+        return ExactMatrix(len(rows), len(col_pos), entries)
+
+    def rank(self, iset: int, t: int) -> int:
+        """Rank of the degree-t coboundary on the index-set component."""
+        if t < 0 or t + 2 > self.m:
+            return 0
+        cols = self.admissible(t + 1, iset)
+        if not cols:
+            return 0
+        col_bitmap = 0
+        for c in cols:
+            col_bitmap |= 1 << c
+        key = (t, col_bitmap)
+        cached = self._rank_cache.get(key)
+        if cached is None:
+            cached = self._rank_cache[key] = rank_rational(self.block(iset, t))
+        return cached
 
     def group_dimension(self, iset: int, q: int) -> int:
         """dim of the degree-q cohomology of the index-set component."""
@@ -520,38 +526,13 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
     pullback of a cocycle basis along a mutual refinement is again a basis.
     """
     engine = _CechEngine(K, "facets")
+    tuples_here = engine.tuples(q + 1)
     out: list[LogCochain] = []
     for iset in K.k_subsets(p):
         cols = engine.admissible(q + 1, iset)
         if not cols:
             continue
-        col_pos = {c: i for i, c in enumerate(cols)}
-        tuples_here = engine.tuples(q + 1)
-
-        def filtered(t: int, rows_size: int, cols_size: int) -> ExactMatrix:
-            rows_adm = engine.admissible(rows_size, iset)
-            cols_adm = engine.admissible(cols_size, iset)
-            cpos = {c: i for i, c in enumerate(cols_adm)}
-            entries: dict[tuple[int, int], int] = {}
-            structure = engine.structure(t)
-            for new_row, r in enumerate(rows_adm):
-                for col, sign in structure[r]:
-                    j = cpos.get(col)
-                    if j is not None:
-                        entries[(new_row, j)] = sign
-            return ExactMatrix(len(rows_adm), len(cols_adm), entries)
-
-        d_out = (
-            filtered(q, q + 2, q + 1)
-            if q + 2 <= engine.m
-            else ExactMatrix(0, len(cols))
-        )
-        d_in = (
-            filtered(q - 1, q + 1, q)
-            if q >= 1 and q + 1 <= engine.m
-            else ExactMatrix(len(cols), 0)
-        )
-        reps = quotient_basis(kernel_basis(d_out), d_in)
+        reps = quotient_basis(kernel_basis(engine.block(iset, q)), engine.block(iset, q - 1))
         for vec in reps:
             values = {
                 tuples_here[cols[i]][0]: LogForm(p, {iset: v}) for i, v in vec.items()

@@ -19,7 +19,10 @@ coboundary on dual cocells is the *negated* transpose of this boundary; with
 the plain transpose the relabeling map from the Koszul-model monomials to
 dual cocells anticommutes with the differentials, with the negated one it
 commutes on the nose, making the relabeling an isomorphism of differential
-bigraded modules.
+bigraded modules.  Blockwise this says that the coboundary matrices equal
+the algebra model's differential matrices; ``phi_mismatches`` checks that
+identity on every block, which is the working check on both sign
+conventions (a flipped sign shows up even when every rank survives it).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import koszul
 from .complexes import SimplicialComplex, card, elements, pos_in, subsets_of
 from .linalg import (
     BigradedTable,
@@ -49,9 +53,9 @@ __all__ = [
     "boundary_chain",
     "coboundary_cochain",
     "phi",
+    "phi_mismatches",
     "HomologyResult",
     "homology",
-    "cohomology",
 ]
 
 #: a cell: (sigma, gamma) masks, sigma the disk directions (a face)
@@ -220,6 +224,23 @@ def phi(a) -> CellCochain:
     return CellCochain({(sigma, gamma): coeff for (gamma, sigma), coeff in a.terms.items()})
 
 
+def phi_mismatches(K: SimplicialComplex) -> list[tuple[int, int]]:
+    """Bidegrees (p, q) whose coboundary matrix differs from the algebra
+    model's differential matrix out of (p, q).
+
+    Both models order their bases the same way, so ``phi`` is the identity
+    on coordinates and commutes with the differentials exactly when this
+    list is empty; the cell cohomology is then the algebra model's table by
+    construction.  Entries are compared with their signs.
+    """
+    return [
+        (p, q)
+        for p in range(K.n + 1)
+        for q in range(p + 1)
+        if koszul.differential_matrix(K, p, q) != coboundary_matrix(K, p, q)
+    ]
+
+
 @dataclass
 class HomologyResult:
     """Bigraded homology with explicit integer cycle representatives for the
@@ -235,48 +256,26 @@ class HomologyResult:
 def homology(K: SimplicialComplex, coeff: str = "Z") -> HomologyResult:
     """Bigraded cellular homology plus cycle bases.
 
-    Per (p, q): homology of  (p, q+1) --d--> (p, q) --d--> (p, q-1).
-    Free representatives are kernel vectors reduced to echelon form modulo
-    the boundary image, scaled to primitive integer chains.
+    Per (p, q): homology of  (p, q+1) --d--> (p, q) --d--> (p, q-1), the
+    same two-map computation as for cohomology with the roles transposed;
+    each boundary map is built once and serves two groups.  Free
+    representatives are kernel vectors reduced to echelon form modulo the
+    boundary image, scaled to primitive integer chains.
     """
     blocks: dict[tuple[int, int], CohomologyBlock] = {}
     cycles: dict[tuple[int, int], list[CellChain]] = {}
     for p in range(K.n + 1):
+        d_here = boundary_matrix(K, p, 0)
         for q in range(p + 1):
-            basis_cells = cells_of_bidegree(K, p, q)
-            if not basis_cells:
-                continue
-            d_here = boundary_matrix(K, p, q)
             d_above = boundary_matrix(K, p, q + 1)
-            blocks[(p, q)] = _homology_block(d_here, d_above, coeff)
-            reps = quotient_basis(kernel_basis(d_here), d_above)
-            chains = [
-                CellChain({basis_cells[i]: v for i, v in vec.items()}) for vec in reps
-            ]
-            if chains:
-                cycles[(p, q)] = chains
+            if d_here.cols:
+                blocks[(p, q)] = cohomology_block(d_above, d_here, coeff)
+                reps = quotient_basis(kernel_basis(d_here), d_above)
+                if reps:
+                    basis_cells = cells_of_bidegree(K, p, q)
+                    cycles[(p, q)] = [
+                        CellChain({basis_cells[i]: v for i, v in vec.items()}) for vec in reps
+                    ]
+            d_here = d_above
     table = BigradedTable(blocks, coeff)
     return HomologyResult(table, cycles)
-
-
-def _homology_block(d_here: ExactMatrix, d_above: ExactMatrix, coeff: str) -> CohomologyBlock:
-    """Homology at the middle of  . --d_above--> C --d_here--> .  : same
-    two-map computation as for cohomology with the roles transposed."""
-    return cohomology_block(d_above, d_here, coeff)
-
-
-def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
-    """Bigraded cellular cohomology via the dual (negated-transpose) maps.
-
-    Independent code path from the algebra model; agreement of the two
-    tables is the working check on both sign conventions.
-    """
-    blocks = {}
-    for p in range(K.n + 1):
-        for q in range(p + 1):
-            if not cells_of_bidegree(K, p, q):
-                continue
-            d_in = coboundary_matrix(K, p, q - 1)
-            d_out = coboundary_matrix(K, p, q)
-            blocks[(p, q)] = cohomology_block(d_in, d_out, coeff)
-    return BigradedTable(blocks, coeff)

@@ -314,7 +314,6 @@ def evaluate_representation(
     f: PolyFunction,
     zeta: Sequence[complex],
     spec: QuadratureSpec = QuadratureSpec(),
-    method: str = "separable",
 ) -> complex:
     """Reproduce f at an interior point of the unit polydisc.
 
@@ -322,8 +321,8 @@ def evaluate_representation(
     normalization scale and the (2 pi i) powers) is combined over the
     rationals first; the single remaining transcendental ingredient is the
     normalized torus quadrature of f(z) * prod_j z_j/(z_j - zeta_j).  The
-    two methods are the same tensor trapezoid rule: ``separable`` factors
-    it per monomial per axis, ``grid`` evaluates the full grid.
+    tensor trapezoid rule for it factors per monomial per axis, so no grid
+    of N^n points is ever formed.
     """
     n = kernel.n
     if f.n != n:
@@ -352,27 +351,16 @@ def evaluate_representation(
         raise ValueError("kernel scale does not cancel the torus period power")
     prefactor = complex(kernel.scale.coeff * exact)
 
-    if method == "separable":
-        if not f.terms:
-            return 0j
-        max_power = f.max_axis_degree()
-        axis = [_axis_sums(zeta[j], max_power, spec) for j in range(n)]
-        quad = 0j
-        for expo, coeff in sorted(f.terms.items()):
-            term = coeff
-            for j, e in enumerate(expo):
-                term *= axis[j][e]
-            quad += term
-    elif method == "grid":
-        def integrand(z: np.ndarray) -> np.ndarray:
-            vals = np.asarray(f(z), dtype=complex)
-            for j in range(n):
-                vals = vals * z[:, j] / (z[:, j] - zeta[j])
-            return vals
-
-        quad = torus_quadrature(integrand, full, n, spec)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    if not f.terms:
+        return 0j
+    max_power = f.max_axis_degree()
+    axis = [_axis_sums(zeta[j], max_power, spec) for j in range(n)]
+    quad = 0j
+    for expo, coeff in sorted(f.terms.items()):
+        term = coeff
+        for j, e in enumerate(expo):
+            term *= axis[j][e]
+        quad += term
     return prefactor * quad
 
 

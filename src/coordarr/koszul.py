@@ -185,15 +185,15 @@ def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
     """Bigraded cohomology table of the algebra, stripe by stripe.
 
     The differential preserves p, so each (p, q) group is the cohomology of
-    the two adjacent q-maps at fixed p.
+    the two adjacent q-maps at fixed p; each map is built once and serves as
+    d_out of one group and d_in of the next.
     """
     blocks = {}
-    n = K.n
-    for p in range(n + 1):
+    for p in range(K.n + 1):
+        d_in = differential_matrix(K, p, -1)
         for q in range(p + 1):
-            if not basis(K, p, q):
-                continue
-            d_in = differential_matrix(K, p, q - 1)
             d_out = differential_matrix(K, p, q)
-            blocks[(p, q)] = cohomology_block(d_in, d_out, coeff)
+            if d_out.cols:
+                blocks[(p, q)] = cohomology_block(d_in, d_out, coeff)
+            d_in = d_out
     return BigradedTable(blocks, coeff)

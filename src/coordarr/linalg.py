@@ -26,6 +26,7 @@ import numpy as np
 import scipy.sparse as _sparse
 
 __all__ = [
+    "CheckFailed",
     "ExactMatrix",
     "SnfResult",
     "CohomologyBlock",
@@ -39,6 +40,13 @@ __all__ = [
 ]
 
 Scalar = int | Fraction
+
+
+class CheckFailed(ValueError):
+    """A mathematical self-check failed: the program is at fault, not its
+    input (a differential that does not square to zero, a broken resolvent
+    identity)."""
+
 
 # dense elimination is cheaper than dict juggling below this edge size
 _DENSE_LIMIT = 64
@@ -603,7 +611,8 @@ def cohomology_block(d_in: ExactMatrix, d_out: ExactMatrix, coeff: str = "Z") ->
     """Cohomology of the two-map block  C_prev --d_in--> C --d_out--> C_next.
 
     d_out o d_in must vanish (checked; a nonzero composite always means a
-    sign-convention bug upstream, so it is an error rather than a warning).
+    sign-convention bug upstream, so it raises ``CheckFailed`` rather than
+    warning).
     Free rank is dim ker(d_out) - rank(d_in).  Over the integers the torsion
     is read off the Smith form of d_in: the cokernel of d_in splits off the
     free part of C/ker, which is torsion-free because C/ker embeds into the
@@ -614,7 +623,7 @@ def cohomology_block(d_in: ExactMatrix, d_out: ExactMatrix, coeff: str = "Z") ->
             f"block mismatch: d_in targets dim {d_in.rows}, d_out leaves dim {d_out.cols}"
         )
     if not compose_is_zero(d_out, d_in):
-        raise ValueError("d_out o d_in != 0: differential blocks do not compose to zero")
+        raise CheckFailed("d_out o d_in != 0: differential blocks do not compose to zero")
     dim = d_in.rows
     if coeff not in ("Z", "Q"):
         raise ValueError(f"unknown coefficient ring {coeff!r}")
@@ -627,7 +636,7 @@ def cohomology_block(d_in: ExactMatrix, d_out: ExactMatrix, coeff: str = "Z") ->
     snf = smith_normal_form(d_in)
     free = dim - rank_out - snf.rank
     if free < 0:
-        raise ValueError("negative free rank: maps are not a complex")
+        raise CheckFailed("negative free rank: maps are not a complex")
     return CohomologyBlock(free, snf.torsion)
 
 

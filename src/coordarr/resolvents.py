@@ -45,6 +45,7 @@ from typing import Sequence
 from .cells import CellChain, boundary_chain
 from .cech import LogCochain, canonical_tuple
 from .complexes import SimplicialComplex, card, elements, pos_in
+from .linalg import CheckFailed
 
 __all__ = [
     "UChain",
@@ -295,20 +296,22 @@ class Resolvent:
         return self.pieces[self.q]
 
     def validate(self) -> None:
+        """Raise ``CheckFailed`` unless both resolvent identities and the
+        support condition hold."""
         if not epsilon_prime(self.pieces[0]) == self.source:
-            raise ValueError("piece 0 does not reassemble the source cycle")
+            raise CheckFailed("piece 0 does not reassemble the source cycle")
         for k in range(self.q):
             lhs = boundary(self.pieces[k])
             rhs = delta_prime(self.pieces[k + 1]).scale(-1)
             if lhs != rhs:
-                raise ValueError(f"resolvent identity fails between pieces {k} and {k + 1}")
+                raise CheckFailed(f"resolvent identity fails between pieces {k} and {k + 1}")
         if not boundary(self.top).is_zero():
-            raise ValueError("top piece has nonzero boundary")
+            raise CheckFailed("top piece has nonzero boundary")
         for k, piece in enumerate(self.pieces):
             if piece.degree != k or piece.dimension != self.p + self.q - k:
-                raise ValueError(f"piece {k} has wrong (degree, dimension)")
+                raise CheckFailed(f"piece {k} has wrong (degree, dimension)")
             if not piece.supported_in_cover():
-                raise ValueError(f"piece {k} violates the support condition")
+                raise CheckFailed(f"piece {k} violates the support condition")
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,13 @@ from coordarr.corpus import (
     simplex_boundary,
     torus_complex,
 )
-from coordarr.linalg import ExactMatrix, compose_is_zero, rank_rational
+from coordarr.linalg import (
+    BigradedTable,
+    ExactMatrix,
+    cohomology_block,
+    compose_is_zero,
+    rank_rational,
+)
 
 
 def edge_boundary():
@@ -99,8 +105,18 @@ def test_generators_are_cycles_reduced_and_integral():
 
 
 def test_cohomology_equals_rk_everywhere_small():
+    # the cochain complex assembled from the cell coboundaries alone has the
+    # rk model's cohomology, torsion included
     for K in (edge_boundary(), disjoint_points(3), simplex_boundary(3), torus_complex(2)):
-        assert cells.cohomology(K, "Z").ranks() == koszul.cohomology(K, "Z").ranks()
+        blocks = {}
+        for p in range(K.n + 1):
+            d_in = cells.coboundary_matrix(K, p, -1)
+            for q in range(p + 1):
+                d_out = cells.coboundary_matrix(K, p, q)
+                if d_out.cols:
+                    blocks[(p, q)] = cohomology_block(d_in, d_out, "Z")
+                d_in = d_out
+        assert BigradedTable(blocks, "Z") == koszul.cohomology(K, "Z")
 
 
 def test_phi_examples():
@@ -118,15 +134,36 @@ def test_phi_intertwines_differentials_elementwise():
 
 
 def test_phi_matrix_identity_all_blocks():
-    K = SimplicialComplex.from_vertex_lists(4, [[1, 2, 3], [3, 4]])
-    for p in range(K.n + 1):
-        for q in range(p + 1):
-            assert koszul.differential_matrix(K, p, q) == cells.coboundary_matrix(K, p, q)
+    for K in (
+        SimplicialComplex.from_vertex_lists(4, [[1, 2, 3], [3, 4]]),
+        edge_boundary(),
+        disjoint_points(3),
+        simplex_boundary(3),
+        torus_complex(2),
+    ):
+        assert cells.phi_mismatches(K) == [], K
+
+
+def test_phi_mismatches_sees_sign_fault(monkeypatch):
+    # one flipped boundary sign leaves every rank of the edge complex
+    # unchanged; the identity check must still name the broken block, which
+    # is the (2, 1) boundary read as the coboundary out of (2, 0)
+    original = cells.boundary_matrix
+
+    def broken(K, p, q):
+        m = original(K, p, q)
+        if (p, q) == (2, 1) and m.entries:
+            key = min(m.entries)
+            return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+        return m
+
+    monkeypatch.setattr(cells, "boundary_matrix", broken)
+    assert cells.phi_mismatches(edge_boundary()) == [(2, 0)]
 
 
 def test_projective_plane_torsion_and_uct():
     K = projective_plane()
-    coh = cells.cohomology(K, "Z")
+    coh = koszul.cohomology(K, "Z")
     hom = cells.homology(K, "Z")
     assert coh.torsions() == {(6, 3): (2,)}
     assert hom.table.torsions() == {(6, 2): (2,)}  # degree shift of the universal coefficients

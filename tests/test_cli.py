@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from coordarr import cells
+from coordarr import cells, koszul
 from coordarr.cli import run
 from coordarr.linalg import ExactMatrix
 
@@ -26,10 +26,8 @@ def full_file(tmp_path):
 
 
 def test_cohomology_models(edge_file, capsys):
-    for model in ("rk", "cell"):
-        assert run(["cohomology", edge_file, "--model", model]) == 0
-        out = capsys.readouterr().out
-        assert "H^{2,1} = Z" in out
+    assert run(["cohomology", edge_file, "--model", "rk"]) == 0
+    assert "H^{2,1} = Z" in capsys.readouterr().out
     assert run(["cohomology", edge_file, "--model", "cech", "--coeff", "q"]) == 0
     assert run(["cohomology", edge_file, "--model", "cech", "--coeff", "z"]) == 2
 
@@ -67,6 +65,28 @@ def test_compare_exit_codes_for_bad_input(tmp_path):
     bad.write_text("{not json")
     assert run(["compare", str(bad)]) == 2
     assert run(["compare", str(tmp_path / "missing.json")]) == 2
+
+
+def test_failed_self_check_exits_1(full_file, monkeypatch, capsys):
+    # one flipped Koszul sign: d o d != 0 is a failed check, not bad input
+    original = koszul.differential_matrix
+
+    def broken(K, p, q):
+        m = original(K, p, q)
+        if (p, q) == (2, 0) and m.entries:
+            key = min(m.entries)
+            return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+        return m
+
+    monkeypatch.setattr(koszul, "differential_matrix", broken)
+    assert run(["cohomology", full_file]) == 1
+    assert "d_out o d_in != 0" in capsys.readouterr().err
+
+
+def test_bad_node_count_exits_2(edge_file, capsys):
+    argv = ["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "0.1,0.2"]
+    assert run(argv + ["--nodes", "5"]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 def test_hodge(edge_file, capsys):
@@ -120,12 +140,11 @@ def test_json_artifact_deterministic(edge_file, tmp_path):
     doc = json.loads(out1.read_text())
     assert doc["checks"] == {
         "rk model consistent": "pass",
-        "cell model consistent": "pass",
+        "differentials rk=cell": "pass",
         "cech model consistent": "pass",
-        "ranks rk=cell": "pass",
         "ranks rk=cech": "pass",
-        "torsion rk=cell": "pass",
     }
+    assert doc["artifacts"]["cell"] == doc["artifacts"]["rk"]
     assert "input_sha256" in doc
 
 

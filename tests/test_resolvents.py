@@ -9,7 +9,7 @@ from coordarr import cech, cells
 from coordarr import resolvents as rv
 from coordarr.complexes import SimplicialComplex, card, mask_of
 from coordarr.corpus import disjoint_points, simplex_boundary, torus_complex
-from coordarr.linalg import ExactMatrix, rank_rational
+from coordarr.linalg import CheckFailed, ExactMatrix, rank_rational
 
 
 def edge_boundary():
@@ -85,6 +85,15 @@ def test_resolvent_of_boundary_cycle():
     b = cells.boundary_chain(cells.CellChain({(mask_of([1]), mask_of([2])): 2}))
     res = rv.build_resolvent(K, b)
     res.validate()
+
+
+def test_validate_raises_check_failed():
+    # a sign flipped in the last piece breaks the resolvent identity: a
+    # failed mathematical check, kept apart from bad input
+    res = rv.build_resolvent(edge_boundary(), s3_cycle())
+    res.pieces[1] = res.pieces[1].scale(-1)
+    with pytest.raises(CheckFailed, match="resolvent identity"):
+        res.validate()
 
 
 def test_resolvent_of_torus_cycle_has_length_zero():
