@@ -148,8 +148,9 @@ def cmd_resolvent(args: argparse.Namespace) -> int:
         ok = False
     print(f"resolvent of length {resolvent.q} for generator {args.index} "
           f"of bidegree ({args.p},{args.q}); identities {'hold' if ok else 'FAIL'}")
-    print(json.dumps(resolvent.to_json(), sort_keys=True, indent=2))
-    _emit(_report("resolvent", text, resolvent.to_json(), {"identities": ok}), args.json)
+    payload = resolvent.to_json()
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    _emit(_report("resolvent", text, payload, {"identities": ok}), args.json)
     return OK if ok else CHECK_FAILED
 
 
@@ -163,8 +164,9 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     ok = data.check_normalized()
     print(f"kernel for total degree {args.s}: scale {data.scale}, "
           f"{len(data.top_piece.values)} top tuples; normalization {'exact' if ok else 'FAIL'}")
-    print(json.dumps(data.to_json(), sort_keys=True, indent=2))
-    _emit(_report("kernel", text, data.to_json(), {"normalized": ok}), args.json)
+    payload = data.to_json()
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    _emit(_report("kernel", text, payload, {"normalized": ok}), args.json)
     return OK if ok else CHECK_FAILED
 
 

@@ -1,29 +1,35 @@
 """Exact sparse integer/rational linear algebra.
 
 This is the single carrier for every differential in the package: Smith
-normal form over the integers, fraction-free ranks over the rationals,
-kernel and quotient bases, and the two-map cohomology blocks built from
-them.  Everything is arbitrary precision and deterministic:
+normal form over the integers, ranks over the rationals, kernel and
+quotient bases, and the two-map cohomology blocks built from them.
+Everything is arbitrary precision and deterministic, with no floating
+point anywhere.
 
-* pivots are always chosen by smallest nonzero magnitude, ties broken by
-  (row, column) position, so repeated runs produce identical output;
-* no floating point anywhere; integer elimination is fraction-free and
-  rational elimination uses ``fractions.Fraction``.
+``smith_normal_form`` and ``rank_rational`` share one sparse elimination
+core on row dicts plus a column index (Dumas–Saunders–Villard, "On
+efficient sparse integer matrix Smith normal form computations", J. Symb.
+Comput. 32, 2001):
 
-``compose_is_zero`` has a scipy-backed fast path for the bulk d*d = 0
-sanity sweeps; entries of the factors are tiny integers, so int64
-arithmetic is exact there.
+* phase 1 takes every ±1 pivot, shortest row first (lowest row index on
+  ties), with unimodular Schur updates and no row scaling, so it is valid
+  over Z and over Q alike;
+* phase 2 runs the expensive smallest-magnitude pivoting on the unit-free
+  residual only: integer row and column operations for the Smith form,
+  fraction-free elimination for the rank.
+
+Kernel and quotient bases use a reduced echelon form over ``Fraction``,
+which fixes the representative vectors uniquely.  ``compose_is_zero`` is
+the exact sparse product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
-import scipy.sparse as _sparse
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
 __all__ = [
     "CheckFailed",
@@ -46,10 +52,6 @@ class CheckFailed(ValueError):
     """A mathematical self-check failed: the program is at fault, not its
     input (a differential that does not square to zero, a broken resolvent
     identity)."""
-
-
-# dense elimination is cheaper than dict juggling below this edge size
-_DENSE_LIMIT = 64
 
 
 class ExactMatrix:
@@ -92,7 +94,7 @@ class ExactMatrix:
 
     @property
     def is_rational(self) -> bool:
-        return any(isinstance(v, Fraction) for v in self.entries.values())
+        return any(type(v) is Fraction for v in self.entries.values())
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -156,35 +158,98 @@ class ExactMatrix:
 
 
 def compose_is_zero(outer: ExactMatrix, inner: ExactMatrix) -> bool:
-    """Exact check that ``outer @ inner`` vanishes.
-
-    For integer matrices the product runs through scipy's sparse int64
-    kernel; entries of the factors here are tiny (coboundary signs), so the
-    computation stays far away from overflow.  Rational matrices fall back
-    to the exact dict product.
-    """
+    """Exact check that ``outer @ inner`` vanishes, by the sparse dict
+    product: arbitrary precision, integer and rational entries alike."""
     if outer.cols != inner.rows:
         raise ValueError("shape mismatch in composition")
-    if not outer.entries or not inner.entries:
-        return True
-    if outer.is_rational or inner.is_rational:
-        return (outer * inner).is_zero()
-    a = _to_scipy(outer)
-    b = _to_scipy(inner)
-    prod = a @ b
-    prod.eliminate_zeros()
-    return prod.nnz == 0
+    return (outer * inner).is_zero()
 
 
-def _to_scipy(m: ExactMatrix) -> "_sparse.csr_matrix":
-    if m.entries:
-        items = list(m.entries.items())
-        rows = np.fromiter((rc[0] for rc, _ in items), dtype=np.int64, count=len(items))
-        cols = np.fromiter((rc[1] for rc, _ in items), dtype=np.int64, count=len(items))
-        vals = np.fromiter((v for _, v in items), dtype=np.int64, count=len(items))
-    else:
-        rows = cols = vals = np.empty(0, dtype=np.int64)
-    return _sparse.csr_matrix((vals, (rows, cols)), shape=(m.rows, m.cols))
+# ---------------------------------------------------------------------------
+# the elimination core
+# ---------------------------------------------------------------------------
+
+Rows = dict[int, dict[int, int]]
+ColumnIndex = dict[int, set[int]]
+
+
+def _working_copy(m: ExactMatrix) -> tuple[Rows, ColumnIndex]:
+    """Rows of ``m`` as dicts col -> value, plus a col -> set(rows) index."""
+    rows: Rows = {}
+    colindex: ColumnIndex = {}
+    for (r, c), v in m.entries.items():
+        row = rows.get(r)
+        if row is None:
+            rows[r] = {c: v}
+        else:
+            row[c] = v
+        col = colindex.get(c)
+        if col is None:
+            colindex[c] = {r}
+        else:
+            col.add(r)
+    return rows, colindex
+
+
+def _eliminate_units(rows: Rows, colindex: ColumnIndex) -> int:
+    """Phase 1: pivot on entries ±1 while any is left; return their number.
+
+    The pivot row is the shortest row holding a unit, lowest row index
+    first; its pivot is the unit whose column is shortest, lowest column
+    first.  Every other row of the pivot column gets the Schur update
+    ``row -= (row[pc] * pv) * prow``, and the pivot row and column are
+    dropped.  No row is scaled, so each step is unimodular: it keeps the
+    rank over Q and adds one invariant factor 1 over Z.  ``rows`` and
+    ``colindex`` are left holding the unit-free residual.
+
+    Candidates sit in a heap keyed by (length, row) and are pushed again
+    whenever their row changes; entries whose length is out of date, and
+    rows without a unit, are skipped when popped.
+    """
+    heap = [(len(row), r) for r, row in rows.items()]
+    heapify(heap)
+    units = 0
+    while heap:
+        length, pr = heappop(heap)
+        prow = rows.get(pr)
+        if prow is None or len(prow) != length:
+            continue
+        best = None
+        for c, v in prow.items():
+            if v == 1 or v == -1:
+                key = (len(colindex[c]), c)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue
+        pc = best[1]
+        pv = prow.pop(pc)
+        units += 1
+        del rows[pr]
+        for c in prow:
+            colindex[c].discard(pr)
+        pcol = colindex.pop(pc)
+        pcol.discard(pr)
+        for r in pcol:
+            row = rows[r]
+            f = row.pop(pc) * pv
+            for c, v in prow.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -f * v
+                    colindex[c].add(r)
+                else:
+                    new = old - f * v
+                    if new:
+                        row[c] = new
+                    else:
+                        del row[c]
+                        colindex[c].discard(r)
+            if row:
+                heappush(heap, (len(row), r))
+            else:
+                del rows[r]
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +274,20 @@ class SnfResult:
 def smith_normal_form(m: ExactMatrix) -> SnfResult:
     """Invariant-factor sequence of an integer matrix.
 
-    Classic pivoting reduction: move the smallest-magnitude entry of the
-    active submatrix into pivot position, clear its row and column with
-    integer row/column operations, repeat; the resulting diagonal is then
-    folded with gcd/lcm swaps into the divisibility chain.  The pivot rule
-    (smallest magnitude, then lowest (row, col)) makes the run, not just the
-    result, deterministic.
+    Phase 1 (``_eliminate_units``) takes every ±1 pivot it can find with
+    unimodular Schur updates; each contributes an invariant factor 1.  The
+    unit-free residual goes through the classic pivoting reduction: move
+    the smallest-magnitude entry (lowest (row, col) on ties) into pivot
+    position, clear its row and column with integer row and column
+    operations, repeat.  Only the residual diagonal is folded with gcd/lcm
+    swaps into the divisibility chain; the units lead it as 1s.  Both
+    phases pick their pivots by fixed rules, so the run, not just the
+    result, is deterministic.
     """
     if m.is_rational:
         raise ValueError("Smith normal form needs integer entries; use rank_rational")
-    size = min(m.rows, m.cols)
-    if size == 0 or not m.entries:
-        return SnfResult((0,) * size)
-
-    # working copy: rows as dicts col -> val, plus a col -> set(rows) index
-    rows: dict[int, dict[int, int]] = {}
-    colindex: dict[int, set[int]] = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-        colindex.setdefault(c, set()).add(r)
+    rows, colindex = _working_copy(m)
+    units = _eliminate_units(rows, colindex)
 
     def set_entry(r: int, c: int, v: int) -> None:
         if v:
@@ -300,7 +360,7 @@ def smith_normal_form(m: ExactMatrix) -> SnfResult:
             if row:
                 row.pop(pc, None)
 
-    # fold the diagonal into the divisibility chain
+    # fold the residual diagonal into the divisibility chain
     diag.sort()
     changed = True
     while changed:
@@ -311,58 +371,37 @@ def smith_normal_form(m: ExactMatrix) -> SnfResult:
                     g = gcd(diag[i], diag[j])
                     diag[i], diag[j] = g, diag[i] * diag[j] // g
                     changed = True
-    diag.extend([0] * (size - len(diag)))
-    return SnfResult(tuple(diag[:size]))
+    diag = [1] * units + diag + [0] * (min(m.rows, m.cols) - units - len(diag))
+    return SnfResult(tuple(diag))
 
 
 # ---------------------------------------------------------------------------
 # rational elimination
 # ---------------------------------------------------------------------------
 
-def _integer_rows(m: ExactMatrix) -> dict[int, dict[int, int]]:
-    """Rows of ``m`` scaled to integers (row scaling preserves rank/kernel
-    structure only for rank purposes -- kernels use the Fraction path)."""
-    rows: dict[int, dict[int, Scalar]] = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-    out: dict[int, dict[int, int]] = {}
-    for r, row in rows.items():
-        denom = 1
-        for v in row.values():
-            if isinstance(v, Fraction):
-                denom = denom * v.denominator // gcd(denom, v.denominator)
-        scaled = {c: int(v * denom) for c, v in row.items()}
-        g = 0
-        for v in scaled.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            scaled = {c: v // g for c, v in scaled.items()}
-        out[r] = scaled
-    return out
-
-
 def rank_rational(m: ExactMatrix) -> int:
-    """Rank over the rationals, by integer fraction-free elimination.
+    """Rank over the rationals.
 
-    Rows are rescaled to coprime integers up front and after each
-    elimination step, which keeps coefficient growth tame; the pivot rule is
-    the same smallest-magnitude/lex one used everywhere.  Small matrices go
-    through a dense Bareiss elimination instead of the dict machinery (the
-    rank is unique, so the two paths cannot disagree).
+    Rows are scaled to integers, phase 1 (``_eliminate_units``) takes every
+    ±1 pivot, and the unit-free residual goes through fraction-free
+    elimination: pivot on the smallest magnitude (lowest (row, col) on
+    ties), replace each other row of the pivot column by
+    ``pv * row - rv * prow`` and strip its content gcd, which keeps
+    coefficient growth tame.
     """
-    if m.rows <= _DENSE_LIMIT and m.cols <= _DENSE_LIMIT:
-        return _rank_dense(m)
-    rows = _integer_rows(m)
-    colindex: dict[int, set[int]] = {}
-    for r, row in rows.items():
-        for c in row:
-            colindex.setdefault(c, set()).add(r)
-    rank = 0
+    rows, colindex = _working_copy(m)
+    if m.is_rational:
+        # scale each row to primitive integers; the support, and so the
+        # column index, stays the same
+        for r, row in rows.items():
+            denom = lcm(*(v.denominator for v in row.values()))
+            scaled = {c: int(v * denom) for c, v in row.items()}
+            g = gcd(*scaled.values())
+            rows[r] = {c: v // g for c, v in scaled.items()}
+    rank = _eliminate_units(rows, colindex)
     while rows:
         best = None
         for r, row in rows.items():
-            if not row:
-                continue
             for c, v in row.items():
                 key = (abs(v), r, c)
                 if best is None or key < best:
@@ -378,11 +417,8 @@ def rank_rational(m: ExactMatrix) -> int:
             rv = rows[r][pc]
             row = rows[r]
             # row <- pv * row - rv * prow, then strip the content gcd
-            for c in list(row):
-                row[c] = pv * row[c]
-                if not row[c]:
-                    del row[c]
-                    colindex[c].discard(r)
+            for c in row:
+                row[c] *= pv
             for c, v in prow.items():
                 nv = row.get(c, 0) - rv * v
                 if nv:
@@ -391,57 +427,14 @@ def rank_rational(m: ExactMatrix) -> int:
                 elif c in row:
                     del row[c]
                     colindex[c].discard(r)
-            if row:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, abs(v))
-                if g > 1:
-                    for c in row:
-                        row[c] //= g
+            g = gcd(*row.values())
+            if g > 1:
+                for c in row:
+                    row[c] //= g
         for c in list(prow):
             colindex[c].discard(pr)
         del rows[pr]
     return rank
-
-
-def _rank_dense(m: ExactMatrix) -> int:
-    """Bareiss fraction-free elimination on a dense copy."""
-    grid = [row[:] for row in _integer_rows_dense(m)]
-    nrows = len(grid)
-    ncols = m.cols
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if grid[r][col]:
-                if pivot is None or abs(grid[r][col]) < abs(grid[pivot][col]):
-                    pivot = r
-        if pivot is None:
-            continue
-        grid[row], grid[pivot] = grid[pivot], grid[row]
-        pv = grid[row][col]
-        for r in range(row + 1, nrows):
-            rv = grid[r][col]
-            for c in range(col + 1, ncols):
-                grid[r][c] = (pv * grid[r][c] - rv * grid[row][c]) // prev
-            grid[r][col] = 0
-        prev = pv
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _integer_rows_dense(m: ExactMatrix) -> list[list[int]]:
-    rows = _integer_rows(m)
-    out = [[0] * m.cols for _ in range(m.rows)]
-    for r, row in rows.items():
-        for c, v in row.items():
-            out[r][c] = v
-    return out
 
 
 def _rref(columns: list[dict[int, Scalar]]) -> tuple[list[dict[int, Fraction]], list[int]]:
@@ -631,8 +624,6 @@ def cohomology_block(d_in: ExactMatrix, d_out: ExactMatrix, coeff: str = "Z") ->
     if coeff == "Q":
         rank_in = rank_rational(d_in)
         return CohomologyBlock(dim - rank_out - rank_in)
-    if d_in.is_rational:
-        raise ValueError("integer coefficients requested for a rational matrix")
     snf = smith_normal_form(d_in)
     free = dim - rank_out - snf.rank
     if free < 0:

@@ -1,14 +1,30 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from coordarr import cells, koszul
+from coordarr import cells, kernels, koszul
 from coordarr.cli import run
 from coordarr.linalg import ExactMatrix
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds this checkout's ``coordarr``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 @pytest.fixture()
@@ -107,6 +123,22 @@ def test_kernel(edge_file, capsys):
     assert "normalization exact" in capsys.readouterr().out
 
 
+def test_kernel_serialized_once_for_stdout_and_artifact(edge_file, tmp_path, monkeypatch, capsys):
+    calls = []
+    original = kernels.KernelData.to_json
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(kernels.KernelData, "to_json", counting)
+    out = tmp_path / "kernel.json"
+    assert run(["kernel", edge_file, "--s", "3", "--json", str(out)]) == 0
+    assert len(calls) == 1
+    printed = capsys.readouterr().out.split("\n", 1)[1]
+    assert json.loads(printed) == json.loads(out.read_text())["artifacts"]
+
+
 def test_kernel_unavailable(full_file):
     assert run(["kernel", full_file, "--s", "1"]) == 1
 
@@ -149,10 +181,13 @@ def test_json_artifact_deterministic(edge_file, tmp_path):
 
 
 def test_console_entry_point(edge_file):
-    proc = subprocess.run(
-        [sys.executable, "-m", "coordarr.cli", "cohomology", edge_file],
-        capture_output=True,
-        text=True,
-    )
+    proc = _python("-m", "coordarr.cli", "cohomology", edge_file)
     assert proc.returncode == 0
     assert "H^{2,1} = Z" in proc.stdout
+
+
+def test_cli_import_does_not_load_scipy():
+    # the exact core needs no scipy; importing it cost most of the start-up
+    proc = _python("-c", "import sys, coordarr.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from coordarr.linalg import (
     rank_rational,
     smith_normal_form,
 )
+from coordarr.linalg import _eliminate_units, _working_copy
 
 
 def test_snf_diagonal_2_3():
@@ -110,6 +113,114 @@ def test_snf_divisibility_chain(m):
     assert all(d == 0 for d in diag[len(nonzero):])
 
 
+def _det(rows: list[list[int]]) -> int:
+    """Integer determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * v * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, v in enumerate(rows[0])
+        if v
+    )
+
+
+def _determinantal_snf(m: ExactMatrix) -> tuple[int, ...]:
+    """Invariant factors d_k / d_(k-1), where d_k is the gcd of all k x k
+    minors: the Smith form without any elimination."""
+    dense = m.to_dense()
+    size = min(m.rows, m.cols)
+    divisors = [1]
+    for k in range(1, size + 1):
+        g = 0
+        for rows in combinations(range(m.rows), k):
+            for cols in combinations(range(m.cols), k):
+                g = gcd(g, _det([[dense[r][c] for c in cols] for r in rows]))
+        if not g:
+            break
+        divisors.append(g)
+    factors = [b // a for a, b in zip(divisors, divisors[1:])]
+    return tuple(factors + [0] * (size - len(factors)))
+
+
+@st.composite
+def tiny_int_matrices(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 5))
+    values = st.integers(-6, 6)
+    return ExactMatrix.from_dense([[draw(values) for _ in range(cols)] for _ in range(rows)])
+
+
+def test_determinantal_oracle_examples():
+    assert _determinantal_snf(ExactMatrix.from_dense([[2, 0], [0, 3]])) == (1, 6)
+    assert _determinantal_snf(ExactMatrix.from_dense([[2, 4, 0], [6, 8, 0]])) == (2, 4)
+    assert _determinantal_snf(ExactMatrix.zero(2, 3)) == (0, 0)
+
+
+@given(tiny_int_matrices())
+@settings(max_examples=150, deadline=None)
+def test_snf_matches_determinantal_divisors(m):
+    assert smith_normal_form(m).diag == _determinantal_snf(m)
+
+
+def _fraction_rank(m: ExactMatrix) -> int:
+    """Rank over Q by sparse Gaussian elimination in ``Fraction``s, column by
+    column, pivoting on the first row that holds the column."""
+    work: dict[int, dict[int, Fraction]] = {}
+    for (r, c), v in m.entries.items():
+        work.setdefault(r, {})[c] = Fraction(v)
+    rank = 0
+    for c in range(m.cols):
+        pr = min((r for r, row in work.items() if c in row), default=None)
+        if pr is None:
+            continue
+        prow = work.pop(pr)
+        rank += 1
+        for row in work.values():
+            f = row.get(c)
+            if f:
+                f /= prow[c]
+                for k, v in prow.items():
+                    nv = row.get(k, 0) - f * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        row.pop(k, None)
+    return rank
+
+
+def _sparse_unit_matrix(seed: int) -> ExactMatrix:
+    """Square, 2-3 entries ±1 per row, with a tenth of the entries turned
+    into ±2/±3 so that unit pivots run out before the rank is reached."""
+    rng = random.Random(seed)
+    size = rng.randint(70, 150)
+    entries = {}
+    for r in range(size):
+        for c in rng.sample(range(size), rng.randint(2, 3)):
+            entries[(r, c)] = rng.choice((1, -1))
+    for key in rng.sample(sorted(entries), size // 10):
+        entries[key] = rng.choice((2, -2, 3, -3))
+    return ExactMatrix(size, size, entries)
+
+
+def test_rank_matches_fraction_gauss_past_unit_pivots():
+    with_residual = 0
+    for seed in range(20):
+        m = _sparse_unit_matrix(seed)
+        rows, colindex = _working_copy(m)
+        _eliminate_units(rows, colindex)
+        with_residual += any(rows.values())
+        rank = _fraction_rank(m)
+        assert rank_rational(m) == rank, seed
+        assert smith_normal_form(m).rank == rank, seed
+        # rescaling rows by nonzero rationals keeps the rank
+        rng = random.Random(seed)
+        scales = [Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7))) for _ in range(m.rows)]
+        scaled = ExactMatrix(m.rows, m.cols, {(r, c): v * scales[r] for (r, c), v in m.entries.items()})
+        assert rank_rational(scaled) == rank, seed
+    # the residual elimination (phase 2) must have been exercised
+    assert with_residual >= 15
+
+
 @given(small_int_matrices())
 @settings(max_examples=80, deadline=None)
 def test_kernel_vectors_are_in_kernel(m):
@@ -160,13 +271,25 @@ def test_cohomology_block_rejects_nonzero_composition():
         cohomology_block(d_in, d_out, "Z")
 
 
-def test_compose_is_zero_paths():
-    a = ExactMatrix.from_dense([[1, 1]])
-    b = ExactMatrix.from_dense([[1], [-1]])
-    assert compose_is_zero(a, b)
-    b_rat = ExactMatrix(2, 1, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 2)})
-    assert compose_is_zero(a, b_rat)
-    assert not compose_is_zero(a, ExactMatrix.from_dense([[1], [1]]))
+def test_compose_is_zero_exact_products():
+    cases = [
+        ([[1, 1]], [[1], [-1]], True),
+        ([[1, 1]], [[Fraction(1, 2)], [Fraction(-1, 2)]], True),
+        ([[1, 1]], [[1], [1]], False),
+        # 2**40 * 2**40 = 2**80 wraps to 0 in 64-bit arithmetic
+        ([[2**40, 0], [0, 1]], [[2**40], [0]], False),
+        # entries past 64 bits, cancelling exactly and not at all
+        ([[2**70, 2**70]], [[1], [-1]], True),
+        ([[2**70, 1]], [[2**70], [1]], False),
+    ]
+    for outer, inner, zero in cases:
+        product_vanishes = compose_is_zero(ExactMatrix.from_dense(outer), ExactMatrix.from_dense(inner))
+        assert product_vanishes is zero, (outer, inner)
+
+
+def test_compose_is_zero_rejects_shape_mismatch():
+    with pytest.raises(ValueError):
+        compose_is_zero(ExactMatrix.zero(2, 3), ExactMatrix.zero(2, 2))
 
 
 def test_bigraded_table_helpers():
