@@ -31,11 +31,15 @@ Two covers are supported:
 Internally each (p, t) block splits as a direct sum over the index sets I
 (the coboundary never mixes the dz_I/z_I coefficients), which keeps the
 elimination work per complex small.
+
+The model has two jobs: ``cohomology`` and ``filtration_ranks_direct`` are
+the independent oracle for the algebra model's tables (which also give the
+Hodge table), so this module never imports that model; and
+``representative_cocycles`` gives the cocycles the kernels are built from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, Literal, Sequence
@@ -58,8 +62,6 @@ __all__ = [
     "cech_matrix",
     "cochain_coboundary",
     "cohomology",
-    "HodgeTable",
-    "hodge_table",
     "filtration_ranks_direct",
     "representative_cocycles",
     "representative_cocycle",
@@ -422,51 +424,6 @@ def cohomology(K: SimplicialComplex, cover: Cover = "facets") -> BigradedTable:
             if total:
                 blocks[(p, q)] = CohomologyBlock(total)
     return BigradedTable(blocks, "Q")
-
-
-# ---------------------------------------------------------------------------
-# Hodge filtration table
-# ---------------------------------------------------------------------------
-
-@dataclass
-class HodgeTable:
-    """Bigraded ranks plus the induced decreasing filtration.
-
-    ``F[(k, s)]`` is the rank of the degree-s classes representable with
-    holomorphic form degree at least k (the filtration the naive truncation
-    by form degree induces on the collapsed double complex); it equals the
-    sum of h(p, s-p) over p >= k.
-    """
-
-    n: int
-    h: dict[tuple[int, int], int]
-    F: dict[tuple[int, int], int] = field(default_factory=dict)
-    filtration: str = "truncation by holomorphic form degree >= k"
-
-    def __post_init__(self) -> None:
-        if not self.F:
-            for k in range(self.n + 2):
-                for s in range(2 * self.n + 1):
-                    self.F[(k, s)] = sum(
-                        rank for (p, q), rank in self.h.items() if p >= k and p + q == s
-                    )
-
-    def betti(self, s: int) -> int:
-        return self.F[(0, s)]
-
-    def to_json(self) -> dict:
-        return {
-            "filtration": self.filtration,
-            "h": {f"{p},{q}": r for (p, q), r in sorted(self.h.items())},
-            "F": {f"{k},{s}": r for (k, s), r in sorted(self.F.items()) if r},
-        }
-
-
-def hodge_table(K: SimplicialComplex, cover: Cover = "facets") -> HodgeTable:
-    """Hodge numbers h(p, q) from the log Čech table, with the filtration
-    ranks accumulated over form degree."""
-    table = cohomology(K, cover)
-    return HodgeTable(K.n, table.ranks())
 
 
 def filtration_ranks_direct(K: SimplicialComplex, cover: Cover = "facets") -> dict[tuple[int, int], int]:

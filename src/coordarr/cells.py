@@ -20,15 +20,17 @@ the plain transpose the relabeling map from the Koszul-model monomials to
 dual cocells anticommutes with the differentials, with the negated one it
 commutes on the nose, making the relabeling an isomorphism of differential
 bigraded modules.  Blockwise this says that the coboundary matrices equal
-the algebra model's differential matrices; ``phi_mismatches`` checks that
-identity on every block, which is the working check on both sign
-conventions (a flipped sign shows up even when every rank survives it).
+the algebra model's differential matrices; ``phi_checked`` checks that
+identity on every block as the algebra model builds it, which is the
+working check on both sign conventions (a flipped sign shows up even when
+every rank survives it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import koszul
 from .complexes import SimplicialComplex, card, elements, pos_in, subsets_of
@@ -36,9 +38,9 @@ from .linalg import (
     BigradedTable,
     CohomologyBlock,
     ExactMatrix,
-    cohomology_block,
     kernel_basis,
     quotient_basis,
+    stripe_cohomology,
 )
 
 __all__ = [
@@ -53,7 +55,7 @@ __all__ = [
     "boundary_chain",
     "coboundary_cochain",
     "phi",
-    "phi_mismatches",
+    "phi_checked",
     "HomologyResult",
     "homology",
 ]
@@ -224,21 +226,17 @@ def phi(a) -> CellCochain:
     return CellCochain({(sigma, gamma): coeff for (gamma, sigma), coeff in a.terms.items()})
 
 
-def phi_mismatches(K: SimplicialComplex) -> list[tuple[int, int]]:
-    """Bidegrees (p, q) whose coboundary matrix differs from the algebra
-    model's differential matrix out of (p, q).
-
-    Both models order their bases the same way, so ``phi`` is the identity
-    on coordinates and commutes with the differentials exactly when this
-    list is empty; the cell cohomology is then the algebra model's table by
-    construction.  Entries are compared with their signs.
+def phi_checked(K: SimplicialComplex, p: int, mismatches: list[tuple[int, int]]) -> Iterator[ExactMatrix]:
+    """The algebra model's p-stripe (``koszul.stripe``), each differential
+    compared with the coboundary matrix of its bidegree, signs included, as
+    it passes; a (p, q) where they differ goes to ``mismatches``.  With
+    none, ``phi`` commutes with the differentials and the cell cohomology
+    is the algebra model's table by construction.
     """
-    return [
-        (p, q)
-        for p in range(K.n + 1)
-        for q in range(p + 1)
-        if koszul.differential_matrix(K, p, q) != coboundary_matrix(K, p, q)
-    ]
+    for q, d in enumerate(koszul.stripe(K, p), -1):
+        if d != coboundary_matrix(K, p, q):
+            mismatches.append((p, q))
+        yield d
 
 
 @dataclass
@@ -256,26 +254,30 @@ class HomologyResult:
 def homology(K: SimplicialComplex, coeff: str = "Z") -> HomologyResult:
     """Bigraded cellular homology plus cycle bases.
 
-    Per (p, q): homology of  (p, q+1) --d--> (p, q) --d--> (p, q-1), the
-    same two-map computation as for cohomology with the roles transposed;
-    each boundary map is built once and serves two groups.  Free
+    The p-stripe is the chain complex  (p, p) --d--> ... --d--> (p, 0), so
+    its boundary maps go to ``stripe_cohomology`` top degree first.  Free
     representatives are kernel vectors reduced to echelon form modulo the
     boundary image, scaled to primitive integer chains.
     """
     blocks: dict[tuple[int, int], CohomologyBlock] = {}
     cycles: dict[tuple[int, int], list[CellChain]] = {}
+
+    def boundaries(p: int) -> Iterator[ExactMatrix]:
+        # the maps out of (p, p+1), ..., (p, 0), cycles read off on the way
+        d_above = boundary_matrix(K, p, p + 1)
+        yield d_above
+        for q in range(p, -1, -1):
+            d_here = boundary_matrix(K, p, q)
+            reps = quotient_basis(kernel_basis(d_here), d_above) if d_here.cols else []
+            if reps:
+                basis_cells = cells_of_bidegree(K, p, q)
+                cycles[(p, q)] = [
+                    CellChain({basis_cells[i]: v for i, v in vec.items()}) for vec in reps
+                ]
+            yield d_here
+            d_above = d_here
+
     for p in range(K.n + 1):
-        d_here = boundary_matrix(K, p, 0)
-        for q in range(p + 1):
-            d_above = boundary_matrix(K, p, q + 1)
-            if d_here.cols:
-                blocks[(p, q)] = cohomology_block(d_above, d_here, coeff)
-                reps = quotient_basis(kernel_basis(d_here), d_above)
-                if reps:
-                    basis_cells = cells_of_bidegree(K, p, q)
-                    cycles[(p, q)] = [
-                        CellChain({basis_cells[i]: v for i, v in vec.items()}) for vec in reps
-                    ]
-            d_here = d_above
-    table = BigradedTable(blocks, coeff)
-    return HomologyResult(table, cycles)
+        for q, block in zip(range(p, -1, -1), stripe_cohomology(boundaries(p), coeff)):
+            blocks[(p, q)] = block
+    return HomologyResult(BigradedTable(blocks, coeff), cycles)

@@ -1,5 +1,9 @@
 """Command-line front end.
 
+Every table comes from the algebra model's stripes (``koszul``), ``hodge``
+and the rank test of ``kernel`` included; the Čech model runs only as the
+oracle of ``compare`` and ``corpus``, and for the kernels' cocycles.
+
 Exit codes: 0 on success, 1 when a mathematical check fails (model
 disagreement, a differential that does not square to zero, a broken
 resolvent identity, reproduction outside tolerance, no kernel in the
@@ -12,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -54,15 +60,13 @@ def _report(command: str, source_text: str, artifacts: dict, checks: dict[str, b
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
     K, text = _load(args.path)
-    coeff = args.coeff.upper()
+    coeff = (args.coeff or {"rk": "z", "cech": "q"}[args.model]).upper()
     if args.model == "rk":
         table = koszul.cohomology(K, coeff)
-    elif args.model == "cech":
+    else:
         if coeff != "Q":
             raise ComplexError("the Čech model is rational; use --coeff q")
         table = cech.cohomology(K)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ComplexError(f"unknown model {args.model}")
     print(f"# bigraded cohomology ({args.model}, coefficients {coeff})")
     print(table if table.blocks else "(trivial)")
     _emit(_report(f"cohomology {args.model}", text, table.to_json(), {}), args.json)
@@ -72,15 +76,17 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 def _compare_models(K: SimplicialComplex) -> tuple[dict[str, BigradedTable], dict[str, bool]]:
     """Tables and checks of the model comparison.
 
-    The rk table is computed over Z and the Čech table over Q.  The cell
-    model is checked through the identity of its coboundary matrices with
-    the rk differentials, so its table is the rk table and is returned only
-    when that identity holds.
+    The rk table over Z is computed from the stripes ``cells.phi_checked``
+    passes on, so each differential is built once and compared with the
+    cell coboundary on its way; the cell table is the rk table, returned
+    only when every block is identical.  The Čech table is over Q.
     """
     tables: dict[str, BigradedTable] = {}
     checks: dict[str, bool] = {}
+    mismatches: list[tuple[int, int]] = []
+    stripes = [cells.phi_checked(K, p, mismatches) for p in range(K.n + 1)]
     for name, compute in (
-        ("rk", lambda: koszul.cohomology(K, "Z")),
+        ("rk", lambda: koszul.stripe_table(stripes, "Z")),
         ("cech", lambda: cech.cohomology(K)),
     ):
         # a differential that fails to square to zero is rejected by the
@@ -91,7 +97,8 @@ def _compare_models(K: SimplicialComplex) -> tuple[dict[str, BigradedTable], dic
         except CheckFailed as exc:
             checks[f"{name} model consistent"] = False
             print(f"FAIL  {name} model: {exc}")
-    mismatches = cells.phi_mismatches(K)
+    for _ in itertools.chain(*stripes):  # the maps an early rk failure left unread
+        pass
     checks["differentials rk=cell"] = not mismatches
     if mismatches:
         print(f"FAIL  cell coboundary differs from the rk differential at (p, q) = {mismatches}")
@@ -120,7 +127,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_hodge(args: argparse.Namespace) -> int:
     K, text = _load(args.path)
-    table = cech.hodge_table(K)
+    table = koszul.hodge_table(K)
     print("# Hodge numbers h(p, q)")
     for (p, q), r in sorted(table.h.items()):
         print(f"h({p},{q}) = {r}")
@@ -179,6 +186,9 @@ def _parse_zeta(text: str) -> list[complex]:
 
 def cmd_verify_kernel(args: argparse.Namespace) -> int:
     K, text = _load(args.path)
+    if not 0 <= args.tolerance < math.inf:
+        raise ComplexError(f"tolerance must be finite and >= 0, got {args.tolerance}")
+    spec = QuadratureSpec(args.nodes)
     try:
         f = kernels.parse_polynomial(args.f, K.n)
     except ValueError as exc:
@@ -191,7 +201,6 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
     except KernelUnavailableError as exc:
         print(f"FAIL  {exc}")
         return CHECK_FAILED
-    spec = QuadratureSpec(args.nodes)
     try:
         computed = kernels.evaluate_representation(data, f, zeta, spec)
     except ValueError as exc:
@@ -238,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="bigraded table of one model")
     add_common(p)
     p.add_argument("--model", choices=["rk", "cech"], default="rk")
-    p.add_argument("--coeff", choices=["z", "q"], default="z")
+    p.add_argument("--coeff", choices=["z", "q"],
+                   help="coefficient ring (default: z for rk, q for cech)")
     p.set_defaults(func=cmd_cohomology)
 
     p = sub.add_parser("compare", help="run all three models and compare")

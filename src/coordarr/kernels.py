@@ -33,6 +33,7 @@ with an exact oracle (evaluate the polynomial at zeta).
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,13 +41,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import cech, cells
+from . import cech, cells, koszul
 from .complexes import SimplicialComplex, elements
 from .resolvents import PairingScalar, Resolvent, UChain, build_resolvent, pair, resolvent_pairing
 
 __all__ = [
     "PolyFunction",
     "parse_polynomial",
+    "MAX_NODES",
     "QuadratureSpec",
     "KernelData",
     "KernelUnavailableError",
@@ -74,8 +76,11 @@ class PolyFunction:
             for expo, coeff in terms.items():
                 if len(expo) != n or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent vector {expo} for {n} variables")
+                coeff = complex(coeff)
+                if not cmath.isfinite(coeff):
+                    raise ValueError(f"coefficient {coeff} of {expo} is not finite")
                 if coeff:
-                    self.terms[tuple(expo)] = complex(coeff)
+                    self.terms[tuple(expo)] = coeff
 
     @classmethod
     def constant(cls, n: int, value: complex = 1.0) -> "PolyFunction":
@@ -120,9 +125,12 @@ def _parse_complex_literal(text: str) -> complex:
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1].strip()
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        value = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
         raise ValueError(f"bad complex literal {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def parse_polynomial(text: str, n: int) -> PolyFunction:
@@ -175,6 +183,10 @@ def parse_polynomial(text: str, n: int) -> PolyFunction:
     return PolyFunction(n, out)
 
 
+#: largest node count per circle; ``circle`` allocates that many points
+MAX_NODES = 2**20
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Uniform tensor grid on the unit torus: N nodes per circle."""
@@ -185,6 +197,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.nodes < 4 or self.nodes & (self.nodes - 1):
             raise ValueError("node count must be a power of two, at least 4")
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"node count {self.nodes} exceeds the limit {MAX_NODES}")
         if self.radius != 1.0:
             raise ValueError("integration runs over the unit torus only")
 
@@ -230,9 +244,9 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
     """
     n = K.n
     q = s - n
-    hodge = cech.hodge_table(K)
-    if q < 0 or hodge.h.get((n, q), 0) == 0:
-        row = {p: hodge.h.get((p, s - p), 0) for p in range(n + 1) if hodge.h.get((p, s - p), 0)}
+    table = koszul.cohomology(K, "Q")
+    if q < 0 or table.free(n, q) == 0:
+        row = {p: table.free(p, s - p) for p in range(n + 1) if table.free(p, s - p)}
         raise KernelUnavailableError(
             f"no class of full holomorphic degree in H^{s}: "
             f"h(n={n}, q={q}) = 0; nonzero ranks in degree {s}: {row or 'none'}"
@@ -330,7 +344,7 @@ def evaluate_representation(
     zeta = [complex(z) for z in zeta]
     if len(zeta) != n:
         raise ValueError(f"point has {len(zeta)} coordinates, expected {n}")
-    if any(abs(z) >= 1.0 for z in zeta):
+    if not all(abs(z) < 1.0 for z in zeta):  # also false for nan
         raise ValueError("evaluation point must lie strictly inside the unit polydisc")
 
     full = (1 << n) - 1

@@ -16,7 +16,9 @@ on a basis monomial it produces the terms
 
 where pos is the 1-based position of i in the sorted gamma.  The
 differential raises q by one and preserves p, so cohomology is computed one
-(p, q)-stripe at a time.
+p-stripe at a time.  These stripes are the one engine for the bigraded
+tables: ``cohomology`` over Z or Q, and ``hodge_table``, where p is the
+holomorphic form degree (the algebra is R*(K) of Buchstaber–Panov).
 
 Basis elements of bidegree (p, q) are ordered by (sigma mask, gamma mask);
 the cell model orders its (sigma, gamma) cells the same way, so the
@@ -26,11 +28,13 @@ each block.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import ClassVar, Iterable, Iterator
 
 from .complexes import SimplicialComplex, card, elements, pos_in
-from .linalg import BigradedTable, ExactMatrix, cohomology_block
+from .linalg import BigradedTable, ExactMatrix, stripe_cohomology
 
 __all__ = [
     "basis",
@@ -39,7 +43,11 @@ __all__ = [
     "monomial",
     "differential",
     "multiply",
+    "stripe",
+    "stripe_table",
     "cohomology",
+    "HodgeTable",
+    "hodge_table",
 ]
 
 #: basis element: (gamma, sigma) masks, gamma the exterior part
@@ -181,19 +189,57 @@ def multiply(K: SimplicialComplex, a: RkElement, b: RkElement) -> RkElement:
     return RkElement(out)
 
 
+def stripe(K: SimplicialComplex, p: int) -> Iterator[ExactMatrix]:
+    """The differentials out of (p, -1), ..., (p, p), each built only when
+    it is asked for."""
+    return (differential_matrix(K, p, q) for q in range(-1, p + 1))
+
+
+def stripe_table(stripes: Iterable[Iterable[ExactMatrix]], coeff: str = "Z") -> BigradedTable:
+    """Table of the stripes p = 0, 1, ..., read one at a time; the group
+    between d_(q-1) and d_q is the (p, q) block."""
+    blocks = {}
+    for p, maps in enumerate(stripes):
+        for q, block in enumerate(stripe_cohomology(maps, coeff)):
+            blocks[(p, q)] = block
+    return BigradedTable(blocks, coeff)
+
+
 def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
     """Bigraded cohomology table of the algebra, stripe by stripe.
 
-    The differential preserves p, so each (p, q) group is the cohomology of
-    the two adjacent q-maps at fixed p; each map is built once and serves as
-    d_out of one group and d_in of the next.
+    The differential preserves p, so the p-stripe is a cochain complex of
+    its own; each differential is built once and eliminated once.
     """
-    blocks = {}
-    for p in range(K.n + 1):
-        d_in = differential_matrix(K, p, -1)
-        for q in range(p + 1):
-            d_out = differential_matrix(K, p, q)
-            if d_out.cols:
-                blocks[(p, q)] = cohomology_block(d_in, d_out, coeff)
-            d_in = d_out
-    return BigradedTable(blocks, coeff)
+    return stripe_table((stripe(K, p) for p in range(K.n + 1)), coeff)
+
+
+@dataclass
+class HodgeTable:
+    """Hodge numbers h(p, q) plus the induced decreasing filtration:
+    ``F[(k, s)]``, the rank of the degree-s classes of holomorphic form
+    degree at least k, is the sum of h(p, s-p) over p >= k."""
+
+    n: int
+    h: dict[tuple[int, int], int]
+    filtration: ClassVar[str] = "truncation by holomorphic form degree >= k"
+
+    @cached_property
+    def F(self) -> dict[tuple[int, int], int]:
+        return {
+            (k, s): sum(rank for (p, q), rank in self.h.items() if p >= k and p + q == s)
+            for k in range(self.n + 2)
+            for s in range(2 * self.n + 1)
+        }
+
+    def to_json(self) -> dict:
+        return {
+            "filtration": self.filtration,
+            "h": {f"{p},{q}": r for (p, q), r in sorted(self.h.items())},
+            "F": {f"{k},{s}": r for (k, s), r in sorted(self.F.items()) if r},
+        }
+
+
+def hodge_table(K: SimplicialComplex) -> HodgeTable:
+    """Hodge numbers h(p, q): the ranks of the table over Q."""
+    return HodgeTable(K.n, cohomology(K, "Q").ranks())

@@ -2,7 +2,8 @@
 
 This is the single carrier for every differential in the package: Smith
 normal form over the integers, ranks over the rationals, kernel and
-quotient bases, and the two-map cohomology blocks built from them.
+quotient bases, and ``stripe_cohomology``, which turns one stripe of
+composable maps into its groups, eliminating each map once.
 Everything is arbitrary precision and deterministic, with no floating
 point anywhere.
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "CheckFailed",
@@ -41,7 +42,7 @@ __all__ = [
     "rank_rational",
     "kernel_basis",
     "quotient_basis",
-    "cohomology_block",
+    "stripe_cohomology",
     "compose_is_zero",
 ]
 
@@ -99,9 +100,6 @@ class ExactMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def get(self, r: int, c: int) -> Scalar:
-        return self.entries.get((r, c), 0)
-
     def to_dense(self) -> list[list[Scalar]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -149,9 +147,6 @@ class ExactMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - matrices rarely hashed
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -379,6 +374,15 @@ def smith_normal_form(m: ExactMatrix) -> SnfResult:
 # rational elimination
 # ---------------------------------------------------------------------------
 
+def _primitive(vec: Mapping[int, Scalar]) -> dict[int, int]:
+    """The positive multiple of a nonzero rational vector whose entries are
+    coprime integers."""
+    denom = lcm(*(v.denominator for v in vec.values()))
+    scaled = {k: int(v * denom) for k, v in vec.items()}
+    g = gcd(*scaled.values())
+    return {k: v // g for k, v in scaled.items()}
+
+
 def rank_rational(m: ExactMatrix) -> int:
     """Rank over the rationals.
 
@@ -394,10 +398,7 @@ def rank_rational(m: ExactMatrix) -> int:
         # scale each row to primitive integers; the support, and so the
         # column index, stays the same
         for r, row in rows.items():
-            denom = lcm(*(v.denominator for v in row.values()))
-            scaled = {c: int(v * denom) for c, v in row.items()}
-            g = gcd(*scaled.values())
-            rows[r] = {c: v // g for c, v in scaled.items()}
+            rows[r] = _primitive(row)
     rank = _eliminate_units(rows, colindex)
     while rows:
         best = None
@@ -506,16 +507,7 @@ def kernel_basis(m: ExactMatrix) -> list[dict[int, int]]:
             coeff = row.get(free)
             if coeff:
                 vec[pc] = -coeff
-        denom = 1
-        for v in vec.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ivec = {k: int(v * denom) for k, v in vec.items()}
-        g = 0
-        for v in ivec.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            ivec = {k: v // g for k, v in ivec.items()}
-        basis.append(ivec)
+        basis.append(_primitive(vec))
     return basis
 
 
@@ -563,21 +555,12 @@ def quotient_basis(vectors: list[dict[int, Scalar]], image: ExactMatrix) -> list
     rows, _ = _rref(as_matrix.columns())
     out: list[dict[int, int]] = []
     for row in rows:
-        denom = 1
-        for v in row.values():
-            denom = denom * v.denominator // gcd(denom, v.denominator)
-        ivec = {coords[k]: int(v * denom) for k, v in row.items()}
-        g = 0
-        for v in ivec.values():
-            g = gcd(g, abs(v))
-        if g > 1:
-            ivec = {k: v // g for k, v in ivec.items()}
-        out.append(ivec)
+        out.append({coords[k]: v for k, v in _primitive(row).items()})
     return out
 
 
 # ---------------------------------------------------------------------------
-# cohomology blocks and bigraded tables
+# stripes and bigraded tables
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -600,35 +583,47 @@ class CohomologyBlock:
         return " + ".join(parts) if parts else "0"
 
 
-def cohomology_block(d_in: ExactMatrix, d_out: ExactMatrix, coeff: str = "Z") -> CohomologyBlock:
-    """Cohomology of the two-map block  C_prev --d_in--> C --d_out--> C_next.
+def stripe_cohomology(maps: Iterable[ExactMatrix], coeff: str = "Z") -> list[CohomologyBlock]:
+    """Groups of the complex  0 --d_(-1)--> C_0 --d_0--> ... --> C_k --d_k--> 0,
+    one per junction of consecutive maps, from ``maps`` = d_(-1), ..., d_k.
 
-    d_out o d_in must vanish (checked; a nonzero composite always means a
-    sign-convention bug upstream, so it raises ``CheckFailed`` rather than
-    warning).
-    Free rank is dim ker(d_out) - rank(d_in).  Over the integers the torsion
-    is read off the Smith form of d_in: the cokernel of d_in splits off the
-    free part of C/ker, which is torsion-free because C/ker embeds into the
-    next cochain group.
+    The maps are read one at a time and at most two are held.  Each map
+    with an entry is eliminated once: over Z its Smith form gives its rank
+    and the torsion at its target (the cokernel splits off the free part,
+    since C/ker embeds into the next group), over Q ``rank_rational`` gives
+    the rank.  At every junction the shapes must match, the composite must
+    vanish (else ``CheckFailed``: a sign-convention bug upstream) and the
+    free rank dim - rank(d_out) - rank(d_in) must not be negative.
     """
-    if d_in.rows != d_out.cols:
-        raise ValueError(
-            f"block mismatch: d_in targets dim {d_in.rows}, d_out leaves dim {d_out.cols}"
-        )
-    if not compose_is_zero(d_out, d_in):
-        raise CheckFailed("d_out o d_in != 0: differential blocks do not compose to zero")
-    dim = d_in.rows
     if coeff not in ("Z", "Q"):
         raise ValueError(f"unknown coefficient ring {coeff!r}")
-    rank_out = rank_rational(d_out)
-    if coeff == "Q":
-        rank_in = rank_rational(d_in)
-        return CohomologyBlock(dim - rank_out - rank_in)
-    snf = smith_normal_form(d_in)
-    free = dim - rank_out - snf.rank
-    if free < 0:
-        raise CheckFailed("negative free rank: maps are not a complex")
-    return CohomologyBlock(free, snf.torsion)
+
+    def eliminate(d: ExactMatrix) -> tuple[int, tuple[int, ...]]:
+        if coeff == "Z" and d.entries:
+            snf = smith_normal_form(d)
+            return snf.rank, snf.torsion
+        return (rank_rational(d) if d.entries else 0), ()
+
+    maps = iter(maps)
+    d_in = next(maps, None)
+    if d_in is None:
+        return []
+    rank_in, torsion_in = eliminate(d_in)
+    groups: list[CohomologyBlock] = []
+    for d_out in maps:
+        if d_in.rows != d_out.cols:
+            raise ValueError(
+                f"block mismatch: d_in targets dim {d_in.rows}, d_out leaves dim {d_out.cols}"
+            )
+        if not compose_is_zero(d_out, d_in):
+            raise CheckFailed("d_out o d_in != 0: differential blocks do not compose to zero")
+        rank_out, torsion_out = eliminate(d_out)
+        free = d_in.rows - rank_out - rank_in
+        if free < 0:
+            raise CheckFailed("negative free rank: maps are not a complex")
+        groups.append(CohomologyBlock(free, torsion_in))
+        d_in, rank_in, torsion_in = d_out, rank_out, torsion_out
+    return groups
 
 
 class BigradedTable:
@@ -646,16 +641,9 @@ class BigradedTable:
         block = self.blocks.get((p, q))
         return block.free_rank if block else 0
 
-    def torsion(self, p: int, q: int) -> tuple[int, ...]:
-        block = self.blocks.get((p, q))
-        return block.torsion if block else ()
-
     def betti(self, s: int) -> int:
         """Total rank in cohomological degree s (sum over p + q = s)."""
         return sum(b.free_rank for (p, q), b in self.blocks.items() if p + q == s)
-
-    def nonzero(self) -> dict[tuple[int, int], CohomologyBlock]:
-        return dict(sorted(self.blocks.items()))
 
     def ranks(self) -> dict[tuple[int, int], int]:
         """Nonzero free ranks only, so tables over Z and Q compare directly
@@ -664,11 +652,6 @@ class BigradedTable:
 
     def torsions(self) -> dict[tuple[int, int], tuple[int, ...]]:
         return {k: b.torsion for k, b in sorted(self.blocks.items()) if b.torsion}
-
-    def agrees_with(self, other: "BigradedTable", torsion: bool = True) -> bool:
-        if self.ranks() != other.ranks():
-            return False
-        return not torsion or self.torsions() == other.torsions()
 
     def to_json(self) -> dict:
         return {

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from coordarr import cells, kernels, koszul
+from coordarr import cech, cells, kernels, koszul
 from coordarr.cli import run
 from coordarr.linalg import ExactMatrix
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def _python(*args: str) -> subprocess.CompletedProcess:
@@ -48,6 +49,14 @@ def test_cohomology_models(edge_file, capsys):
     assert run(["cohomology", edge_file, "--model", "cech", "--coeff", "z"]) == 2
 
 
+def test_cohomology_cech_defaults_to_rationals(edge_file, capsys):
+    assert run(["cohomology", edge_file, "--model", "cech"]) == 0
+    out = capsys.readouterr().out
+    assert "coefficients Q" in out and "H^{2,1} = Z" in out
+    assert run(["cohomology", edge_file]) == 0
+    assert "coefficients Z" in capsys.readouterr().out
+
+
 def test_cohomology_full_simplex(full_file, capsys):
     assert run(["cohomology", full_file]) == 0
     out = capsys.readouterr().out
@@ -74,6 +83,56 @@ def test_compare_detects_injected_sign_fault(edge_file, monkeypatch):
 
     monkeypatch.setattr(cells, "boundary_matrix", broken)
     assert run(["compare", edge_file]) == 1
+
+
+def test_compare_builds_each_differential_once(edge_file, monkeypatch):
+    # the rk table and the identity check with the cell model read the same
+    # stripes, so every Koszul differential is assembled exactly once
+    calls = []
+    original = koszul.differential_matrix
+
+    def counting(K, p, q):
+        calls.append((p, q))
+        return original(K, p, q)
+
+    monkeypatch.setattr(koszul, "differential_matrix", counting)
+    assert run(["compare", edge_file]) == 0
+    assert sorted(calls) == [(p, q) for p in range(3) for q in range(-1, p + 1)]
+
+
+def test_identity_check_covers_all_blocks_after_rk_failure(full_file, monkeypatch, tmp_path, capsys):
+    # a flipped Koszul sign stops the rk model at its d o d check; the
+    # identity check must still read every differential and name the block
+    calls = []
+    original = koszul.differential_matrix
+
+    def broken(K, p, q):
+        calls.append((p, q))
+        m = original(K, p, q)
+        if (p, q) == (2, 0) and m.entries:
+            key = min(m.entries)
+            return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+        return m
+
+    monkeypatch.setattr(koszul, "differential_matrix", broken)
+    out = tmp_path / "compare.json"
+    assert run(["compare", full_file, "--json", str(out)]) == 1
+    assert sorted(calls) == [(p, q) for p in range(3) for q in range(-1, p + 1)]
+    checks = json.loads(out.read_text())["checks"]
+    assert checks["rk model consistent"] == "fail"
+    assert checks["differentials rk=cell"] == "fail"
+    assert "at (p, q) = [(2, 0)]" in capsys.readouterr().out
+
+
+def test_hodge_and_kernel_do_not_run_the_cech_table(edge_file, monkeypatch, capsys):
+    def oracle_only(*args, **kwargs):
+        raise RuntimeError("the Čech table is the oracle of compare only")
+
+    monkeypatch.setattr(cech, "cohomology", oracle_only)
+    assert run(["hodge", edge_file]) == 0
+    assert "F(2,3) = 1" in capsys.readouterr().out
+    assert run(["kernel", edge_file, "--s", "3"]) == 0
+    assert "normalization exact" in capsys.readouterr().out
 
 
 def test_compare_exit_codes_for_bad_input(tmp_path):
@@ -163,6 +222,20 @@ def test_verify_kernel_input_errors(edge_file):
     assert run(["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "1.0,0"]) == 2
 
 
+def test_verify_kernel_rejects_non_finite_numbers(edge_file, capsys):
+    base = ["verify-kernel", edge_file, "--s", "3", "--nodes", "4"]
+    for extra in (
+        ["--f", "1", "--zeta", "nan,0.1"],
+        ["--f", "1", "--zeta", "0.1,inf"],
+        ["--f", "nan*z1", "--zeta", "0.1,0.2"],
+        ["--f", "1", "--zeta", "0.1,0.2", "--tolerance", "nan"],
+        ["--f", "1", "--zeta", "0.1,0.2", "--tolerance", "-1"],
+        ["--f", "1", "--zeta", "0.1,0.2", "--tolerance", "inf"],
+    ):
+        assert run(base + extra) == 2, extra
+        assert "input error" in capsys.readouterr().err
+
+
 def test_json_artifact_deterministic(edge_file, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -191,3 +264,29 @@ def test_cli_import_does_not_load_scipy():
     proc = _python("-c", "import sys, coordarr.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_trace_bindings_still_exist(edge_file):
+    # the benchmark's tracer patches coordarr functions by module attribute;
+    # a renamed binding must fail here, not silently break a traced run
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import tracing
+from coordarr import cli
+recorder = tracing.Recorder()
+tracing.install(recorder)
+codes = [cli.run(argv) for argv in (
+    ["compare", {edge_file!r}], ["hodge", {edge_file!r}], ["kernel", {edge_file!r}, "--s", "3"])]
+print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.spans}})}}))
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert {
+        "complexes.parse", "koszul.assembly", "cells.assembly", "linalg.snf",
+        "linalg.rank_q", "linalg.compose_check", "cech.cohomology", "cech.rank",
+        "kernels.build", "cells.homology", "cech.representatives", "cech.pullback",
+        "resolvents.build", "resolvents.pair", "cli.to_json",
+    } <= set(result["spans"])

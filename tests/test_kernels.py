@@ -194,6 +194,26 @@ def test_input_validation():
         kn.evaluate_representation(data, kn.PolyFunction.constant(2), [0.1])
 
 
+def test_node_count_capped_before_allocation():
+    # construction alone is checked; no grid of this size is ever built
+    assert kn.QuadratureSpec(kn.MAX_NODES).nodes == kn.MAX_NODES
+    for nodes in (2 * kn.MAX_NODES, 2**40):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            kn.QuadratureSpec(nodes)
+
+
+def test_non_finite_numbers_rejected():
+    data = kn.build_kernel(edge_boundary(), 3)
+    for zeta in ([float("nan"), 0.1], [complex(0.1, float("nan")), 0.1], [float("inf"), 0.1]):
+        with pytest.raises(ValueError):
+            kn.evaluate_representation(data, kn.PolyFunction.constant(2), zeta)
+    for text in ("nan*z1", "1e999", "(1+nani)*z2", "1e309*z1"):
+        with pytest.raises(ValueError, match="not finite"):
+            kn.parse_polynomial(text, 2)
+    with pytest.raises(ValueError, match="not finite"):
+        kn.PolyFunction(2, {(1, 0): complex("nan")})
+
+
 def test_verify_reproduction_report():
     data = kn.build_kernel(edge_boundary(), 3)
     report = kn.verify_reproduction(

@@ -14,14 +14,16 @@ from coordarr.complexes import SimplicialComplex
 from coordarr.linalg import (
     BigradedTable,
     CohomologyBlock,
+    CheckFailed,
     ExactMatrix,
-    cohomology_block,
     compose_is_zero,
     kernel_basis,
     quotient_basis,
     rank_rational,
     smith_normal_form,
+    stripe_cohomology,
 )
+from coordarr import linalg
 from coordarr.linalg import _eliminate_units, _working_copy
 
 
@@ -242,12 +244,12 @@ def test_quotient_basis_reduces_image_away():
 
 
 def test_cohomology_block_free():
-    block = cohomology_block(ExactMatrix.zero(4, 0), ExactMatrix.zero(0, 4), "Z")
-    assert block == CohomologyBlock(4)
+    blocks = stripe_cohomology([ExactMatrix.zero(4, 0), ExactMatrix.zero(0, 4)], "Z")
+    assert blocks == [CohomologyBlock(4)]
 
 
 def test_cohomology_block_torsion():
-    block = cohomology_block(ExactMatrix.from_dense([[2]]), ExactMatrix.zero(0, 1), "Z")
+    [block] = stripe_cohomology([ExactMatrix.from_dense([[2]]), ExactMatrix.zero(0, 1)], "Z")
     assert block == CohomologyBlock(0, (2,))
     assert str(block) == "Z/2"
 
@@ -261,14 +263,61 @@ def test_cohomology_block_from_cellular_oracle():
     K = SimplicialComplex.from_vertex_lists(3, [[1], [2], [3]])
     d_in = koszul.differential_matrix(K, 2, 0)
     d_out = koszul.differential_matrix(K, 2, 1)
-    assert cohomology_block(d_in, d_out, "Z") == CohomologyBlock(3)
+    assert stripe_cohomology([d_in, d_out], "Z") == [CohomologyBlock(3)]
 
 
 def test_cohomology_block_rejects_nonzero_composition():
     d_in = ExactMatrix.from_dense([[1], [0]])
     d_out = ExactMatrix.from_dense([[1, 0]])
-    with pytest.raises(ValueError):
-        cohomology_block(d_in, d_out, "Z")
+    with pytest.raises(CheckFailed):
+        stripe_cohomology([d_in, d_out], "Z")
+    with pytest.raises(ValueError, match="block mismatch"):
+        stripe_cohomology([d_in, ExactMatrix.zero(1, 3)], "Q")
+
+
+def _rp2_stripe(p: int) -> list[ExactMatrix]:
+    from coordarr import koszul
+    from coordarr.corpus import projective_plane
+
+    return list(koszul.stripe(projective_plane(), p))
+
+
+def test_stripe_eliminates_each_nonempty_map_once(monkeypatch):
+    maps = _rp2_stripe(6)
+    nonempty = [m for m in maps if m.entries]
+    assert len(nonempty) >= 3
+    calls: dict[str, list[ExactMatrix]] = {"snf": [], "rank": []}
+    snf, rank = linalg.smith_normal_form, linalg.rank_rational
+
+    def counting_snf(m):
+        calls["snf"].append(m)
+        return snf(m)
+
+    def counting_rank(m):
+        calls["rank"].append(m)
+        return rank(m)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(linalg, "rank_rational", counting_rank)
+    over_z = stripe_cohomology(iter(maps), "Z")
+    assert calls == {"snf": nonempty, "rank": []}
+    assert over_z[3] == CohomologyBlock(0, (2,))  # the Z/2 of RP² at (6, 3)
+    calls["snf"].clear()
+    over_q = stripe_cohomology(iter(maps), "Q")
+    assert calls == {"snf": [], "rank": nonempty}
+    assert [b.free_rank for b in over_q] == [b.free_rank for b in over_z]
+
+
+def test_stripe_flipped_sign_raises():
+    maps = _rp2_stripe(6)
+    for i, m in enumerate(maps):
+        if m.entries and maps[i + 1].entries:
+            key = min(m.entries)
+            flipped = ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+            broken = maps[:i] + [flipped] + maps[i + 1 :]
+            for coeff in ("Z", "Q"):
+                with pytest.raises(CheckFailed):
+                    stripe_cohomology(broken, coeff)
 
 
 def test_compose_is_zero_exact_products():
