@@ -25,8 +25,14 @@ Two covers are supported:
   (every face sits inside some facet), and mutually refining covers have
   canonically isomorphic Čech cohomology for any coefficient presheaf, so
   tables are computed on the small cover and representatives are pulled back
-  along face -> containing facet.  The equality of the two tables is itself
-  exercised by the test suite on small complexes.
+  along r: face -> first containing facet.  The equality of the two tables
+  is itself exercised by the test suite on small complexes.
+
+The pullback is evaluated on demand: its value at a face tuple T is the
+facet cochain's value at r(T), sign of the sorting permutation included and
+zero when two faces of T share a facet.  ``pullback_to_faces`` applies this
+one rule either at the tuples a caller asks for (the kernels ask for the
+support of a resolvent's top piece) or over the whole support.
 
 Internally each (p, t) block splits as a direct sum over the index sets I
 (the coboundary never mixes the dz_I/z_I coefficients), which keeps the
@@ -35,7 +41,8 @@ elimination work per complex small.
 The model has two jobs: ``cohomology`` and ``filtration_ranks_direct`` are
 the independent oracle for the algebra model's tables (which also give the
 Hodge table), so this module never imports that model; and
-``representative_cocycles`` gives the cocycles the kernels are built from.
+``representative_cocycles`` gives the cocycles the kernels are built from
+(on the facet cover, for them to pull back where they pair).
 """
 
 from __future__ import annotations
@@ -474,14 +481,20 @@ def filtration_ranks_direct(K: SimplicialComplex, cover: Cover = "facets") -> di
 # representatives
 # ---------------------------------------------------------------------------
 
-def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCochain]:
-    """Closed cochains on the face cover whose classes form a basis of the
-    (p, q) cohomology.
+def representative_cocycles(
+    K: SimplicialComplex, p: int, q: int, cover: Cover = "faces"
+) -> list[LogCochain]:
+    """Closed cochains whose classes form a basis of the (p, q) cohomology.
 
     The kernel-mod-image bases are extracted per index set on the facet
-    cover and pulled back along face -> first containing facet; the
-    pullback of a cocycle basis along a mutual refinement is again a basis.
+    cover.  With ``cover="faces"`` (the default) each is pulled back in full
+    along face -> first containing facet; the pullback of a cocycle basis
+    along a mutual refinement is again a basis.  With ``cover="facets"`` the
+    facet-cover cocycles are returned as they are, for a caller that
+    evaluates the pullback on demand through ``pullback_to_faces``.
     """
+    if cover not in ("faces", "facets"):
+        raise ValueError(f"unknown cover {cover!r}")
     engine = _CechEngine(K, "facets")
     tuples_here = engine.tuples(q + 1)
     out: list[LogCochain] = []
@@ -494,7 +507,8 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
             values = {
                 tuples_here[cols[i]][0]: LogForm(p, {iset: v}) for i, v in vec.items()
             }
-            out.append(pullback_to_faces(K, LogCochain(p, q, values)))
+            w = LogCochain(p, q, values)
+            out.append(pullback_to_faces(K, w) if cover == "faces" else w)
     return out
 
 
@@ -510,24 +524,37 @@ def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: in
     return reps[class_index]
 
 
-def pullback_to_faces(K: SimplicialComplex, w: LogCochain) -> LogCochain:
-    """Pull a facet-cover cochain back to the full face cover along the
-    refinement face -> first containing facet.
+def pullback_to_faces(
+    K: SimplicialComplex, w: LogCochain, tuples: Iterable[Sequence[int]] | None = None
+) -> LogCochain:
+    """Pull a facet-cover cochain back to the face cover along the
+    refinement r: face -> first containing facet.
 
-    The preimage classes of the refinement map partition the faces, so the
-    support of the pullback is enumerated facet-tuple by facet-tuple.
+    The pullback at a face tuple T is w evaluated at r(T): ``value_at``
+    supplies the permutation sign and vanishes when two faces of T refine
+    to the same facet.  It is evaluated at ``tuples`` only (the kernels
+    pass the support of a resolvent's top piece, the one place the pairing
+    reads); by default at its whole support, the products of the preimage
+    classes of r over the support tuples of ``w``.  Values are stored on
+    canonically sorted tuples; a tuple with a repeated face is zero.
     """
-    preimages: dict[int, list[int]] = {f: [] for f in K.facets}
-    for face in K.faces_sorted:
-        preimages[K.containing_facet(face)].append(face)
+    refine = {face: K.containing_facet(face) for face in K.faces_sorted}
+    if tuples is None:
+        preimages: dict[int, list[int]] = {f: [] for f in K.facets}
+        for face, facet in refine.items():
+            preimages[facet].append(face)
+        tuples = (
+            choice
+            for facet_tuple in w.values
+            for choice in product(*(preimages[f] for f in facet_tuple))
+        )
     out: dict[FaceTuple, LogForm] = {}
-    for facet_tuple, form in w.values.items():
-        pools = [preimages[f] for f in facet_tuple]
-        for choice in product(*pools):
-            canon = canonical_tuple(choice)
-            assert canon is not None  # pools are disjoint
-            key, sign = canon
-            addition = form if sign == 1 else form.scale(-1)
-            existing = out.get(key)
-            out[key] = addition if existing is None else existing + addition
-    return LogCochain(w.p, w.t, {k: f for k, f in out.items() if not f.is_zero()})
+    for tup in tuples:
+        canon = canonical_tuple(tup)
+        if canon is None:
+            continue
+        key = canon[0]
+        form = w.value_at([refine[face] for face in key])
+        if not form.is_zero():
+            out[key] = form
+    return LogCochain(w.p, w.t, out)

@@ -6,7 +6,10 @@ representation is assembled from the three finite models:
 
 * a representative log cocycle, every value a rational multiple of
   dz_1/z_1 ^ ... ^ dz_n/z_n (admissibility forces its support onto tuples
-  of faces with empty intersection);
+  of faces with empty intersection), computed on the facet cover and
+  pulled back to the face cover only at the tuples of the top piece below:
+  the pairing and the reproduction formula read nothing else, and the full
+  pullback grows like (faces/facets)^(s-n+1);
 * the top resolvent piece of a dual product cycle, a degree-(s-n) cover
   chain all of whose atoms are the full torus;
 * the exact pairing of the two, a nonzero rational multiple of
@@ -43,6 +46,7 @@ import numpy as np
 
 from . import cech, cells, koszul
 from .complexes import SimplicialComplex, elements
+from .linalg import stripe_cohomology
 from .resolvents import PairingScalar, Resolvent, UChain, build_resolvent, pair, resolvent_pairing
 
 __all__ = [
@@ -209,7 +213,12 @@ class QuadratureSpec:
 
 @dataclass
 class KernelData:
-    """Normalized data of one integral representation."""
+    """Normalized data of one integral representation.
+
+    ``cocycle`` holds the pulled-back cocycle on the support of
+    ``top_piece`` only (its nonzero values there), which is exactly what
+    ``raw_pairing`` and ``evaluate_representation`` sum over.
+    """
 
     n: int
     s: int
@@ -240,22 +249,28 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
 
     Picks a product cycle of bidegree (n, s-n) and a representative log
     cocycle with a nonzero pairing (nondegeneracy of the bidegree pairing
-    guarantees some pair works), then normalizes.
+    guarantees some pair works), then normalizes.  The rank test reads
+    h(n, s-n) off the n-stripe of the algebra model alone.  The cocycles
+    stay on the facet cover, and each is pulled back to the face cover only
+    at the tuples of the resolvent's top piece, the only ones the pairing
+    reads.
     """
     n = K.n
     q = s - n
-    table = koszul.cohomology(K, "Q")
-    if q < 0 or table.free(n, q) == 0:
+    groups = stripe_cohomology(koszul.stripe(K, n), "Q")
+    if not 0 <= q < len(groups) or groups[q].free_rank == 0:
+        table = koszul.cohomology(K, "Q")
         row = {p: table.free(p, s - p) for p in range(n + 1) if table.free(p, s - p)}
         raise KernelUnavailableError(
             f"no class of full holomorphic degree in H^{s}: "
             f"h(n={n}, q={q}) = 0; nonzero ranks in degree {s}: {row or 'none'}"
         )
     cycles = cells.homology(K).generators(n, q)
-    cocycles = cech.representative_cocycles(K, n, q)
+    facet_cocycles = cech.representative_cocycles(K, n, q, "facets")
     for cycle in cycles:
         resolvent = build_resolvent(K, cycle)
-        for cocycle in cocycles:
+        for facet_cocycle in facet_cocycles:
+            cocycle = cech.pullback_to_faces(K, facet_cocycle, resolvent.top.values)
             raw = resolvent_pairing(resolvent, cocycle)
             if not raw.is_zero():
                 return KernelData(

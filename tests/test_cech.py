@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from coordarr import cech, cells, koszul
-from coordarr.complexes import SimplicialComplex, mask_of
+from coordarr.complexes import SimplicialComplex, face_key, mask_of
 from coordarr.corpus import (
     all_complexes,
     disjoint_points,
@@ -15,6 +16,7 @@ from coordarr.corpus import (
     torus_complex,
 )
 from coordarr.linalg import compose_is_zero
+from coordarr.resolvents import build_resolvent, resolvent_pairing
 
 
 def edge_boundary():
@@ -186,6 +188,73 @@ def test_pullback_matches_direct_face_computation():
     for (p, q) in ((3, 2),):
         for w in cech.representative_cocycles(K, p, q):
             assert cech.cochain_coboundary(K, w, "faces").is_zero()
+
+
+def _accumulated_pullback(K, w):
+    """Reference pullback: every choice of one face above each facet of a
+    support tuple, sorted into the face order with the sign of its
+    inversions, summed over the support."""
+    out: dict = {}
+    for facet_tuple, form in w.values.items():
+        pools = [[f for f in K.faces_sorted if K.containing_facet(f) == facet] for facet in facet_tuple]
+        for choice in product(*pools):
+            keys = [face_key(f) for f in choice]
+            inversions = sum(a > b for i, a in enumerate(keys) for b in keys[i + 1 :])
+            coeffs = out.setdefault(tuple(sorted(choice, key=face_key)), {})
+            for iset, c in form.terms.items():
+                coeffs[iset] = coeffs.get(iset, 0) + (-c if inversions % 2 else c)
+    return {
+        key: {iset: c for iset, c in coeffs.items() if c}
+        for key, coeffs in out.items()
+        if any(coeffs.values())
+    }
+
+
+PULLBACK_COMPLEXES = (
+    simplex_boundary(3),
+    simplex_boundary(4),
+    simplex_boundary(5),
+    SimplicialComplex.from_vertex_lists(3, [[1, 2], [2, 3]]),  # the path complex
+)
+
+
+@pytest.mark.parametrize("K", PULLBACK_COMPLEXES, ids=["sphere3", "sphere4", "sphere5", "path"])
+def test_pullback_at_top_piece_tuples_equals_full_pullback(K):
+    hom = cells.homology(K)
+    checked = 0
+    for (p, q), cycles in hom.cycles.items():
+        facet_cocycles = cech.representative_cocycles(K, p, q, "facets")
+        full = [cech.pullback_to_faces(K, w) for w in facet_cocycles]
+        assert full == cech.representative_cocycles(K, p, q)
+        for w, pulled in zip(facet_cocycles, full):
+            reference = _accumulated_pullback(K, w)
+            assert {key: form.terms for key, form in pulled.values.items()} == reference
+            for cycle in cycles:
+                resolvent = build_resolvent(K, cycle)
+                top = resolvent.top.values
+                restricted = cech.pullback_to_faces(K, w, top)
+                assert set(restricted.values) <= set(top)
+                assert {key: form.terms for key, form in restricted.values.items()} == {
+                    key: terms for key, terms in reference.items() if key in top
+                }
+                assert resolvent_pairing(resolvent, restricted) == resolvent_pairing(resolvent, pulled)
+                checked += 1
+    assert checked
+
+
+def test_pullback_evaluates_any_tuple_order():
+    K = simplex_boundary(3)
+    (w,) = cech.representative_cocycles(K, 3, 2, "facets")
+    full = cech.pullback_to_faces(K, w)
+    tup = next(iter(full.values))
+    swapped = cech.pullback_to_faces(K, w, [(tup[1], tup[0], tup[2]), (tup[0], tup[0], tup[1])])
+    assert swapped.values == {tup: full.values[tup]}
+    assert cech.pullback_to_faces(K, w, []).is_zero()
+
+
+def test_representative_cocycles_rejects_unknown_cover():
+    with pytest.raises(ValueError):
+        cech.representative_cocycles(edge_boundary(), 2, 1, "vertices")
 
 
 def test_cocycle_json_shape():

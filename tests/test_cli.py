@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,32 @@ def test_kernel_serialized_once_for_stdout_and_artifact(edge_file, tmp_path, mon
     assert json.loads(printed) == json.loads(out.read_text())["artifacts"]
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_kernel_normalization_from_json_alone(n, tmp_path):
+    # the artifact alone pins the normalization: exact pairing of the stored
+    # cocycle against the top piece, times the scale, is 1
+    facets = [[v for v in range(1, n + 1) if v != missing] for missing in range(1, n + 1)]
+    src = tmp_path / "sphere.json"
+    src.write_text(json.dumps({"n": n, "facets": facets}))
+    out = tmp_path / "kernel.json"
+    assert run(["kernel", str(src), "--s", str(2 * n - 1), "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())["artifacts"]
+    forms = {
+        tuple(map(tuple, entry["tuple"])): {tuple(f["I"]): Fraction(f["coeff"]) for f in entry["forms"]}
+        for entry in doc["cocycle"]
+    }
+    total = Fraction(0)
+    for entry in doc["top_piece"]:
+        form = forms.get(tuple(map(tuple, entry["tuple"])), {})
+        for atom in entry["atoms"]:
+            if not atom["sigma"]:
+                total += form.get(tuple(atom["gamma"]), 0) * Fraction(atom["coeff"])
+    scale = doc["scale"]
+    assert total * Fraction(int(scale["num"]), int(scale["den"])) == 1
+    assert scale["tau_power"] == -n
+    assert 0 < len(doc["cocycle"]) <= len(doc["top_piece"])
+
+
 def test_kernel_unavailable(full_file):
     assert run(["kernel", full_file, "--s", "1"]) == 1
 
@@ -214,6 +241,26 @@ def test_verify_kernel_pass_and_tolerance(edge_file, capsys):
         "--f", "1+z1^2*z2^3", "--zeta", "0.3,-0.4", "--tolerance", "0",
     ])
     assert rc == 1  # nothing beats an exactly-zero tolerance
+
+
+def test_verify_kernel_evaluates_once(edge_file, tmp_path, monkeypatch):
+    calls = []
+    original = kernels.evaluate_representation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "evaluate_representation", counting)
+    base = ["verify-kernel", edge_file, "--s", "3", "--f", "1+z1^2*z2^3", "--zeta", "0.3,-0.4"]
+    out = tmp_path / "verify.json"
+    assert run(base + ["--json", str(out)]) == 0
+    assert len(calls) == 1
+    report = json.loads(out.read_text())["artifacts"]["report"]
+    assert len(report) == 1 and report[0]["abs_error"] < 1e-9
+    assert run(base + ["--tolerance", "0"]) == 1
+    assert len(calls) == 2
+    assert run(["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "1.0,0"]) == 2
 
 
 def test_verify_kernel_input_errors(edge_file):
@@ -277,16 +324,17 @@ from coordarr import cli
 recorder = tracing.Recorder()
 tracing.install(recorder)
 codes = [cli.run(argv) for argv in (
-    ["compare", {edge_file!r}], ["hodge", {edge_file!r}], ["kernel", {edge_file!r}, "--s", "3"])]
+    ["compare", {edge_file!r}], ["hodge", {edge_file!r}], ["kernel", {edge_file!r}, "--s", "3"],
+    ["verify-kernel", {edge_file!r}, "--s", "3", "--f", "1+z1*z2", "--zeta", "0.3,-0.4"])]
 print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.spans}})}}))
 """
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert {
         "complexes.parse", "koszul.assembly", "cells.assembly", "linalg.snf",
         "linalg.rank_q", "linalg.compose_check", "cech.cohomology", "cech.rank",
         "kernels.build", "cells.homology", "cech.representatives", "cech.pullback",
-        "resolvents.build", "resolvents.pair", "cli.to_json",
+        "resolvents.build", "resolvents.pair", "cli.to_json", "kernels.quadrature",
     } <= set(result["spans"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coordarr import kernels as kn
+from coordarr import koszul, linalg
 from coordarr.complexes import SimplicialComplex, mask_of
 from coordarr.corpus import full_simplex, simplex_boundary
 
@@ -122,6 +123,38 @@ def test_build_kernel_boundary_simplex_length_two():
     assert data.top_piece.degree == 2
     assert data.check_normalized()
 
+
+def test_rank_test_eliminates_only_stripe_n(monkeypatch):
+    K = simplex_boundary(5)
+    expected = [(d.rows, d.cols, d.entries) for d in koszul.stripe(K, 5) if d.entries]
+    seen = []
+    original = linalg.rank_rational
+
+    def counting(m):
+        seen.append((m.rows, m.cols, m.entries))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "rank_rational", counting)
+    assert kn.build_kernel(K, 9).check_normalized()
+    assert seen == expected
+
+
+def test_unavailable_message_reports_the_degree_row():
+    path = SimplicialComplex.from_vertex_lists(3, [[1, 2], [2, 3]])
+    with pytest.raises(kn.KernelUnavailableError) as info:
+        kn.build_kernel(path, 3)
+    assert str(info.value) == (
+        "no class of full holomorphic degree in H^3: "
+        "h(n=3, q=0) = 0; nonzero ranks in degree 3: {2: 1}"
+    )
+
+
+def test_boundary_simplex_7_kernel_on_top_piece_support():
+    # the sphere S^13 case, whose full pullback has 2,097,152 tuples
+    data = kn.build_kernel(simplex_boundary(7), 13)
+    assert data.check_normalized()
+    assert set(data.cocycle.values) <= set(data.top_piece.values)
+    assert len(data.cocycle.values) <= len(data.top_piece.values) == 5040
 
 # -- reproduction --------------------------------------------------------------------
 
