@@ -41,8 +41,8 @@ elimination work per complex small.
 The model has two jobs: ``cohomology`` and ``filtration_ranks_direct`` are
 the independent oracle for the algebra model's tables (which also give the
 Hodge table), so this module never imports that model; and
-``representative_cocycles`` gives the cocycles the kernels are built from
-(on the facet cover, for them to pull back where they pair).
+``representative_cocycles`` gives the cocycles the kernels are built from,
+on the facet cover, for them to be pulled back where they pair.
 """
 
 from __future__ import annotations
@@ -481,20 +481,16 @@ def filtration_ranks_direct(K: SimplicialComplex, cover: Cover = "facets") -> di
 # representatives
 # ---------------------------------------------------------------------------
 
-def representative_cocycles(
-    K: SimplicialComplex, p: int, q: int, cover: Cover = "faces"
-) -> list[LogCochain]:
-    """Closed cochains whose classes form a basis of the (p, q) cohomology.
+def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCochain]:
+    """Closed facet-cover cochains whose classes form a basis of the (p, q)
+    cohomology.
 
     The kernel-mod-image bases are extracted per index set on the facet
-    cover.  With ``cover="faces"`` (the default) each is pulled back in full
-    along face -> first containing facet; the pullback of a cocycle basis
-    along a mutual refinement is again a basis.  With ``cover="facets"`` the
-    facet-cover cocycles are returned as they are, for a caller that
-    evaluates the pullback on demand through ``pullback_to_faces``.
+    cover.  They stay there: a caller pulls them back to the face cover
+    through ``pullback_to_faces``, at the tuples it reads (the kernels) or in
+    full (``representative_cocycle``); the pullback of a cocycle basis along
+    a mutual refinement is again a basis.
     """
-    if cover not in ("faces", "facets"):
-        raise ValueError(f"unknown cover {cover!r}")
     engine = _CechEngine(K, "facets")
     tuples_here = engine.tuples(q + 1)
     out: list[LogCochain] = []
@@ -507,13 +503,13 @@ def representative_cocycles(
             values = {
                 tuples_here[cols[i]][0]: LogForm(p, {iset: v}) for i, v in vec.items()
             }
-            w = LogCochain(p, q, values)
-            out.append(pullback_to_faces(K, w) if cover == "faces" else w)
+            out.append(LogCochain(p, q, values))
     return out
 
 
 def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: int) -> LogCochain:
-    """One basis cocycle of the (p, q) cohomology, on the face cover."""
+    """One basis cocycle of the (p, q) cohomology, pulled back in full to the
+    face cover."""
     reps = representative_cocycles(K, p, q)
     if not reps:
         raise ValueError(f"no cohomology in bidegree ({p},{q})")
@@ -521,7 +517,7 @@ def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: in
         raise ValueError(
             f"class index {class_index} out of range: bidegree ({p},{q}) has rank {len(reps)}"
         )
-    return reps[class_index]
+    return pullback_to_faces(K, reps[class_index])
 
 
 def pullback_to_faces(
@@ -538,11 +534,10 @@ def pullback_to_faces(
     classes of r over the support tuples of ``w``.  Values are stored on
     canonically sorted tuples; a tuple with a repeated face is zero.
     """
-    refine = {face: K.containing_facet(face) for face in K.faces_sorted}
     if tuples is None:
         preimages: dict[int, list[int]] = {f: [] for f in K.facets}
-        for face, facet in refine.items():
-            preimages[facet].append(face)
+        for face in K.faces_sorted:
+            preimages[K.containing_facet(face)].append(face)
         tuples = (
             choice
             for facet_tuple in w.values
@@ -554,7 +549,7 @@ def pullback_to_faces(
         if canon is None:
             continue
         key = canon[0]
-        form = w.value_at([refine[face] for face in key])
+        form = w.value_at([K.containing_facet(face) for face in key])
         if not form.is_zero():
             out[key] = form
     return LogCochain(w.p, w.t, out)

@@ -266,7 +266,7 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
             f"h(n={n}, q={q}) = 0; nonzero ranks in degree {s}: {row or 'none'}"
         )
     cycles = cells.homology(K).generators(n, q)
-    facet_cocycles = cech.representative_cocycles(K, n, q, "facets")
+    facet_cocycles = cech.representative_cocycles(K, n, q)
     for cycle in cycles:
         resolvent = build_resolvent(K, cycle)
         for facet_cocycle in facet_cocycles:

@@ -157,7 +157,7 @@ def test_representative_count_matches_rank():
     for K in (disjoint_points(3), simplex_boundary(3), projective_plane()):
         table = cech.cohomology(K)
         for (p, q), rank in table.ranks().items():
-            reps = cech.representative_cocycles(K, p, q)
+            reps = [cech.pullback_to_faces(K, w) for w in cech.representative_cocycles(K, p, q)]
             assert len(reps) == rank
             for w in reps:
                 assert (w.p, w.t) == (p, q)
@@ -187,7 +187,7 @@ def test_pullback_matches_direct_face_computation():
     K = simplex_boundary(3)
     for (p, q) in ((3, 2),):
         for w in cech.representative_cocycles(K, p, q):
-            assert cech.cochain_coboundary(K, w, "faces").is_zero()
+            assert cech.cochain_coboundary(K, cech.pullback_to_faces(K, w), "faces").is_zero()
 
 
 def _accumulated_pullback(K, w):
@@ -223,9 +223,9 @@ def test_pullback_at_top_piece_tuples_equals_full_pullback(K):
     hom = cells.homology(K)
     checked = 0
     for (p, q), cycles in hom.cycles.items():
-        facet_cocycles = cech.representative_cocycles(K, p, q, "facets")
+        facet_cocycles = cech.representative_cocycles(K, p, q)
         full = [cech.pullback_to_faces(K, w) for w in facet_cocycles]
-        assert full == cech.representative_cocycles(K, p, q)
+        assert full == [cech.representative_cocycle(K, p, q, i) for i in range(len(full))]
         for w, pulled in zip(facet_cocycles, full):
             reference = _accumulated_pullback(K, w)
             assert {key: form.terms for key, form in pulled.values.items()} == reference
@@ -244,17 +244,12 @@ def test_pullback_at_top_piece_tuples_equals_full_pullback(K):
 
 def test_pullback_evaluates_any_tuple_order():
     K = simplex_boundary(3)
-    (w,) = cech.representative_cocycles(K, 3, 2, "facets")
+    (w,) = cech.representative_cocycles(K, 3, 2)
     full = cech.pullback_to_faces(K, w)
     tup = next(iter(full.values))
     swapped = cech.pullback_to_faces(K, w, [(tup[1], tup[0], tup[2]), (tup[0], tup[0], tup[1])])
     assert swapped.values == {tup: full.values[tup]}
     assert cech.pullback_to_faces(K, w, []).is_zero()
-
-
-def test_representative_cocycles_rejects_unknown_cover():
-    with pytest.raises(ValueError):
-        cech.representative_cocycles(edge_boundary(), 2, 1, "vertices")
 
 
 def test_cocycle_json_shape():

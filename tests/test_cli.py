@@ -1,10 +1,10 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -200,28 +200,19 @@ def test_kernel_serialized_once_for_stdout_and_artifact(edge_file, tmp_path, mon
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_kernel_normalization_from_json_alone(n, tmp_path):
-    # the artifact alone pins the normalization: exact pairing of the stored
-    # cocycle against the top piece, times the scale, is 1
+def test_kernel_normalization_from_json_alone(n, tmp_path, monkeypatch):
+    # the artifact alone pins the normalization, by the benchmark's own
+    # checker: exact pairing of the stored cocycle against the top piece,
+    # times the scale, is 1
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    checks = importlib.import_module("checks")
     facets = [[v for v in range(1, n + 1) if v != missing] for missing in range(1, n + 1)]
     src = tmp_path / "sphere.json"
     src.write_text(json.dumps({"n": n, "facets": facets}))
     out = tmp_path / "kernel.json"
     assert run(["kernel", str(src), "--s", str(2 * n - 1), "--json", str(out)]) == 0
     doc = json.loads(out.read_text())["artifacts"]
-    forms = {
-        tuple(map(tuple, entry["tuple"])): {tuple(f["I"]): Fraction(f["coeff"]) for f in entry["forms"]}
-        for entry in doc["cocycle"]
-    }
-    total = Fraction(0)
-    for entry in doc["top_piece"]:
-        form = forms.get(tuple(map(tuple, entry["tuple"])), {})
-        for atom in entry["atoms"]:
-            if not atom["sigma"]:
-                total += form.get(tuple(atom["gamma"]), 0) * Fraction(atom["coeff"])
-    scale = doc["scale"]
-    assert total * Fraction(int(scale["num"]), int(scale["den"])) == 1
-    assert scale["tau_power"] == -n
+    assert checks.kernel_normalized(doc)
     assert 0 < len(doc["cocycle"]) <= len(doc["top_piece"])
 
 

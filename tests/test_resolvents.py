@@ -312,7 +312,10 @@ def test_pairing_invariance_under_coboundary_shift():
 def test_orthogonality_and_gram_invertibility():
     K = disjoint_points(3)
     hom = cells.homology(K)
-    reps = {key: cech.representative_cocycles(K, *key) for key in hom.cycles}
+    reps = {
+        key: [cech.pullback_to_faces(K, w) for w in cech.representative_cocycles(K, *key)]
+        for key in hom.cycles
+    }
     for (p, q), gens in hom.cycles.items():
         resolvents = [rv.build_resolvent(K, g) for g in gens]
         cocycles = reps[(p, q)]
