@@ -24,11 +24,16 @@ the algebra model's differential matrices; ``phi_checked`` checks that
 identity on every block as the algebra model builds it, which is the
 working check on both sign conventions (a flipped sign shows up even when
 every rank survives it).
+
+``homology(K, p, q)`` gives the cycle generators of the one bidegree a
+resolvent or a kernel starts from, from the two boundary maps at (p, q)
+alone; ``homology_table`` gives every bidegree with torsion but no cycles,
+the reference the algebra model's table is held against (ranks agree,
+torsion moves one step in q by the universal coefficients).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -36,8 +41,10 @@ from . import koszul
 from .complexes import SimplicialComplex, card, elements, pos_in, subsets_of
 from .linalg import (
     BigradedTable,
+    CheckFailed,
     CohomologyBlock,
     ExactMatrix,
+    compose_is_zero,
     kernel_basis,
     quotient_basis,
     stripe_cohomology,
@@ -56,8 +63,8 @@ __all__ = [
     "coboundary_cochain",
     "phi",
     "phi_checked",
-    "HomologyResult",
     "homology",
+    "homology_table",
 ]
 
 #: a cell: (sigma, gamma) masks, sigma the disk directions (a face)
@@ -239,45 +246,35 @@ def phi_checked(K: SimplicialComplex, p: int, mismatches: list[tuple[int, int]])
         yield d
 
 
-@dataclass
-class HomologyResult:
-    """Bigraded homology with explicit integer cycle representatives for the
-    free generators (canonical echelon form, reduced mod boundaries)."""
+def homology(K: SimplicialComplex, p: int, q: int) -> list[CellChain]:
+    """Free generators of the cellular homology in bidegree (p, q).
 
-    table: BigradedTable
-    cycles: dict[tuple[int, int], list[CellChain]]
+    Only the boundary maps into and out of (p, q) are built, and they must
+    compose to zero (``CheckFailed`` otherwise).  The generators are kernel
+    vectors reduced to echelon form modulo the boundary image, scaled to
+    primitive integer chains.  There are h(p, q) of them, none where the
+    block is zero or (p, q) is out of range.
+    """
+    d_here = boundary_matrix(K, p, q)
+    d_above = boundary_matrix(K, p, q + 1)
+    if not compose_is_zero(d_here, d_above):
+        raise CheckFailed(f"cell boundary does not square to zero at ({p}, {q})")
+    basis_cells = cells_of_bidegree(K, p, q)
+    return [
+        CellChain({basis_cells[i]: v for i, v in vec.items()})
+        for vec in quotient_basis(kernel_basis(d_here), d_above)
+    ]
 
-    def generators(self, p: int, q: int) -> list[CellChain]:
-        return self.cycles.get((p, q), [])
 
-
-def homology(K: SimplicialComplex, coeff: str = "Z") -> HomologyResult:
-    """Bigraded cellular homology plus cycle bases.
+def homology_table(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
+    """Bigraded cellular homology, torsion included, without cycle bases.
 
     The p-stripe is the chain complex  (p, p) --d--> ... --d--> (p, 0), so
-    its boundary maps go to ``stripe_cohomology`` top degree first.  Free
-    representatives are kernel vectors reduced to echelon form modulo the
-    boundary image, scaled to primitive integer chains.
+    its boundary maps go to ``stripe_cohomology`` top degree first.
     """
     blocks: dict[tuple[int, int], CohomologyBlock] = {}
-    cycles: dict[tuple[int, int], list[CellChain]] = {}
-
-    def boundaries(p: int) -> Iterator[ExactMatrix]:
-        # the maps out of (p, p+1), ..., (p, 0), cycles read off on the way
-        d_above = boundary_matrix(K, p, p + 1)
-        yield d_above
-        for q in range(p, -1, -1):
-            d_here = boundary_matrix(K, p, q)
-            reps = quotient_basis(kernel_basis(d_here), d_above) if d_here.cols else []
-            if reps:
-                basis_cells = cells_of_bidegree(K, p, q)
-                cycles[(p, q)] = [
-                    CellChain({basis_cells[i]: v for i, v in vec.items()}) for vec in reps
-                ]
-            yield d_here
-            d_above = d_here
-
     for p in range(K.n + 1):
-        for q, block in zip(range(p, -1, -1), stripe_cohomology(boundaries(p), coeff)):
+        maps = (boundary_matrix(K, p, q) for q in range(p + 1, -1, -1))
+        for q, block in zip(range(p, -1, -1), stripe_cohomology(maps, coeff)):
             blocks[(p, q)] = block
-    return HomologyResult(BigradedTable(blocks, coeff), cycles)
+    return BigradedTable(blocks, coeff)

@@ -38,15 +38,13 @@ from __future__ import annotations
 
 import cmath
 import re
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import cech, cells, koszul
 from .complexes import SimplicialComplex, elements
-from .linalg import stripe_cohomology
 from .resolvents import PairingScalar, Resolvent, UChain, build_resolvent, pair, resolvent_pairing
 
 __all__ = [
@@ -225,7 +223,6 @@ class KernelData:
     cocycle: cech.LogCochain
     top_piece: UChain
     scale: PairingScalar
-    cycle: cells.CellChain = field(repr=False, default_factory=cells.CellChain)
 
     def raw_pairing(self) -> PairingScalar:
         return pair(self.cocycle, self.top_piece)
@@ -249,23 +246,23 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
 
     Picks a product cycle of bidegree (n, s-n) and a representative log
     cocycle with a nonzero pairing (nondegeneracy of the bidegree pairing
-    guarantees some pair works), then normalizes.  The rank test reads
-    h(n, s-n) off the n-stripe of the algebra model alone.  The cocycles
+    guarantees some pair works), then normalizes.  The cycles come from
+    the one bidegree (n, s-n) of the cell model, and there are h(n, s-n) of
+    them, so an empty list is the test that no kernel exists.  The cocycles
     stay on the facet cover, and each is pulled back to the face cover only
     at the tuples of the resolvent's top piece, the only ones the pairing
     reads.
     """
     n = K.n
     q = s - n
-    groups = stripe_cohomology(koszul.stripe(K, n), "Q")
-    if not 0 <= q < len(groups) or groups[q].free_rank == 0:
+    cycles = cells.homology(K, n, q)
+    if not cycles:
         table = koszul.cohomology(K, "Q")
         row = {p: table.free(p, s - p) for p in range(n + 1) if table.free(p, s - p)}
         raise KernelUnavailableError(
             f"no class of full holomorphic degree in H^{s}: "
             f"h(n={n}, q={q}) = 0; nonzero ranks in degree {s}: {row or 'none'}"
         )
-    cycles = cells.homology(K).generators(n, q)
     facet_cocycles = cech.representative_cocycles(K, n, q)
     for cycle in cycles:
         resolvent = build_resolvent(K, cycle)
@@ -279,7 +276,6 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
                     cocycle=cocycle,
                     top_piece=resolvent.top,
                     scale=raw.inverse(),
-                    cycle=cycle,
                 )
     raise KernelUnavailableError(
         "pairing matrix between cycle and cocycle bases is zero; "
@@ -362,23 +358,11 @@ def evaluate_representation(
     if not all(abs(z) < 1.0 for z in zeta):  # also false for nan
         raise ValueError("evaluation point must lie strictly inside the unit polydisc")
 
-    full = (1 << n) - 1
-    exact = Fraction(0)
-    for tup, chain in kernel.top_piece.values.items():
-        form = kernel.cocycle.values.get(tup)
-        if form is None:
-            continue
-        b = form.terms.get(full)
-        if not b:
-            continue
-        for (sigma, gamma), c in chain.terms.items():
-            if sigma == 0 and gamma == full:
-                exact += Fraction(b) * Fraction(c)
-    # the tuple sum times (2 pi i)^n is the raw pairing; the scale's
+    # the raw pairing is the tuple sum times (2 pi i)^n; the scale's
     # tau_power must cancel the quadrature normalization exactly
     if kernel.scale.tau_power + n != 0:
         raise ValueError("kernel scale does not cancel the torus period power")
-    prefactor = complex(kernel.scale.coeff * exact)
+    prefactor = complex(kernel.scale.coeff * kernel.raw_pairing().coeff)
 
     if not f.terms:
         return 0j

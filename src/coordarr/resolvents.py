@@ -40,10 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .cells import CellChain, boundary_chain
-from .cech import LogCochain, canonical_tuple
+from .cells import Cell, CellChain, boundary_chain
+from .cech import LogCochain
 from .complexes import SimplicialComplex, card, elements, pos_in
 from .linalg import CheckFailed
 
@@ -60,6 +59,17 @@ __all__ = [
 ]
 
 FaceTuple = tuple[int, ...]
+Terms = dict[Cell, int | Fraction]
+
+
+def _add_into(acc: Terms, chain: CellChain, factor: int) -> None:
+    for cell, coeff in chain.terms.items():
+        acc[cell] = acc.get(cell, 0) + factor * coeff
+
+
+def _wrap(degree: int, dimension: int, values: dict[FaceTuple, Terms]) -> "UChain":
+    """One ``CellChain`` per tuple of accumulated terms; zeros drop out."""
+    return UChain(degree, dimension, {tup: CellChain(terms) for tup, terms in values.items()})
 
 
 class UChain:
@@ -81,32 +91,11 @@ class UChain:
                 if not chain.is_zero():
                     self.values[tup] = chain
 
-    def value_at(self, tup: Sequence[int]) -> CellChain:
-        canon = canonical_tuple(tup)
-        if canon is None:
-            return CellChain()
-        key, sign = canon
-        chain = self.values.get(key)
-        if chain is None:
-            return CellChain()
-        return chain if sign == 1 else chain.scale(-1)
-
     def is_zero(self) -> bool:
         return not self.values
 
     def scale(self, factor: int | Fraction) -> "UChain":
         return UChain(self.degree, self.dimension, {k: c.scale(factor) for k, c in self.values.items()})
-
-    def __add__(self, other: "UChain") -> "UChain":
-        if (other.degree, other.dimension) != (self.degree, self.dimension):
-            raise ValueError("cannot add chains of different (degree, dimension)")
-        out = dict(self.values)
-        for tup, chain in other.values.items():
-            out[tup] = out.get(tup, CellChain()) + chain
-        return UChain(self.degree, self.dimension, out)
-
-    def __sub__(self, other: "UChain") -> "UChain":
-        return self + other.scale(-1)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -150,17 +139,14 @@ def delta_prime(g: UChain) -> UChain:
     if g.degree == 0:
         raise ValueError("delta' is undefined on degree-0 chains")
     sign_s = -1 if g.dimension % 2 else 1
-    out: dict[FaceTuple, CellChain] = {}
+    out: dict[FaceTuple, Terms] = {}
     for tup, chain in g.values.items():
         for j in range(len(tup)):
             # removing position j: G evaluated at (tup[j], rest) picks up the
             # sign of moving index j to the front
             rest = tup[:j] + tup[j + 1 :]
-            sign = sign_s * (-1 if j % 2 else 1)
-            prev = out.get(rest)
-            contribution = chain.scale(sign)
-            out[rest] = contribution if prev is None else prev + contribution
-    return UChain(g.degree - 1, g.dimension, out)
+            _add_into(out.setdefault(rest, {}), chain, sign_s * (-1 if j % 2 else 1))
+    return _wrap(g.degree - 1, g.dimension, out)
 
 
 def boundary(g: UChain) -> UChain:
@@ -176,10 +162,10 @@ def epsilon_prime(g: UChain) -> CellChain:
     """Sum of the components of a degree-0 chain."""
     if g.degree != 0:
         raise ValueError("epsilon' applies to degree-0 chains only")
-    total = CellChain()
+    total: Terms = {}
     for chain in g.values.values():
-        total = total + chain
-    return total
+        _add_into(total, chain, 1)
+    return CellChain(total)
 
 
 # ---------------------------------------------------------------------------
@@ -343,34 +329,25 @@ def build_resolvent(K: SimplicialComplex, cycle: CellChain) -> Resolvent:
         raise ValueError("chain is not closed")
 
     # piece 0: group the atoms by their disk support
-    grouped: dict[FaceTuple, CellChain] = {}
+    grouped: dict[FaceTuple, Terms] = {}
     for (sigma, gamma), c in cycle.terms.items():
-        key = (sigma,)
-        grouped.setdefault(key, CellChain())
-        grouped[key] = grouped[key] + CellChain({(sigma, gamma): c})
-    pieces = [UChain(0, p + q, grouped)]
+        grouped.setdefault((sigma,), {})[(sigma, gamma)] = c
+    pieces = [_wrap(0, p + q, grouped)]
 
     for k in range(q):
-        prev = pieces[k]
         sign_k = -1 if (p + q - k) % 2 else 1
-        values: dict[FaceTuple, CellChain] = {}
-        for flag, chain in prev.values.items():
+        values: dict[FaceTuple, Terms] = {}
+        for flag, chain in pieces[k].values.items():
             sigma_k = flag[0]
             for i in elements(sigma_k):
                 bit = 1 << (i - 1)
-                new_flag = (sigma_k & ~bit,) + flag
-                moved: dict[tuple[int, int], int | Fraction] = {}
+                moved = values.setdefault((sigma_k & ~bit,) + flag, {})
                 for (sigma, gamma), c in chain.terms.items():
                     new_gamma = gamma | bit
                     sign = -1 if pos_in(new_gamma, i) % 2 else 1
                     key = (sigma & ~bit, new_gamma)
                     moved[key] = moved.get(key, 0) + sign_k * sign * c
-                contribution = CellChain(moved)
-                if contribution.is_zero():
-                    continue
-                prev_val = values.get(new_flag)
-                values[new_flag] = contribution if prev_val is None else prev_val + contribution
-        pieces.append(UChain(k + 1, p + q - k - 1, values))
+        pieces.append(_wrap(k + 1, p + q - k - 1, values))
 
     resolvent = Resolvent(cycle, p, q, pieces)
     resolvent.validate()

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from coordarr import cells, koszul
 from coordarr.complexes import SimplicialComplex, mask_of
 from coordarr.corpus import (
@@ -12,6 +14,7 @@ from coordarr.corpus import (
     torus_complex,
 )
 from coordarr.linalg import (
+    CheckFailed,
     ExactMatrix,
     compose_is_zero,
     rank_rational,
@@ -79,9 +82,8 @@ def test_no_gamma_dropping_terms():
 
 def test_homology_edge_boundary_generator():
     K = edge_boundary()
-    result = cells.homology(K)
-    assert result.table.ranks() == {(0, 0): 1, (2, 1): 1}
-    gens = result.generators(2, 1)
+    assert cells.homology_table(K).ranks() == {(0, 0): 1, (2, 1): 1}
+    gens = cells.homology(K, 2, 1)
     assert len(gens) == 1
     assert gens[0].terms == {
         (mask_of([1]), mask_of([2])): 1,
@@ -90,25 +92,57 @@ def test_homology_edge_boundary_generator():
 
 
 def test_homology_boundary_simplex_sphere():
-    result = cells.homology(simplex_boundary(3))
-    assert result.table.ranks() == {(0, 0): 1, (3, 2): 1}
-    for gen in result.generators(3, 2):
+    K = simplex_boundary(3)
+    assert cells.homology_table(K).ranks() == {(0, 0): 1, (3, 2): 1}
+    for gen in cells.homology(K, 3, 2):
         assert cells.boundary_chain(gen).is_zero()
 
 
 def test_homology_full_simplex_trivial():
-    assert cells.homology(full_simplex(3)).table.ranks() == {(0, 0): 1}
+    assert cells.homology_table(full_simplex(3)).ranks() == {(0, 0): 1}
 
 
 def test_generators_are_cycles_reduced_and_integral():
     K = disjoint_points(3)
-    result = cells.homology(K)
-    for (p, q), gens in result.cycles.items():
-        assert len(gens) == result.table.free(p, q)
+    table = cells.homology_table(K)
+    for (p, q) in table.ranks():
+        gens = cells.homology(K, p, q)
+        assert len(gens) == table.free(p, q)
         for g in gens:
             assert cells.boundary_chain(g).is_zero()
             assert g.bidegree() == (p, q)
             assert all(isinstance(c, int) for c in g.terms.values())
+
+
+@pytest.mark.parametrize(
+    "K",
+    [edge_boundary(), simplex_boundary(3), projective_plane()],
+    ids=["edge", "sphere3", "rp2"],
+)
+def test_one_bidegree_generator_count_is_the_free_rank(K):
+    # every bidegree, empty and out-of-range ones included; RP² has a
+    # torsion-only block at (6, 2), which has no free generator
+    table = cells.homology_table(K)
+    for p in range(-1, K.n + 2):
+        for q in range(-1, p + 2):
+            assert len(cells.homology(K, p, q)) == table.free(p, q), (p, q)
+
+
+@pytest.mark.parametrize("broken_at", [(2, 1), (2, 2)], ids=["d_here", "d_above"])
+def test_homology_rejects_boundary_not_squaring_to_zero(broken_at, monkeypatch):
+    # flipping one sign in either map at the bidegree read breaks d∘d there
+    original = cells.boundary_matrix
+
+    def broken(K, p, q):
+        m = original(K, p, q)
+        if (p, q) == broken_at:
+            key = min(m.entries)
+            return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+        return m
+
+    monkeypatch.setattr(cells, "boundary_matrix", broken)
+    with pytest.raises(CheckFailed, match=r"square to zero at \(2, 1\)"):
+        cells.homology(full_simplex(2), 2, 1)
 
 
 def test_cohomology_equals_rk_everywhere_small():
@@ -166,10 +200,10 @@ def test_phi_mismatches_sees_sign_fault(monkeypatch):
 def test_projective_plane_torsion_and_uct():
     K = projective_plane()
     coh = koszul.cohomology(K, "Z")
-    hom = cells.homology(K, "Z")
+    hom = cells.homology_table(K, "Z")
     assert coh.torsions() == {(6, 3): (2,)}
-    assert hom.table.torsions() == {(6, 2): (2,)}  # degree shift of the universal coefficients
-    assert coh.ranks() == hom.table.ranks()
+    assert hom.torsions() == {(6, 2): (2,)}  # degree shift of the universal coefficients
+    assert coh.ranks() == hom.ranks()
 
 
 def test_pairing_duality_cellular():
@@ -178,8 +212,8 @@ def test_pairing_duality_cellular():
     from coordarr.linalg import kernel_basis, quotient_basis
 
     K = disjoint_points(3)
-    hom = cells.homology(K)
-    for (p, q), gens in hom.cycles.items():
+    cycles = {pq: cells.homology(K, *pq) for pq in cells.homology_table(K).ranks()}
+    for (p, q), gens in cycles.items():
         basis_cells = cells.cells_of_bidegree(K, p, q)
         d_out = cells.coboundary_matrix(K, p, q)
         d_in = cells.coboundary_matrix(K, p, q - 1)
@@ -200,7 +234,7 @@ def test_pairing_duality_cellular():
         )
         assert rank_rational(gram) == len(gens)
         # mixed bidegrees pair to zero: supports are disjoint by construction
-        for (p2, q2), other in hom.cycles.items():
+        for (p2, q2), other in cycles.items():
             if (p2, q2) == (p, q):
                 continue
             for w in cocycles:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import os
@@ -11,7 +12,8 @@ import pytest
 
 from coordarr import cech, cells, kernels, koszul
 from coordarr.cli import run
-from coordarr.linalg import ExactMatrix
+from coordarr.linalg import CheckFailed, ExactMatrix
+from coordarr.resolvents import Resolvent
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,6 +180,59 @@ def test_resolvent(edge_file, capsys):
     assert run(["resolvent", edge_file, "--p", "2", "--q", "1", "--index", "5"]) == 2
 
 
+def test_resolvent_validates_once(edge_file, tmp_path, monkeypatch):
+    # build_resolvent validates; the command reports that verdict
+    calls = []
+    original = Resolvent.validate
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(Resolvent, "validate", counting)
+    out = tmp_path / "resolvent.json"
+    assert run(["resolvent", edge_file, "--p", "2", "--q", "1", "--json", str(out)]) == 0
+    assert len(calls) == 1
+    assert json.loads(out.read_text())["checks"] == {"identities": "pass"}
+
+
+def test_resolvent_failed_validation_exits_1(edge_file, tmp_path, monkeypatch, capsys):
+    def failing(self):
+        raise CheckFailed("resolvent identity fails between pieces 0 and 1")
+
+    monkeypatch.setattr(Resolvent, "validate", failing)
+    out = tmp_path / "resolvent.json"
+    assert run(["resolvent", edge_file, "--p", "2", "--q", "1", "--json", str(out)]) == 1
+    assert "resolvent identity fails" in capsys.readouterr().err
+    assert not out.exists()
+
+
+#: sha256 of the ``resolvent --json`` artifact, recorded before cycles and
+#: resolvent pieces were computed one bidegree at a time and in place
+RESOLVENT_ARTIFACTS = {
+    "sphere4": (
+        {"n": 4, "facets": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]},
+        ["--p", "4", "--q", "3"],
+        "41839326ad46a63db4493179d5e7b94d592e00eacc83206a7d71188deb92ecc1",
+    ),
+    "path": (
+        {"n": 3, "facets": [[1, 2], [2, 3]]},
+        ["--p", "2", "--q", "1"],
+        "1686ff3105230e9116c23e5e1c4b22e032329eca4f2de068ddc892edbe44e3a1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVENT_ARTIFACTS))
+def test_resolvent_artifact_digest(name, tmp_path):
+    doc, bidegree, digest = RESOLVENT_ARTIFACTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "resolvent.json"
+    assert run(["resolvent", str(path), *bidegree, "--json", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_kernel(edge_file, capsys):
     assert run(["kernel", edge_file, "--s", "3"]) == 0
     assert "normalization exact" in capsys.readouterr().out
@@ -317,12 +372,17 @@ tracing.install(recorder)
 codes = [cli.run(argv) for argv in (
     ["compare", {edge_file!r}], ["hodge", {edge_file!r}], ["kernel", {edge_file!r}, "--s", "3"],
     ["verify-kernel", {edge_file!r}, "--s", "3", "--f", "1+z1*z2", "--zeta", "0.3,-0.4"])]
-print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.spans}})}}))
+start = len(recorder.spans)
+codes.append(cli.run(["resolvent", {edge_file!r}, "--p", "2", "--q", "1"]))
+print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.spans}}),
+                  "resolvent": sorted({{s[0] for s in recorder.spans[start:]}})}}))
 """
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    # the resolvent command reaches build_resolvent through cli's own binding
+    assert {"cells.homology", "resolvents.build"} <= set(result["resolvent"])
     assert {
         "complexes.parse", "koszul.assembly", "cells.assembly", "linalg.snf",
         "linalg.rank_q", "linalg.compose_check", "cech.cohomology", "cech.rank",

@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from coordarr import cech, linalg
 from coordarr import kernels as kn
-from coordarr import koszul, linalg
 from coordarr.complexes import SimplicialComplex, mask_of
 from coordarr.corpus import full_simplex, simplex_boundary
 
@@ -124,19 +124,16 @@ def test_build_kernel_boundary_simplex_length_two():
     assert data.check_normalized()
 
 
-def test_rank_test_eliminates_only_stripe_n(monkeypatch):
-    K = simplex_boundary(5)
-    expected = [(d.rows, d.cols, d.entries) for d in koszul.stripe(K, 5) if d.entries]
-    seen = []
-    original = linalg.rank_rational
+def test_build_kernel_runs_no_rank_or_smith_elimination(monkeypatch):
+    # the cycle list of the one bidegree is the existence test: no rank and
+    # no Smith form is computed on the way to a kernel
+    def forbidden(m):
+        raise AssertionError("build_kernel ran an elimination")
 
-    def counting(m):
-        seen.append((m.rows, m.cols, m.entries))
-        return original(m)
-
-    monkeypatch.setattr(linalg, "rank_rational", counting)
-    assert kn.build_kernel(K, 9).check_normalized()
-    assert seen == expected
+    monkeypatch.setattr(linalg, "rank_rational", forbidden)
+    monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
+    monkeypatch.setattr(cech, "rank_rational", forbidden)
+    assert kn.build_kernel(simplex_boundary(5), 9).check_normalized()
 
 
 def test_unavailable_message_reports_the_degree_row():
@@ -147,6 +144,25 @@ def test_unavailable_message_reports_the_degree_row():
         "no class of full holomorphic degree in H^3: "
         "h(n=3, q=0) = 0; nonzero ranks in degree 3: {2: 1}"
     )
+
+
+@pytest.mark.parametrize(
+    ("s", "message"),
+    [
+        (0, "no class of full holomorphic degree in H^0: "
+            "h(n=3, q=-3) = 0; nonzero ranks in degree 0: {0: 1}"),
+        (2, "no class of full holomorphic degree in H^2: "
+            "h(n=3, q=-1) = 0; nonzero ranks in degree 2: none"),
+        (7, "no class of full holomorphic degree in H^7: "
+            "h(n=3, q=4) = 0; nonzero ranks in degree 7: none"),
+    ],
+    ids=["s0", "s2", "s7"],
+)
+def test_unavailable_message_outside_the_kernel_degrees(s, message):
+    # s < n and s > 2n have no bidegree (n, s - n) at all
+    with pytest.raises(kn.KernelUnavailableError) as info:
+        kn.build_kernel(simplex_boundary(3), s)
+    assert str(info.value) == message
 
 
 def test_boundary_simplex_7_kernel_on_top_piece_support():

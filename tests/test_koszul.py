@@ -164,6 +164,6 @@ def test_cohomology_three_points():
 def test_total_degree_matches_cell_model():
     K = SimplicialComplex.from_vertex_lists(4, [[1, 2], [3], [4]])
     rk = koszul.cohomology(K, "Q")
-    cell = cells.homology(K, "Q").table
+    cell = cells.homology_table(K, "Q")
     for s in range(2 * K.n + 1):
         assert rk.betti(s) == cell.betti(s)
