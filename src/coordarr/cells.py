@@ -234,11 +234,13 @@ def phi(a) -> CellCochain:
 
 
 def phi_checked(K: SimplicialComplex, p: int, mismatches: list[tuple[int, int]]) -> Iterator[ExactMatrix]:
-    """The algebra model's p-stripe (``koszul.stripe``), each differential
-    compared with the coboundary matrix of its bidegree, signs included, as
-    it passes; a (p, q) where they differ goes to ``mismatches``.  With
-    none, ``phi`` commutes with the differentials and the cell cohomology
-    is the algebra model's table by construction.
+    """The algebra model's full p-stripe (``koszul.stripe``, the summands
+    of face J included), each differential compared with the coboundary
+    matrix of its bidegree, signs included, as it passes; a (p, q) where
+    they differ goes to ``mismatches``.  With none, ``phi`` commutes with
+    the differentials and the cell cohomology is the algebra model's table
+    by construction.  The table of these stripes is the reference that
+    ``koszul.cohomology``, which skips the face J, is held against.
     """
     for q, d in enumerate(koszul.stripe(K, p), -1):
         if d != coboundary_matrix(K, p, q):

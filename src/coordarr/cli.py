@@ -1,9 +1,14 @@
 """Command-line front end.
 
-Every table comes from the algebra model's stripes (``koszul``), ``hodge``
-included; ``kernel`` and ``resolvent`` read the cycles of one bidegree of the
-cell model and no table.  The Čech model runs only as the oracle of
-``compare`` and ``corpus``, and for the kernels' cocycles.
+``cohomology --model rk``, ``hodge`` and the message of an unavailable
+kernel read the algebra model's table from ``koszul.cohomology``, which
+eliminates only the summands of the vertex sets J that are not faces.
+``compare`` and ``corpus`` build the full stripes instead, every face J
+included, compare each block with the cell coboundary and eliminate it, so
+their rk table is an independent route to the same numbers.  ``kernel`` and
+``resolvent`` read the cycles of one bidegree of the cell model and no
+table.  The Čech model runs only as the oracle of ``compare`` and
+``corpus``, and for the kernels' cocycles.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (model
 disagreement, a differential that does not square to zero, a broken

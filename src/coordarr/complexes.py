@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -95,6 +95,11 @@ def pos_in(mask: int, v: int) -> int:
     """1-based position of vertex ``v`` inside the sorted elements of
     ``mask`` (``v`` must belong to the mask)."""
     return (mask & ((1 << (v - 1)) - 1)).bit_count() + 1
+
+
+@cache
+def _k_subsets(n: int, k: int) -> tuple[int, ...]:
+    return tuple(mask_of(c) for c in combinations(range(1, n + 1), k))
 
 
 def subsets_of(mask: int) -> Iterator[int]:
@@ -251,9 +256,10 @@ class SimplicialComplex:
             counts[card(f)] = counts.get(card(f), 0) + 1
         return dict(sorted(counts.items()))
 
-    def k_subsets(self, k: int) -> list[int]:
-        """All k-element subsets of [n] as masks, ascending."""
-        return [mask_of(c) for c in combinations(range(1, self.n + 1), k)]
+    def k_subsets(self, k: int) -> tuple[int, ...]:
+        """All k-element subsets of [n] as masks, in lexicographic order of
+        their sorted vertex lists; shared by every complex on n vertices."""
+        return _k_subsets(self.n, k)
 
     # -- serialization -------------------------------------------------------
 

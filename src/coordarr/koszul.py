@@ -16,14 +16,32 @@ on a basis monomial it produces the terms
 
 where pos is the 1-based position of i in the sorted gamma.  The
 differential raises q by one and preserves p, so cohomology is computed one
-p-stripe at a time.  These stripes are the one engine for the bigraded
-tables: ``cohomology`` over Z or Q, and ``hodge_table``, where p is the
-holomorphic form degree (the algebra is R*(K) of Buchstaber–Panov).
+p-stripe at a time (the algebra is R*(K) of Buchstaber–Panov, and p is the
+holomorphic form degree of ``hodge_table``).
 
-Basis elements of bidegree (p, q) are ordered by (sigma mask, gamma mask);
-the cell model orders its (sigma, gamma) cells the same way, so the
-dual-basis relabeling between the two models is the identity permutation on
-each block.
+It also preserves the support J = gamma + sigma.  So the p-stripe is the
+direct sum, over the vertex sets J with |J| = p, of one summand per J whose
+monomials u_(J - sigma) v_sigma are indexed by the faces sigma of the full
+subcomplex K_J: up to signs it is the augmented cochain complex of K_J, and
+its (p, q) group is the reduced cohomology H~^(q-1)(K_J) (Hochster, 1977;
+Buchstaber–Panov, *Toric Topology*, Thm 3.2.9).  When J is a nonempty face,
+K_J is a full simplex and the summand is split exact over Z: it carries
+neither rank nor torsion.  ``cohomology``, the one engine behind every
+bigraded table and ``hodge_table``, therefore assembles only the summands
+of the J that are not faces, plus J = ∅ -- a face, but its summand is the
+unit in bidegree (0, 0), since the complex {∅} has H~^(-1) = Z.  Their
+monomials are ordered by (J, sigma), so each differential is one
+block-diagonal matrix per (p, q), eliminated once; the Smith form of a
+block-diagonal matrix is that of the direct sum, so the torsion is the full
+stripe's.
+
+``basis``, ``differential_matrix`` and ``stripe`` keep the full stripes,
+every J included, ordered by (sigma mask, gamma mask).  The cell model
+orders its (sigma, gamma) cells the same way, so the dual-basis relabeling
+between the two models is the identity permutation on each block.
+``compare`` and ``corpus`` check and eliminate these full stripes
+(``cells.phi_checked``), which makes them the independent reference the
+summand engine is held against.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator
 
-from .complexes import SimplicialComplex, card, elements, pos_in
+from .complexes import SimplicialComplex, card, elements, face_key, subsets_of
 from .linalg import BigradedTable, ExactMatrix, stripe_cohomology
 
 __all__ = [
@@ -45,6 +63,7 @@ __all__ = [
     "multiply",
     "stripe",
     "stripe_table",
+    "summand_stripe",
     "cohomology",
     "HodgeTable",
     "hodge_table",
@@ -75,13 +94,15 @@ def basis(K: SimplicialComplex, p: int, q: int) -> list[Basis]:
 
 def _diff_terms(K: SimplicialComplex, gamma: int, sigma: int) -> list[tuple[int, Basis]]:
     """Signed targets of the differential on one basis monomial."""
+    faces = K.faces
     out = []
-    for i in elements(gamma):
-        new_sigma = sigma | (1 << (i - 1))
-        if not K.is_face(new_sigma):
-            continue
-        sign = -1 if (pos_in(gamma, i) - 1) % 2 else 1
-        out.append((sign, (gamma & ~(1 << (i - 1)), new_sigma)))
+    rest = gamma
+    while rest:
+        bit = rest & -rest  # vertex i, ascending; pos(i, gamma) - 1 of gamma lie below
+        rest ^= bit
+        if (sigma | bit) in faces:
+            sign = -1 if (gamma & (bit - 1)).bit_count() % 2 else 1
+            out.append((sign, (gamma ^ bit, sigma | bit)))
     return out
 
 
@@ -190,8 +211,8 @@ def multiply(K: SimplicialComplex, a: RkElement, b: RkElement) -> RkElement:
 
 
 def stripe(K: SimplicialComplex, p: int) -> Iterator[ExactMatrix]:
-    """The differentials out of (p, -1), ..., (p, p), each built only when
-    it is asked for."""
+    """The full stripe: the differentials out of (p, -1), ..., (p, p), every
+    J included, each built only when it is asked for."""
     return (differential_matrix(K, p, q) for q in range(-1, p + 1))
 
 
@@ -205,13 +226,49 @@ def stripe_table(stripes: Iterable[Iterable[ExactMatrix]], coeff: str = "Z") -> 
     return BigradedTable(blocks, coeff)
 
 
-def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
-    """Bigraded cohomology table of the algebra, stripe by stripe.
+def _summand_faces(K: SimplicialComplex, J: int) -> list[int]:
+    """Faces of the full subcomplex K_J in face order, from whichever of the
+    2^|J| subsets of J and the faces of K is the shorter list."""
+    faces = K.faces
+    if 1 << card(J) < len(faces):
+        return sorted((sigma for sigma in subsets_of(J) if sigma in faces), key=face_key)
+    return [sigma for sigma in K.faces_sorted if sigma & J == sigma]
 
-    The differential preserves p, so the p-stripe is a cochain complex of
-    its own; each differential is built once and eliminated once.
+
+def summand_stripe(K: SimplicialComplex, p: int) -> Iterator[ExactMatrix]:
+    """The differentials out of (p, -1), ..., (p, p) restricted to the
+    summands that can carry cohomology: the J with |J| = p that are not
+    faces, and J = ∅ at p = 0.  The (p, q) basis is the monomials
+    u_(J - sigma) v_sigma with |sigma| = q in (J, sigma) order, so each map
+    is block-diagonal with one block per J.  A stripe without such a J
+    yields no maps.
     """
-    return stripe_table((stripe(K, p) for p in range(K.n + 1)), coeff)
+    if p == 0:
+        supports = [0]
+    else:
+        supports = sorted(J for J in K.k_subsets(p) if not K.is_face(J))
+    if not supports:
+        return
+    layers: list[list[tuple[int, int]]] = [[] for _ in range(p + 2)]
+    for J in supports:
+        for sigma in _summand_faces(K, J):
+            layers[card(sigma)].append((J, sigma))
+    yield ExactMatrix(len(layers[0]), 0)
+    for src, dst in zip(layers, layers[1:]):
+        index = {b: r for r, b in enumerate(dst)}
+        entries: dict[tuple[int, int], int] = {}
+        for c, (J, sigma) in enumerate(src):
+            for sign, (_, target) in _diff_terms(K, J & ~sigma, sigma):
+                entries[(index[(J, target)], c)] = sign
+        yield ExactMatrix(len(dst), len(src), entries)
+
+
+def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
+    """Bigraded cohomology table of the algebra, stripe by stripe, from the
+    summands of the J that are not faces (``summand_stripe``); each
+    differential is built once and eliminated once.
+    """
+    return stripe_table((summand_stripe(K, p) for p in range(K.n + 1)), coeff)
 
 
 @dataclass

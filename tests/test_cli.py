@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from coordarr import cech, cells, kernels, koszul
+from coordarr import cech, cells, kernels, koszul, linalg
 from coordarr.cli import run
 from coordarr.linalg import CheckFailed, ExactMatrix
 from coordarr.resolvents import Resolvent
@@ -35,6 +35,13 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 def edge_file(tmp_path):
     path = tmp_path / "edge.json"
     path.write_text(json.dumps({"n": 2, "facets": [[1], [2]]}))
+    return str(path)
+
+
+@pytest.fixture()
+def triangle_file(tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]}))
     return str(path)
 
 
@@ -145,20 +152,90 @@ def test_compare_exit_codes_for_bad_input(tmp_path):
     assert run(["compare", str(tmp_path / "missing.json")]) == 2
 
 
-def test_failed_self_check_exits_1(full_file, monkeypatch, capsys):
-    # one flipped Koszul sign: d o d != 0 is a failed check, not bad input
-    original = koszul.differential_matrix
+def test_failed_self_check_exits_1(triangle_file, monkeypatch, capsys):
+    # one flipped Koszul sign in the summand of J = {1, 2, 3}, which is not a
+    # face: d o d != 0 is a failed check, not bad input.  (On the edge
+    # boundary the map out of (2, 1) is zero, so no flip at (2, 0) can
+    # break d o d there.)
+    original = koszul.summand_stripe
+    flipped = []
 
-    def broken(K, p, q):
-        m = original(K, p, q)
-        if (p, q) == (2, 0) and m.entries:
-            key = min(m.entries)
-            return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
-        return m
+    def broken(K, p):
+        for q, m in enumerate(original(K, p), -1):
+            if (p, q) == (3, 0) and m.entries:
+                key = min(m.entries)
+                m = ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+                flipped.append(q)
+            yield m
 
-    monkeypatch.setattr(koszul, "differential_matrix", broken)
-    assert run(["cohomology", full_file]) == 1
-    assert "d_out o d_in != 0" in capsys.readouterr().err
+    monkeypatch.setattr(koszul, "summand_stripe", broken)
+    for argv in (["cohomology", triangle_file], ["hodge", triangle_file]):
+        assert run(argv) == 1
+        assert "d_out o d_in != 0" in capsys.readouterr().err
+    assert flipped == [0, 0]
+
+
+def _sphere_file(tmp_path, n: int) -> str:
+    path = tmp_path / f"sphere{n}.json"
+    facets = [[v for v in range(1, n + 1) if v != missing] for missing in range(1, n + 1)]
+    path.write_text(json.dumps({"n": n, "facets": facets}))
+    return str(path)
+
+
+def _recording_stripes(monkeypatch) -> list[list[ExactMatrix]]:
+    """Record every stripe the table engine hands to elimination."""
+    stripes: list[list[ExactMatrix]] = []
+    original = koszul.stripe_cohomology
+
+    def recording(maps, coeff="Z"):
+        stripes.append(list(maps))
+        return original(stripes[-1], coeff)
+
+    monkeypatch.setattr(koszul, "stripe_cohomology", recording)
+    return stripes
+
+
+def test_hodge_eliminates_only_the_non_face_summands(tmp_path, monkeypatch, capsys):
+    # every J of size < 12 is a face of the boundary of the 12-simplex, so
+    # only J = {} (1 monomial) and J = [12] (its 4,095 faces) are assembled
+    stripes = _recording_stripes(monkeypatch)
+    assert run(["hodge", _sphere_file(tmp_path, 12)]) == 0
+    sizes = [sum(m.cols for m in maps) for maps in stripes]
+    assert sizes == [1] + [0] * 11 + [4095]
+    h_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("h(")]
+    assert h_lines == ["h(0,0) = 1", "h(12,11) = 1"]
+
+
+def test_tables_never_build_the_full_stripes(edge_file, monkeypatch, capsys):
+    def full_stripe(*args):
+        raise AssertionError("the full stripes belong to compare and corpus")
+
+    monkeypatch.setattr(koszul, "differential_matrix", full_stripe)
+    monkeypatch.setattr(koszul, "basis", full_stripe)
+    assert run(["hodge", edge_file]) == 0
+    assert run(["cohomology", edge_file, "--coeff", "z"]) == 0
+    assert run(["cohomology", edge_file, "--coeff", "q"]) == 0
+    # the unavailable-kernel message reads the table too
+    assert run(["kernel", edge_file, "--s", "1"]) == 1
+    assert "nonzero ranks in degree 1: none" in capsys.readouterr().out
+
+
+def test_full_simplex_tables_eliminate_no_entry(tmp_path, monkeypatch):
+    # every nonempty J is a face, so the tables reach elimination with empty
+    # maps only; compare still eliminates the full stripes, face J included
+    path = tmp_path / "full4.json"
+    path.write_text(json.dumps({"n": 4, "facets": [[1, 2, 3, 4]]}))
+    stripes = _recording_stripes(monkeypatch)
+    eliminated = []
+    for name in ("smith_normal_form", "rank_rational"):
+        original = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda m, original=original: eliminated.append(m) or original(m))
+    for argv in (["hodge"], ["cohomology", "--coeff", "z"], ["cohomology", "--coeff", "q"]):
+        assert run([argv[0], str(path), *argv[1:]]) == 0
+    assert stripes and not any(m.entries for maps in stripes for m in maps)
+    assert eliminated == []
+    assert run(["compare", str(path)]) == 0
+    assert eliminated and all(m.entries for m in eliminated)
 
 
 def test_bad_node_count_exits_2(edge_file, capsys):

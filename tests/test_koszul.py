@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import random
+import warnings
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordarr import cells, koszul
 from coordarr.complexes import SimplicialComplex, mask_of
-from coordarr.corpus import disjoint_points, full_simplex, simplex_boundary
+from coordarr.corpus import disjoint_points, full_simplex, simplex_boundary, standard_corpus
 from coordarr.linalg import compose_is_zero
 
 
@@ -167,3 +172,64 @@ def test_total_degree_matches_cell_model():
     cell = cells.homology_table(K, "Q")
     for s in range(2 * K.n + 1):
         assert rk.betti(s) == cell.betti(s)
+
+
+def _full_stripe_json(K: SimplicialComplex, coeff: str) -> dict:
+    """The table of the full stripes, every J included: the route ``compare``
+    takes, and the reference for the summand engine."""
+    return koszul.stripe_table((koszul.stripe(K, p) for p in range(K.n + 1)), coeff).to_json()
+
+
+def _cycle(n: int) -> SimplicialComplex:
+    return SimplicialComplex.from_vertex_lists(n, [[i, i % n + 1] for i in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("coeff", ["Z", "Q"])
+def test_summand_engine_equals_full_stripes_on_the_corpus(coeff):
+    # RP^2 is in the corpus, so the Z/2 torsion is compared too
+    for K in standard_corpus():
+        assert koszul.cohomology(K, coeff).to_json() == _full_stripe_json(K, coeff), K
+
+
+@pytest.mark.parametrize("coeff", ["Z", "Q"])
+@pytest.mark.parametrize(
+    "K",
+    [simplex_boundary(n) for n in range(3, 9)] + [_cycle(8), _cycle(9)],
+    ids=[f"sphere{n}" for n in range(3, 9)] + ["C8", "C9"],
+)
+def test_summand_engine_equals_full_stripes_on_spheres_and_cycles(K, coeff):
+    assert koszul.cohomology(K, coeff).to_json() == _full_stripe_json(K, coeff)
+
+
+@st.composite
+def complexes_with_ghosts_and_cones(draw) -> SimplicialComplex:
+    """Random complexes on at most 6 vertices; some vertices span no face,
+    and some complexes are cones (every facet holds the last vertex)."""
+    n = draw(st.integers(1, 5))
+    facets = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    ghosts = draw(st.integers(0, 5 - n))
+    cone = n + ghosts < 6 and draw(st.booleans())
+    total = n + ghosts + cone
+    apex = 1 << (total - 1) if cone else 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex(total, [f | apex for f in facets] or [apex])
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_with_ghosts_and_cones())
+def test_summand_engine_equals_full_stripes_on_random_complexes(K):
+    for coeff in ("Z", "Q"):
+        assert koszul.cohomology(K, coeff).to_json() == _full_stripe_json(K, coeff)
+
+
+def test_summand_stripe_is_the_summand_of_each_non_face():
+    # the edge boundary: only J = {1, 2} is not a face at p = 2; its summand
+    # is u1u2 -> v1u2 - u1v2 ordered (J, sigma), sigma = {}, {1}, {2}
+    maps = list(koszul.summand_stripe(SimplicialComplex.from_vertex_lists(2, [[1], [2]]), 2))
+    assert [(m.rows, m.cols) for m in maps] == [(1, 0), (2, 1), (0, 2), (0, 0)]
+    assert maps[1].to_dense() == [[1], [-1]]
+    # a stripe whose J are all faces yields no map at all
+    assert list(koszul.summand_stripe(full_simplex(3), 2)) == []
+    # J = {} stays: the unit in bidegree (0, 0)
+    assert [(m.rows, m.cols) for m in koszul.summand_stripe(full_simplex(3), 0)] == [(1, 0), (0, 1)]
