@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -97,7 +97,7 @@ def pos_in(mask: int, v: int) -> int:
     return (mask & ((1 << (v - 1)) - 1)).bit_count() + 1
 
 
-@cache
+@lru_cache(maxsize=64)  # room for every k of every n up to 9
 def _k_subsets(n: int, k: int) -> tuple[int, ...]:
     return tuple(mask_of(c) for c in combinations(range(1, n + 1), k))
 

@@ -30,8 +30,8 @@ neither rank nor torsion.  ``cohomology``, the one engine behind every
 bigraded table and ``hodge_table``, therefore assembles only the summands
 of the J that are not faces, plus J = ∅ -- a face, but its summand is the
 unit in bidegree (0, 0), since the complex {∅} has H~^(-1) = Z.  Their
-monomials are ordered by (J, sigma), so each differential is one
-block-diagonal matrix per (p, q), eliminated once; the Smith form of a
+monomials are grouped by J, so each differential is one block-diagonal
+matrix per (p, q), eliminated once; the Smith form of a
 block-diagonal matrix is that of the direct sum, so the torsion is the full
 stripe's.
 
@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator
 
-from .complexes import SimplicialComplex, card, elements, face_key, subsets_of
+from .complexes import SimplicialComplex, card, elements, pos_in
 from .linalg import BigradedTable, ExactMatrix, stripe_cohomology
 
 __all__ = [
@@ -94,15 +94,13 @@ def basis(K: SimplicialComplex, p: int, q: int) -> list[Basis]:
 
 def _diff_terms(K: SimplicialComplex, gamma: int, sigma: int) -> list[tuple[int, Basis]]:
     """Signed targets of the differential on one basis monomial."""
-    faces = K.faces
     out = []
-    rest = gamma
-    while rest:
-        bit = rest & -rest  # vertex i, ascending; pos(i, gamma) - 1 of gamma lie below
-        rest ^= bit
-        if (sigma | bit) in faces:
-            sign = -1 if (gamma & (bit - 1)).bit_count() % 2 else 1
-            out.append((sign, (gamma ^ bit, sigma | bit)))
+    for i in elements(gamma):
+        new_sigma = sigma | (1 << (i - 1))
+        if not K.is_face(new_sigma):
+            continue
+        sign = -1 if (pos_in(gamma, i) - 1) % 2 else 1
+        out.append((sign, (gamma & ~(1 << (i - 1)), new_sigma)))
     return out
 
 
@@ -226,33 +224,25 @@ def stripe_table(stripes: Iterable[Iterable[ExactMatrix]], coeff: str = "Z") -> 
     return BigradedTable(blocks, coeff)
 
 
-def _summand_faces(K: SimplicialComplex, J: int) -> list[int]:
-    """Faces of the full subcomplex K_J in face order, from whichever of the
-    2^|J| subsets of J and the faces of K is the shorter list."""
-    faces = K.faces
-    if 1 << card(J) < len(faces):
-        return sorted((sigma for sigma in subsets_of(J) if sigma in faces), key=face_key)
-    return [sigma for sigma in K.faces_sorted if sigma & J == sigma]
-
-
 def summand_stripe(K: SimplicialComplex, p: int) -> Iterator[ExactMatrix]:
     """The differentials out of (p, -1), ..., (p, p) restricted to the
     summands that can carry cohomology: the J with |J| = p that are not
     faces, and J = ∅ at p = 0.  The (p, q) basis is the monomials
-    u_(J - sigma) v_sigma with |sigma| = q in (J, sigma) order, so each map
-    is block-diagonal with one block per J.  A stripe without such a J
+    u_(J - sigma) v_sigma with |sigma| = q, grouped by J, so each map is
+    block-diagonal with one block per J.  A stripe without such a J
     yields no maps.
     """
     if p == 0:
         supports = [0]
     else:
-        supports = sorted(J for J in K.k_subsets(p) if not K.is_face(J))
+        supports = [J for J in K.k_subsets(p) if not K.is_face(J)]
     if not supports:
         return
     layers: list[list[tuple[int, int]]] = [[] for _ in range(p + 2)]
     for J in supports:
-        for sigma in _summand_faces(K, J):
-            layers[card(sigma)].append((J, sigma))
+        for sigma in K.faces_sorted:
+            if sigma & J == sigma:
+                layers[card(sigma)].append((J, sigma))
     yield ExactMatrix(len(layers[0]), 0)
     for src, dst in zip(layers, layers[1:]):
         index = {b: r for r, b in enumerate(dst)}

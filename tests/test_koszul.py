@@ -225,7 +225,7 @@ def test_summand_engine_equals_full_stripes_on_random_complexes(K):
 
 def test_summand_stripe_is_the_summand_of_each_non_face():
     # the edge boundary: only J = {1, 2} is not a face at p = 2; its summand
-    # is u1u2 -> v1u2 - u1v2 ordered (J, sigma), sigma = {}, {1}, {2}
+    # is u1u2 -> v1u2 - u1v2, sigma = {}, {1}, {2} in face order
     maps = list(koszul.summand_stripe(SimplicialComplex.from_vertex_lists(2, [[1], [2]]), 2))
     assert [(m.rows, m.cols) for m in maps] == [(1, 0), (2, 1), (0, 2), (0, 0)]
     assert maps[1].to_dense() == [[1], [-1]]
