@@ -35,8 +35,20 @@ one rule either at the tuples a caller asks for (the kernels ask for the
 support of a resolvent's top piece) or over the whole support.
 
 Internally each (p, t) block splits as a direct sum over the index sets I
-(the coboundary never mixes the dz_I/z_I coefficients), which keeps the
-elimination work per complex small.
+(the coboundary never mixes the dz_I/z_I coefficients).  ``cohomology``
+eliminates each component once, from the top Čech degree down, with
+clearing (Chen–Kerber, "Persistent homology computation with a twist",
+2011; Bauer–Kerber–Reininghaus, "Clear and compress", 2014): the pivot
+columns P of delta_t, a basis of its column space, are deleted from the
+rows of delta_(t-1).  The rank survives because delta_t o delta_(t-1) = 0:
+ker delta_t meets span(e_P) only in 0, so the image of delta_(t-1)
+projects injectively away from P.  Rank and pivots are cached per
+(t, column set), the column set held as a bitmap of tuple positions.  The
+key is sound: every supertuple of an admissible tuple is admissible, so
+the inadmissible rows are zero on a component's columns and the rank of
+delta_t depends on its columns alone; and a column basis of a row-cleared
+delta_t of that same rank is a column basis of the whole delta_t, so the
+cached pivots clear soundly for every index set with those columns.
 
 The model has two jobs: ``cohomology`` and ``filtration_ranks_direct`` are
 the independent oracle for the algebra model's tables (which also give the
@@ -332,7 +344,7 @@ def cech_matrix(K: SimplicialComplex, p: int, t: int, cover: Cover = "faces") ->
 
 class _CechEngine:
     """Per-complex cache for one cover: tuples, intersections, coboundary
-    structure and per-index-set ranks."""
+    structure and per-column-set ranks."""
 
     def __init__(self, K: SimplicialComplex, cover: Cover):
         self.K = K
@@ -342,7 +354,9 @@ class _CechEngine:
         self._tuples: dict[int, list[tuple[FaceTuple, int]]] = {}
         self._structure: dict[int, list[list[tuple[int, int]]]] = {}
         self._positions: dict[int, dict[FaceTuple, int]] = {}
-        self._rank_cache: dict[tuple[int, int], int] = {}
+        # (t, column bitmap) -> (rank of delta_t, bitmask of its pivot columns)
+        self._rank_cache: dict[tuple[int, int], tuple[int, int]] = {}
+        self._meets_cache: dict[int, list[int]] = {}
 
     def tuples(self, size: int) -> list[tuple[FaceTuple, int]]:
         """All increasing tuples of the given size with their intersections."""
@@ -373,14 +387,31 @@ class _CechEngine:
     def admissible(self, size: int, iset: int) -> list[int]:
         return [i for i, (_, inter) in enumerate(self.tuples(size)) if inter & iset == 0]
 
-    def block(self, iset: int, t: int) -> ExactMatrix:
-        """Degree-t coboundary on the index-set component, from the
-        admissible (t+1)-tuples to the admissible (t+2)-tuples; the complex
-        is not augmented, so for t < 0 it is the empty map into degree 0."""
-        rows = self.admissible(t + 2, iset)
-        if t < 0:
-            return ExactMatrix(len(rows), 0)
-        col_pos = {c: i for i, c in enumerate(self.admissible(t + 1, iset))}
+    def _meets(self, size: int) -> list[int]:
+        """Per vertex bit v, the bitmap of the positions of the tuples of
+        the given size whose intersection holds v."""
+        if size not in self._meets_cache:
+            inters = [inter for _, inter in reversed(self.tuples(size))]
+            self._meets_cache[size] = [
+                int("0" + "".join("1" if inter >> v & 1 else "0" for inter in inters), 2)
+                for v in range(self.K.n)
+            ]
+        return self._meets_cache[size]
+
+    def _admissible_bitmap(self, size: int, iset: int) -> int:
+        """``admissible`` as a bitmap of positions, from one mask operation
+        per vertex of the index set instead of one test per tuple."""
+        bitmap = (1 << len(self.tuples(size))) - 1
+        meets = self._meets(size)
+        for v in range(iset.bit_length()):
+            if iset >> v & 1:
+                bitmap &= ~meets[v]
+        return bitmap
+
+    def _coboundary(self, t: int, rows: list[int], cols: list[int]) -> ExactMatrix:
+        """The degree-t coboundary between the given (t+2)-tuple rows and
+        (t+1)-tuple columns, both lists of tuple positions."""
+        col_pos = {c: i for i, c in enumerate(cols)}
         structure = self.structure(t)
         entries: dict[tuple[int, int], int] = {}
         for new_row, r in enumerate(rows):
@@ -388,30 +419,45 @@ class _CechEngine:
                 pos = col_pos.get(col)
                 if pos is not None:
                     entries[(new_row, pos)] = sign
-        return ExactMatrix(len(rows), len(col_pos), entries)
+        return ExactMatrix(len(rows), len(cols), entries)
 
-    def rank(self, iset: int, t: int) -> int:
-        """Rank of the degree-t coboundary on the index-set component."""
-        if t < 0 or t + 2 > self.m:
-            return 0
-        cols = self.admissible(t + 1, iset)
-        if not cols:
-            return 0
-        col_bitmap = 0
-        for c in cols:
-            col_bitmap |= 1 << c
-        key = (t, col_bitmap)
-        cached = self._rank_cache.get(key)
-        if cached is None:
-            cached = self._rank_cache[key] = rank_rational(self.block(iset, t))
-        return cached
+    def block(self, iset: int, t: int) -> ExactMatrix:
+        """Degree-t coboundary on the index-set component, from the
+        admissible (t+1)-tuples to the admissible (t+2)-tuples; the complex
+        is not augmented, so for t < 0 it is the empty map into degree 0."""
+        rows = self.admissible(t + 2, iset)
+        if t < 0:
+            return ExactMatrix(len(rows), 0)
+        return self._coboundary(t, rows, self.admissible(t + 1, iset))
 
-    def group_dimension(self, iset: int, q: int) -> int:
-        """dim of the degree-q cohomology of the index-set component."""
-        if q < 0 or q + 1 > self.m:
-            return 0
-        dim = len(self.admissible(q + 1, iset))
-        return dim - self.rank(iset, q) - self.rank(iset, q - 1)
+    def dimensions(self, iset: int) -> list[int]:
+        """dim of the degree-q cohomology of the index-set component, for
+        every q = 0, ..., m-1, from one top-down pass with clearing."""
+        # admissible[t]: bitmap of the positions of the admissible (t+1)-tuples
+        admissible = [self._admissible_bitmap(size, iset) for size in range(1, self.m + 1)]
+        ranks = [0] * (self.m + 1)  # ranks[t + 1] = rank of delta_t
+        cleared = 0  # pivot columns of delta_(t+1), as (t+2)-tuple positions
+        for t in range(self.m - 2, -1, -1):
+            if not admissible[t]:
+                break  # every smaller tuple is inadmissible as well
+            key = (t, admissible[t])
+            cached = self._rank_cache.get(key)
+            if cached is None:
+                cols = _bits(admissible[t])
+                rows = _bits(admissible[t + 1] & ~cleared)
+                found: list[int] = []
+                rank = rank_rational(self._coboundary(t, rows, cols), pivots=found)
+                pivot_mask = 0
+                for c in found:
+                    pivot_mask |= 1 << cols[c]
+                cached = self._rank_cache[key] = (rank, pivot_mask)
+            ranks[t + 1], cleared = cached
+        return [admissible[q].bit_count() - ranks[q + 1] - ranks[q] for q in range(self.m)]
+
+
+def _bits(bitmap: int) -> list[int]:
+    """Positions of the set bits, ascending."""
+    return [i for i, b in enumerate(reversed(bin(bitmap))) if b == "1"]
 
 
 def cohomology(K: SimplicialComplex, cover: Cover = "facets") -> BigradedTable:
@@ -421,16 +467,18 @@ def cohomology(K: SimplicialComplex, cover: Cover = "facets") -> BigradedTable:
     dimensions; must agree with the algebra and cell models over Q.
     """
     engine = _CechEngine(K, cover)
-    blocks = {}
+    totals: dict[tuple[int, int], int] = {}
     for p in range(K.n + 1):
-        # q runs over the full square: vanishing above the diagonal q = p is
-        # a fact about the cover, not about the block sizes, so it is
-        # computed rather than assumed
-        for q in range(K.n + 1):
-            total = sum(engine.group_dimension(iset, q) for iset in K.k_subsets(p))
-            if total:
-                blocks[(p, q)] = CohomologyBlock(total)
-    return BigradedTable(blocks, "Q")
+        for iset in K.k_subsets(p):
+            # q runs over every Čech degree of the cover, up to m - 1, which
+            # can exceed n: vanishing above the diagonal q = p is a fact
+            # about the cover, so it is computed rather than assumed
+            for q, dim in enumerate(engine.dimensions(iset)):
+                if dim:
+                    totals[(p, q)] = totals.get((p, q), 0) + dim
+    return BigradedTable(
+        {key: CohomologyBlock(total) for key, total in sorted(totals.items())}, "Q"
+    )
 
 
 def filtration_ranks_direct(K: SimplicialComplex, cover: Cover = "facets") -> dict[tuple[int, int], int]:

@@ -186,7 +186,7 @@ def _working_copy(m: ExactMatrix) -> tuple[Rows, ColumnIndex]:
     return rows, colindex
 
 
-def _eliminate_units(rows: Rows, colindex: ColumnIndex) -> int:
+def _eliminate_units(rows: Rows, colindex: ColumnIndex, pivots: list[int] | None = None) -> int:
     """Phase 1: pivot on entries ±1 while any is left; return their number.
 
     The pivot row is the shortest row holding a unit, lowest row index
@@ -195,7 +195,8 @@ def _eliminate_units(rows: Rows, colindex: ColumnIndex) -> int:
     ``row -= (row[pc] * pv) * prow``, and the pivot row and column are
     dropped.  No row is scaled, so each step is unimodular: it keeps the
     rank over Q and adds one invariant factor 1 over Z.  ``rows`` and
-    ``colindex`` are left holding the unit-free residual.
+    ``colindex`` are left holding the unit-free residual.  When ``pivots``
+    is a list, the pivot column of every step is appended to it.
 
     Candidates sit in a heap keyed by (length, row) and are pushed again
     whenever their row changes; entries whose length is out of date, and
@@ -220,6 +221,8 @@ def _eliminate_units(rows: Rows, colindex: ColumnIndex) -> int:
         pc = best[1]
         pv = prow.pop(pc)
         units += 1
+        if pivots is not None:
+            pivots.append(pc)
         del rows[pr]
         for c in prow:
             colindex[c].discard(pr)
@@ -383,7 +386,7 @@ def _primitive(vec: Mapping[int, Scalar]) -> dict[int, int]:
     return {k: v // g for k, v in scaled.items()}
 
 
-def rank_rational(m: ExactMatrix) -> int:
+def rank_rational(m: ExactMatrix, pivots: list[int] | None = None) -> int:
     """Rank over the rationals.
 
     Rows are scaled to integers, phase 1 (``_eliminate_units``) takes every
@@ -392,6 +395,11 @@ def rank_rational(m: ExactMatrix) -> int:
     ties), replace each other row of the pivot column by
     ``pv * row - rv * prow`` and strip its content gcd, which keeps
     coefficient growth tame.
+
+    When ``pivots`` is a list, the pivot column of every elimination step,
+    from both phases, is appended to it.  Both phases use row operations
+    only, so these ``rank`` distinct columns are a basis of the column
+    space of ``m``.
     """
     rows, colindex = _working_copy(m)
     if m.is_rational:
@@ -399,7 +407,7 @@ def rank_rational(m: ExactMatrix) -> int:
         # column index, stays the same
         for r, row in rows.items():
             rows[r] = _primitive(row)
-    rank = _eliminate_units(rows, colindex)
+    rank = _eliminate_units(rows, colindex, pivots)
     while rows:
         best = None
         for r, row in rows.items():
@@ -412,6 +420,8 @@ def rank_rational(m: ExactMatrix) -> int:
         _, pr, pc = best
         pv = rows[pr][pc]
         rank += 1
+        if pivots is not None:
+            pivots.append(pc)
         targets = [r for r in colindex.get(pc, set()) if r != pr]
         prow = rows[pr]
         for r in targets:

@@ -3,7 +3,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordarr import cech, cells, koszul
 from coordarr.complexes import SimplicialComplex, face_key, mask_of
@@ -13,9 +17,10 @@ from coordarr.corpus import (
     full_simplex,
     projective_plane,
     simplex_boundary,
+    standard_corpus,
     torus_complex,
 )
-from coordarr.linalg import compose_is_zero
+from coordarr.linalg import compose_is_zero, rank_rational
 from coordarr.resolvents import build_resolvent, resolvent_pairing
 
 
@@ -74,6 +79,94 @@ def test_face_and_facet_cover_tables_agree_small():
     complexes = all_complexes(3) + [edge_boundary(), simplex_boundary(3)]
     for K in complexes:
         assert cech.cohomology(K, "faces").ranks() == cech.cohomology(K, "facets").ranks()
+
+
+def _reference_ranks(K, cover="facets"):
+    """The table without clearing and without a rank cache: every component
+    dimension is dim - rank(delta_q) - rank(delta_(q-1)), each coboundary
+    eliminated in full, for every Čech degree q of the cover."""
+    engine = cech._CechEngine(K, cover)
+    totals: dict = {}
+    for p in range(K.n + 1):
+        for iset in K.k_subsets(p):
+            # ranks[q + 1] = rank of delta_q, for q = -1, ..., m - 1
+            ranks = [rank_rational(engine.block(iset, q)) for q in range(-1, engine.m)]
+            for q in range(engine.m):
+                dim = len(engine.admissible(q + 1, iset)) - ranks[q + 1] - ranks[q]
+                if dim:
+                    totals[(p, q)] = totals.get((p, q), 0) + dim
+    return dict(sorted(totals.items()))
+
+
+def _cycle(n):
+    return SimplicialComplex.from_vertex_lists(n, [[i, i % n + 1] for i in range(1, n + 1)])
+
+
+def test_clearing_equals_the_reference_on_the_corpus():
+    for K in standard_corpus():
+        assert cech.cohomology(K).ranks() == _reference_ranks(K), K
+
+
+@pytest.mark.parametrize(
+    "K",
+    [simplex_boundary(n) for n in range(3, 9)] + [_cycle(8), _cycle(9), projective_plane()],
+    ids=[f"sphere{n}" for n in range(3, 9)] + ["C8", "C9", "rp2"],
+)
+def test_clearing_equals_the_reference_on_spheres_cycles_and_rp2(K):
+    assert cech.cohomology(K).ranks() == _reference_ranks(K)
+
+
+def test_clearing_equals_the_reference_on_the_face_cover():
+    for K in all_complexes(3):
+        assert cech.cohomology(K, "faces").ranks() == _reference_ranks(K, "faces"), K
+
+
+@st.composite
+def small_complexes(draw) -> SimplicialComplex:
+    """Random complexes on at most 6 vertices, ghost vertices allowed."""
+    n = draw(st.integers(1, 6))
+    facets = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=7))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex(n, facets or [0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_clearing_equals_the_reference_on_random_complexes(K):
+    assert cech.cohomology(K).ranks() == _reference_ranks(K)
+
+
+def test_clearing_halves_the_rp2_rows_and_eliminates_each_column_set_once(monkeypatch):
+    K = projective_plane()
+    rows: list[int] = []
+
+    def counting_rank(m, **kwargs):
+        rows.append(m.rows)
+        return rank_rational(m, **kwargs)
+
+    eliminated: list = []
+    coboundary = cech._CechEngine._coboundary
+
+    def recording_coboundary(self, t, row_list, cols):
+        eliminated.append((t, tuple(cols)))
+        return coboundary(self, t, row_list, cols)
+
+    monkeypatch.setattr(cech, "rank_rational", counting_rank)
+    monkeypatch.setattr(cech._CechEngine, "_coboundary", recording_coboundary)
+    assert cech.cohomology(K).ranks() == {(0, 0): 1, (3, 2): 10, (4, 2): 15, (5, 2): 6}
+    assert len(rows) == len(eliminated) == len(set(eliminated))
+    # the same column sets, each eliminated once with every admissible row
+    engine = cech._CechEngine(K, "facets")
+    full_rows: dict = {}
+    for p in range(K.n + 1):
+        for iset in K.k_subsets(p):
+            for t in range(engine.m - 1):
+                key = (t, tuple(engine.admissible(t + 1, iset)))
+                if key[1] and key not in full_rows:
+                    full_rows[key] = len(engine.admissible(t + 2, iset))
+    assert set(eliminated) == set(full_rows)
+    assert sum(rows) < sum(full_rows.values()) // 2
 
 
 def test_hodge_table_edge_boundary():

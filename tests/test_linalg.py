@@ -223,6 +223,55 @@ def test_rank_matches_fraction_gauss_past_unit_pivots():
     assert with_residual >= 15
 
 
+def _columns_of(m: ExactMatrix, cols: list[int]) -> ExactMatrix:
+    pos = {c: i for i, c in enumerate(cols)}
+    return ExactMatrix(m.rows, len(cols), {
+        (r, pos[c]): v for (r, c), v in m.entries.items() if c in pos
+    })
+
+
+@st.composite
+def matrices_with_rational_rows(draw):
+    """Small integer matrices with non-unit entries; some rows are divided
+    by a common denominator, so the rank sees rational input."""
+    m = draw(small_int_matrices())
+    denominators = draw(st.lists(st.sampled_from((1, 1, 2, 3, 7)), min_size=m.rows, max_size=m.rows))
+    return ExactMatrix(m.rows, m.cols, {
+        (r, c): Fraction(v, denominators[r]) if denominators[r] > 1 else v
+        for (r, c), v in m.entries.items()
+    })
+
+
+def _check_pivots(m: ExactMatrix) -> list[int]:
+    pivots: list[int] = []
+    rank = rank_rational(m, pivots=pivots)
+    assert rank == rank_rational(m) == _fraction_rank(m)
+    assert len(pivots) == rank
+    assert len(set(pivots)) == rank
+    assert all(0 <= c < m.cols for c in pivots)
+    # the named columns are independent, so they are a column basis
+    assert _fraction_rank(_columns_of(m, pivots)) == rank
+    return pivots
+
+
+@given(matrices_with_rational_rows())
+@settings(max_examples=150, deadline=None)
+def test_rank_pivots_are_a_column_basis(m):
+    _check_pivots(m)
+
+
+def test_rank_pivots_include_the_residual_phase():
+    # no unit entry: every pivot comes from the fraction-free phase
+    assert len(_check_pivots(ExactMatrix.from_dense([[2, 4, 6], [6, 3, 9], [4, 8, 12]]))) == 2
+    residual_pivots = 0
+    for seed in range(20):
+        m = _sparse_unit_matrix(seed)
+        rows, colindex = _working_copy(m)
+        units = _eliminate_units(rows, colindex)
+        residual_pivots += len(_check_pivots(m)) - units
+    assert residual_pivots > 0
+
+
 @given(small_int_matrices())
 @settings(max_examples=80, deadline=None)
 def test_kernel_vectors_are_in_kernel(m):
