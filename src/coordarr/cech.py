@@ -1,7 +1,7 @@
 """Finite Čech complex of the arrangement cover with constant logarithmic
 coefficients.
 
-Cover elements are indexed by faces; on the element indexed by tau the
+The cover elements are indexed by faces; on the element indexed by tau the
 coordinates z_i with i outside tau are nonzero, so the closed form
 dz_I/z_I (ascending wedge of dz_i/z_i over I) is holomorphic there exactly
 when I misses tau.  A cochain of Čech degree t and form degree p assigns to
@@ -17,16 +17,15 @@ the ambient double complex anticommute.  Restriction along a larger tuple is
 the identity on coefficients: intersections only shrink, so admissible terms
 stay admissible.
 
-Two covers are supported:
-
-* ``"faces"``   -- every face indexes a cover element (the defining cover;
-  resolvents of cycles live on it);
-* ``"facets"``  -- only the maximal faces.  Each cover refines the other
-  (every face sits inside some facet), and mutually refining covers have
-  canonically isomorphic Čech cohomology for any coefficient presheaf, so
-  tables are computed on the small cover and representatives are pulled back
-  along r: face -> first containing facet.  The equality of the two tables
-  is itself exercised by the test suite on small complexes.
+Every face sits inside some facet, so the subcover indexed by the facets
+and the full cover refine one another, and mutually refining covers have
+canonically isomorphic Čech cohomology for any coefficient presheaf.
+Tables and representatives are therefore computed on the small facet
+cover, and representatives are pulled back to the face cover, where
+resolvents of cycles live, along r: face -> first containing facet.
+``_CechEngine`` takes its tuple of cover indices, so the test suite also
+runs it on the face cover and checks that the two tables agree on small
+complexes.
 
 The pullback is evaluated on demand: its value at a face tuple T is the
 facet cochain's value at r(T), sign of the sorting permutation included and
@@ -50,22 +49,23 @@ delta_t depends on its columns alone; and a column basis of a row-cleared
 delta_t of that same rank is a column basis of the whole delta_t, so the
 cached pivots clear soundly for every index set with those columns.
 
-The model has two jobs: ``cohomology`` and ``filtration_ranks_direct`` are
-the independent oracle for the algebra model's tables (which also give the
-Hodge table), so this module never imports that model; and
-``representative_cocycles`` gives the cocycles the kernels are built from,
-on the facet cover, for them to be pulled back where they pair.
+The model has two jobs: ``cohomology`` is the independent oracle for the
+algebra model's tables (which also give the Hodge table), so this module
+never imports that model; and ``representative_cocycles`` gives the
+cocycles the kernels are built from, on the facet cover, for them to be
+pulled back where they pair.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, card, elements, face_key, mask_of
+from .complexes import SimplicialComplex, card, elements, face_key
 from .linalg import (
     BigradedTable,
+    CheckFailed,
     CohomologyBlock,
     ExactMatrix,
     kernel_basis,
@@ -74,29 +74,14 @@ from .linalg import (
 )
 
 __all__ = [
-    "Cover",
     "LogForm",
     "LogCochain",
-    "log_basis",
-    "cech_matrix",
-    "cochain_coboundary",
     "cohomology",
-    "filtration_ranks_direct",
     "representative_cocycles",
-    "representative_cocycle",
     "pullback_to_faces",
 ]
 
-Cover = Literal["faces", "facets"]
 FaceTuple = tuple[int, ...]
-
-
-def _cover_list(K: SimplicialComplex, cover: Cover) -> tuple[int, ...]:
-    if cover == "faces":
-        return K.cover_elements()
-    if cover == "facets":
-        return K.facet_cover()
-    raise ValueError(f"unknown cover {cover!r}")
 
 
 def _intersection(tup: Iterable[int]) -> int:
@@ -271,85 +256,17 @@ class LogCochain:
         return out
 
 
-def cochain_coboundary(K: SimplicialComplex, w: LogCochain, cover: Cover = "faces") -> LogCochain:
-    """Čech coboundary of a cochain, computed sparsely on its support.
-
-    Every nonzero value of the result sits on a tuple obtained by inserting
-    one extra cover index into a support tuple of ``w``.
-    """
-    indices = _cover_list(K, cover)
-    out: dict[FaceTuple, LogForm] = {}
-    sign_p = -1 if w.p % 2 else 1
-    seen: set[FaceTuple] = set()
-    for base in w.values:
-        base_set = set(base)
-        for extra in indices:
-            if extra in base_set:
-                continue
-            canon = canonical_tuple(base + (extra,))
-            assert canon is not None
-            target, _ = canon
-            if target in seen:
-                continue
-            seen.add(target)
-            total = LogForm(w.p)
-            for j in range(len(target)):
-                sub = target[:j] + target[j + 1 :]
-                term = w.value_at(sub)
-                if term.is_zero():
-                    continue
-                factor = sign_p * (-1 if j % 2 else 1)
-                total = total + term.scale(factor)
-            if not total.is_zero():
-                out[target] = total
-    return LogCochain(w.p, w.t + 1, out)
-
-
 # ---------------------------------------------------------------------------
 # blocks of the complex
 # ---------------------------------------------------------------------------
 
-def log_basis(
-    K: SimplicialComplex, p: int, t: int, cover: Cover = "faces"
-) -> list[tuple[FaceTuple, int]]:
-    """Basis of the (form degree p, Čech degree t) block: admissible pairs
-    (increasing cover tuple, index set I), tuple-major order."""
-    indices = _cover_list(K, cover)
-    isets = K.k_subsets(p)
-    out = []
-    for tup in combinations(indices, t + 1):
-        inter = _intersection(tup)
-        for iset in isets:
-            if iset & inter == 0:
-                out.append((tup, iset))
-    return out
-
-
-def cech_matrix(K: SimplicialComplex, p: int, t: int, cover: Cover = "faces") -> ExactMatrix:
-    """Matrix of the coboundary from the (p, t) block to the (p, t+1) block."""
-    src = log_basis(K, p, t, cover)
-    dst = log_basis(K, p, t + 1, cover)
-    src_index = {b: i for i, b in enumerate(src)}
-    sign_p = -1 if p % 2 else 1
-    entries: dict[tuple[int, int], int] = {}
-    for row, (tup, iset) in enumerate(dst):
-        for j in range(len(tup)):
-            sub = tup[:j] + tup[j + 1 :]
-            col = src_index.get((sub, iset))
-            if col is None:
-                continue
-            entries[(row, col)] = sign_p * (-1 if j % 2 else 1)
-    return ExactMatrix(len(dst), len(src), entries)
-
-
 class _CechEngine:
-    """Per-complex cache for one cover: tuples, intersections, coboundary
-    structure and per-column-set ranks."""
+    """Per-complex cache for the cover with the given indices: tuples,
+    intersections, coboundary structure and per-column-set ranks."""
 
-    def __init__(self, K: SimplicialComplex, cover: Cover):
+    def __init__(self, K: SimplicialComplex, indices: tuple[int, ...]):
         self.K = K
-        self.cover = cover
-        self.indices = _cover_list(K, cover)
+        self.indices = indices
         self.m = len(self.indices)
         self._tuples: dict[int, list[tuple[FaceTuple, int]]] = {}
         self._structure: dict[int, list[list[tuple[int, int]]]] = {}
@@ -385,7 +302,9 @@ class _CechEngine:
         return self._structure[t]
 
     def admissible(self, size: int, iset: int) -> list[int]:
-        return [i for i, (_, inter) in enumerate(self.tuples(size)) if inter & iset == 0]
+        """Positions of the tuples of the given size whose intersection
+        misses the index set."""
+        return _bits(self._admissible_bitmap(size, iset))
 
     def _meets(self, size: int) -> list[int]:
         """Per vertex bit v, the bitmap of the positions of the tuples of
@@ -400,7 +319,7 @@ class _CechEngine:
 
     def _admissible_bitmap(self, size: int, iset: int) -> int:
         """``admissible`` as a bitmap of positions, from one mask operation
-        per vertex of the index set instead of one test per tuple."""
+        per vertex of the index set."""
         bitmap = (1 << len(self.tuples(size))) - 1
         meets = self._meets(size)
         for v in range(iset.bit_length()):
@@ -454,75 +373,40 @@ class _CechEngine:
             ranks[t + 1], cleared = cached
         return [admissible[q].bit_count() - ranks[q + 1] - ranks[q] for q in range(self.m)]
 
+    def table(self) -> BigradedTable:
+        """The component dimensions summed per bidegree; a negative one is
+        a wrong rank (``CheckFailed``)."""
+        totals: dict[tuple[int, int], int] = {}
+        for p in range(self.K.n + 1):
+            for iset in self.K.k_subsets(p):
+                # q runs over every Čech degree of the cover, up to m - 1, which
+                # can exceed n: vanishing above the diagonal q = p is a fact
+                # about the cover, so it is computed rather than assumed
+                for q, dim in enumerate(self.dimensions(iset)):
+                    if dim < 0:
+                        raise CheckFailed(
+                            f"negative Čech group dimension {dim} at (p, q) = ({p}, {q})"
+                        )
+                    if dim:
+                        totals[(p, q)] = totals.get((p, q), 0) + dim
+        return BigradedTable(
+            {key: CohomologyBlock(total) for key, total in sorted(totals.items())}, "Q"
+        )
+
 
 def _bits(bitmap: int) -> list[int]:
     """Positions of the set bits, ascending."""
     return [i for i, b in enumerate(reversed(bin(bitmap))) if b == "1"]
 
 
-def cohomology(K: SimplicialComplex, cover: Cover = "facets") -> BigradedTable:
-    """Bigraded table of the log Čech complex over the rationals.
+def cohomology(K: SimplicialComplex) -> BigradedTable:
+    """Bigraded table of the log Čech complex over the rationals, on the
+    facet cover.
 
     Splits each block over the index sets I and sums the component
     dimensions; must agree with the algebra and cell models over Q.
     """
-    engine = _CechEngine(K, cover)
-    totals: dict[tuple[int, int], int] = {}
-    for p in range(K.n + 1):
-        for iset in K.k_subsets(p):
-            # q runs over every Čech degree of the cover, up to m - 1, which
-            # can exceed n: vanishing above the diagonal q = p is a fact
-            # about the cover, so it is computed rather than assumed
-            for q, dim in enumerate(engine.dimensions(iset)):
-                if dim:
-                    totals[(p, q)] = totals.get((p, q), 0) + dim
-    return BigradedTable(
-        {key: CohomologyBlock(total) for key, total in sorted(totals.items())}, "Q"
-    )
-
-
-def filtration_ranks_direct(K: SimplicialComplex, cover: Cover = "facets") -> dict[tuple[int, int], int]:
-    """Filtration ranks computed without the bigraded splitting.
-
-    For every cutoff k the truncated complex (all form degrees >= k) is
-    assembled as one block matrix per total degree and its cohomology ranks
-    are taken there; the bigraded route must reproduce these numbers
-    exactly.  Quadratic amount of elimination, intended for validation.
-    """
-    n = K.n
-    m = len(_cover_list(K, cover))
-    block: dict[tuple[int, int], ExactMatrix] = {}
-    for p in range(n + 1):
-        for t in range(m):  # C^t is empty beyond t = m - 1
-            block[(p, t)] = cech_matrix(K, p, t, cover)
-
-    def block_dim(p: int, t: int) -> int:
-        piece = block.get((p, t))
-        return piece.cols if piece else 0
-
-    def assembled_rank(k: int, s: int) -> int:
-        """Rank of the total differential out of degree s in the truncated
-        complex, assembled as one matrix over all form degrees >= k."""
-        entries: dict[tuple[int, int], int] = {}
-        row_off = 0
-        col_off = 0
-        for p in range(k, n + 1):
-            piece = block.get((p, s - p))
-            if piece is None:
-                continue
-            for (r, c), v in piece.entries.items():
-                entries[(row_off + r, col_off + c)] = v
-            row_off += piece.rows
-            col_off += piece.cols
-        return rank_rational(ExactMatrix(row_off, col_off, entries))
-
-    out: dict[tuple[int, int], int] = {}
-    for k in range(n + 2):
-        rank_at = {s: assembled_rank(k, s) for s in range(2 * n + 2)}
-        for s in range(2 * n + 1):
-            dim = sum(block_dim(p, s - p) for p in range(k, n + 1))
-            out[(k, s)] = dim - rank_at[s] - rank_at.get(s - 1, 0)
-    return out
+    return _CechEngine(K, K.facets).table()
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +420,10 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
     The kernel-mod-image bases are extracted per index set on the facet
     cover.  They stay there: a caller pulls them back to the face cover
     through ``pullback_to_faces``, at the tuples it reads (the kernels) or in
-    full (``representative_cocycle``); the pullback of a cocycle basis along
-    a mutual refinement is again a basis.
+    full; the pullback of a cocycle basis along a mutual refinement is again
+    a basis.
     """
-    engine = _CechEngine(K, "facets")
+    engine = _CechEngine(K, K.facets)
     tuples_here = engine.tuples(q + 1)
     out: list[LogCochain] = []
     for iset in K.k_subsets(p):
@@ -553,19 +437,6 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
             }
             out.append(LogCochain(p, q, values))
     return out
-
-
-def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: int) -> LogCochain:
-    """One basis cocycle of the (p, q) cohomology, pulled back in full to the
-    face cover."""
-    reps = representative_cocycles(K, p, q)
-    if not reps:
-        raise ValueError(f"no cohomology in bidegree ({p},{q})")
-    if not 0 <= class_index < len(reps):
-        raise ValueError(
-            f"class index {class_index} out of range: bidegree ({p},{q}) has rank {len(reps)}"
-        )
-    return pullback_to_faces(K, reps[class_index])
 
 
 def pullback_to_faces(

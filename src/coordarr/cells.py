@@ -27,9 +27,7 @@ every rank survives it).
 
 ``homology(K, p, q)`` gives the cycle generators of the one bidegree a
 resolvent or a kernel starts from, from the two boundary maps at (p, q)
-alone; ``homology_table`` gives every bidegree with torsion but no cycles,
-the reference the algebra model's table is held against (ranks agree,
-torsion moves one step in q by the universal coefficients).
+alone.
 """
 
 from __future__ import annotations
@@ -38,53 +36,22 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import koszul
-from .complexes import SimplicialComplex, card, elements, pos_in, subsets_of
-from .linalg import (
-    BigradedTable,
-    CheckFailed,
-    CohomologyBlock,
-    ExactMatrix,
-    compose_is_zero,
-    kernel_basis,
-    quotient_basis,
-    stripe_cohomology,
-)
+from .complexes import SimplicialComplex, card, elements, pos_in
+from .linalg import CheckFailed, ExactMatrix, compose_is_zero, kernel_basis, quotient_basis
 
 __all__ = [
     "Cell",
-    "cells",
     "cells_of_bidegree",
-    "cell_dimension",
     "boundary_matrix",
     "coboundary_matrix",
     "CellChain",
-    "CellCochain",
     "boundary_chain",
-    "coboundary_cochain",
-    "phi",
     "phi_checked",
     "homology",
-    "homology_table",
 ]
 
 #: a cell: (sigma, gamma) masks, sigma the disk directions (a face)
 Cell = tuple[int, int]
-
-
-def cell_dimension(cell: Cell) -> int:
-    sigma, gamma = cell
-    return 2 * card(sigma) + card(gamma)
-
-
-def cells(K: SimplicialComplex) -> list[Cell]:
-    """Every cell (sigma, gamma): sigma a face, gamma inside the complement."""
-    full = (1 << K.n) - 1
-    out = []
-    for sigma in K.faces_sorted:
-        for gamma in subsets_of(full & ~sigma):
-            out.append((sigma, gamma))
-    out.sort()
-    return out
 
 
 def cells_of_bidegree(K: SimplicialComplex, p: int, q: int) -> list[Cell]:
@@ -131,8 +98,8 @@ def coboundary_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
     return -boundary_matrix(K, p, q + 1).transpose()
 
 
-class _Combination:
-    """Shared arithmetic for chains/cochains keyed by cells."""
+class CellChain:
+    """Integer/rational combination of product cells, used as a cycle."""
 
     __slots__ = ("terms",)
 
@@ -150,25 +117,23 @@ class _Combination:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scale(self, factor: int | Fraction):
-        return type(self)({k: factor * v for k, v in self.terms.items()})
+    def scale(self, factor: int | Fraction) -> "CellChain":
+        return CellChain({k: factor * v for k, v in self.terms.items()})
 
-    def __add__(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"cannot add {type(other).__name__} to {type(self).__name__}")
+    def __add__(self, other: "CellChain") -> "CellChain":
         out = dict(self.terms)
         for cell, coeff in other.terms.items():
             out[cell] = out.get(cell, 0) + coeff
-        return type(self)(out)
+        return CellChain(out)
 
-    def __sub__(self, other):
+    def __sub__(self, other: "CellChain") -> "CellChain":
         return self + other.scale(-1)
 
-    def __neg__(self):
+    def __neg__(self) -> "CellChain":
         return self.scale(-1)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.terms == other.terms
+        return isinstance(other, CellChain) and self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -179,27 +144,11 @@ class _Combination:
             bits.append(f"{'+' if coeff > 0 else '-'}{abs(coeff) if abs(coeff) != 1 else ''}{label}")
         return " ".join(bits)
 
-
-class CellChain(_Combination):
-    """Integer/rational combination of product cells, used as a cycle."""
-
     def to_json(self) -> list[dict]:
         return [
             {"sigma": list(elements(s)), "gamma": list(elements(g)), "coeff": int(c)}
             for (s, g), c in sorted(self.terms.items())
         ]
-
-
-class CellCochain(_Combination):
-    """Functional on cell chains via the dual cocell basis."""
-
-    def pair(self, chain: CellChain) -> int | Fraction:
-        total = 0
-        for cell, coeff in chain.terms.items():
-            dual = self.terms.get(cell)
-            if dual:
-                total += dual * coeff
-        return total
 
 
 def boundary_chain(chain: CellChain) -> CellChain:
@@ -210,36 +159,14 @@ def boundary_chain(chain: CellChain) -> CellChain:
     return CellChain(out)
 
 
-def coboundary_cochain(K: SimplicialComplex, cochain: CellCochain) -> CellCochain:
-    """Termwise coboundary: minus the adjoint of the boundary."""
-    out: dict[Cell, int | Fraction] = {}
-    for (sigma, gamma), coeff in cochain.terms.items():
-        # cofaces: move one circle direction i onto the disk factor
-        for i in elements(gamma):
-            bit = 1 << (i - 1)
-            new_sigma = sigma | bit
-            if not K.is_face(new_sigma):
-                continue
-            sign = -1 if pos_in(gamma, i) % 2 else 1
-            target = (new_sigma, gamma & ~bit)
-            out[target] = out.get(target, 0) - sign * coeff
-    return CellCochain(out)
-
-
-def phi(a) -> CellCochain:
-    """Relabel an algebra element as a cell cochain: the monomial with
-    exterior part gamma and polynomial part sigma goes to the dual cocell of
-    the (sigma, gamma) cell, coefficients untouched."""
-    return CellCochain({(sigma, gamma): coeff for (gamma, sigma), coeff in a.terms.items()})
-
-
 def phi_checked(K: SimplicialComplex, p: int, mismatches: list[tuple[int, int]]) -> Iterator[ExactMatrix]:
     """The algebra model's full p-stripe (``koszul.stripe``, the summands
     of face J included), each differential compared with the coboundary
     matrix of its bidegree, signs included, as it passes; a (p, q) where
-    they differ goes to ``mismatches``.  With none, ``phi`` commutes with
-    the differentials and the cell cohomology is the algebra model's table
-    by construction.  The table of these stripes is the reference that
+    they differ goes to ``mismatches``.  With none, the relabeling of each
+    monomial u_gamma v_sigma as the dual cocell of (sigma, gamma) commutes
+    with the differentials and the cell cohomology is the algebra model's
+    table by construction.  The table of these stripes is the reference that
     ``koszul.cohomology``, which skips the face J, is held against.
     """
     for q, d in enumerate(koszul.stripe(K, p), -1):
@@ -266,17 +193,3 @@ def homology(K: SimplicialComplex, p: int, q: int) -> list[CellChain]:
         CellChain({basis_cells[i]: v for i, v in vec.items()})
         for vec in quotient_basis(kernel_basis(d_here), d_above)
     ]
-
-
-def homology_table(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
-    """Bigraded cellular homology, torsion included, without cycle bases.
-
-    The p-stripe is the chain complex  (p, p) --d--> ... --d--> (p, 0), so
-    its boundary maps go to ``stripe_cohomology`` top degree first.
-    """
-    blocks: dict[tuple[int, int], CohomologyBlock] = {}
-    for p in range(K.n + 1):
-        maps = (boundary_matrix(K, p, q) for q in range(p + 1, -1, -1))
-        for q, block in zip(range(p, -1, -1), stripe_cohomology(maps, coeff)):
-            blocks[(p, q)] = block
-    return BigradedTable(blocks, coeff)

@@ -4,13 +4,10 @@ the associated coordinate subspace arrangement.
 A face is stored as an integer bitmask: bit k-1 is set exactly when vertex k
 belongs to the face (vertex labels are 1-based).  All combinatorial data of
 the arrangement ``Z_K`` (union of the coordinate planes of the non-faces) and
-of its tubular cover is derived from the face family:
-
-* every face ``sigma`` indexes one cover element ``U_sigma``, the set of
-  points whose coordinates outside ``sigma`` are nonzero; cover elements
-  intersect by ``U_a & U_b = U_{a & b}``;
-* the inclusion-minimal non-faces generate the defining monomial ideal and
-  enumerate the maximal planes of the arrangement.
+of its tubular cover is derived from the face family: every face ``sigma``
+indexes one cover element ``U_sigma``, the set of points whose coordinates
+outside ``sigma`` are nonzero, and cover elements intersect by
+``U_a & U_b = U_{a & b}``.
 
 Complexes in which some singleton {i} is not a face are accepted -- they
 produce a codimension-one component {z_i = 0} -- but a warning is emitted
@@ -204,43 +201,6 @@ class SimplicialComplex:
     def missing_vertices(self) -> tuple[int, ...]:
         return elements(((1 << self.n) - 1) & ~self.vertex_support)
 
-    @cached_property
-    def minimal_non_faces(self) -> tuple[int, ...]:
-        """Inclusion-minimal subsets of [n] that are not faces.
-
-        These generate the defining monomial ideal and index the maximal
-        planes of the arrangement.  A set is a minimal non-face iff it is not
-        a face, yet dropping any single vertex gives one; every such set is a
-        face plus one vertex, which keeps the search linear in the number of
-        faces.
-        """
-        faces = self.faces
-        found = set()
-        for f in faces:
-            for v in range(1, self.n + 1):
-                bit = 1 << (v - 1)
-                if f & bit:
-                    continue
-                s = f | bit
-                if s in faces or s in found:
-                    continue
-                if all((s & ~(1 << (w - 1))) in faces for w in elements(s)):
-                    found.add(s)
-        return tuple(sorted(found, key=face_key))
-
-    def cover_elements(self) -> tuple[int, ...]:
-        """Index set of the full cover: every face, the empty one included
-        (its cover element is the algebraic torus)."""
-        return self.faces_sorted
-
-    def facet_cover(self) -> tuple[int, ...]:
-        """Cofinal subcover indexed by the maximal faces only.
-
-        Each ``U_sigma`` is contained in ``U_facet`` for any facet containing
-        ``sigma``, so this subcover and the full cover refine one another.
-        """
-        return self.facets
-
     def containing_facet(self, mask: int) -> int:
         """First facet (in the face order) containing the given face."""
         for f in self.facets:
@@ -248,28 +208,10 @@ class SimplicialComplex:
                 return f
         raise ValueError(f"{elements(mask)} is not a face")
 
-    def face_counts(self) -> dict[int, int]:
-        """Number of faces of each cardinality (the f-vector, 0-indexed by
-        cardinality; entry 0 counts the empty face)."""
-        counts: dict[int, int] = {}
-        for f in self.faces:
-            counts[card(f)] = counts.get(card(f), 0) + 1
-        return dict(sorted(counts.items()))
-
     def k_subsets(self, k: int) -> tuple[int, ...]:
         """All k-element subsets of [n] as masks, in lexicographic order of
         their sorted vertex lists; shared by every complex on n vertices."""
         return _k_subsets(self.n, k)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "facets": [list(elements(f)) for f in self.facets],
-            "missing_faces": [list(elements(f)) for f in self.minimal_non_faces],
-            "face_counts": {str(k): v for k, v in self.face_counts().items()},
-        }
 
     # -- dunder --------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Named complexes and test corpora.
+"""The corpus of the ``corpus`` command.
 
 The standing corpus for cross-model validation: every simplicial complex on
 up to four labeled vertices, a seeded batch of random complexes on five and
@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import random
 import warnings
-from itertools import combinations
 
 from .complexes import SimplicialComplex, mask_of, subsets_of
 
 __all__ = [
-    "full_simplex",
-    "simplex_boundary",
-    "disjoint_points",
-    "torus_complex",
     "projective_plane",
     "all_complexes",
     "random_complexes",
@@ -32,26 +27,6 @@ PROJECTIVE_PLANE_FACETS = [
     [1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
     [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6],
 ]
-
-
-def full_simplex(n: int) -> SimplicialComplex:
-    return SimplicialComplex(n, [(1 << n) - 1])
-
-
-def simplex_boundary(n: int) -> SimplicialComplex:
-    """All proper subsets of [n]; the complement retracts to a sphere."""
-    return SimplicialComplex.from_missing_faces(n, [list(range(1, n + 1))])
-
-
-def disjoint_points(n: int) -> SimplicialComplex:
-    return SimplicialComplex(n, [1 << (v - 1) for v in range(1, n + 1)])
-
-
-def torus_complex(n: int) -> SimplicialComplex:
-    """Only the empty face; the complement is the algebraic torus."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return SimplicialComplex(n, [0])
 
 
 def projective_plane() -> SimplicialComplex:

@@ -37,14 +37,13 @@ with an exact oracle (evaluate the polynomial at zeta).
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Iterable, Mapping, Sequence
 
 from . import cech, cells, koszul
-from .complexes import SimplicialComplex, elements
+from .complexes import SimplicialComplex
 from .resolvents import PairingScalar, Resolvent, UChain, build_resolvent, pair, resolvent_pairing
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "KernelData",
     "KernelUnavailableError",
     "build_kernel",
-    "torus_quadrature",
     "evaluate_representation",
     "verify_reproduction",
 ]
@@ -88,24 +86,17 @@ class PolyFunction:
     def constant(cls, n: int, value: complex = 1.0) -> "PolyFunction":
         return cls(n, {(0,) * n: value})
 
-    @classmethod
-    def monomial(cls, expo: Sequence[int], coeff: complex = 1.0) -> "PolyFunction":
-        return cls(len(expo), {tuple(expo): coeff})
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def max_axis_degree(self) -> int:
         return max((max(e) for e in self.terms), default=0)
 
-    def __call__(self, z: Sequence[complex] | np.ndarray) -> complex | np.ndarray:
-        z = np.asarray(z)
-        total = np.zeros(z.shape[:-1], dtype=complex) if z.ndim > 1 else 0j
+    def __call__(self, z: Sequence[complex]) -> complex:
+        """Value at one point."""
+        total = 0j
         for expo, coeff in self.terms.items():
             term = coeff
-            for j, e in enumerate(expo):
+            for zj, e in zip(z, expo):
                 if e:
-                    term = term * z[..., j] ** e
+                    term = term * complex(zj) ** e
             total = total + term
         return total
 
@@ -193,20 +184,16 @@ MAX_NODES = 2**20
 class QuadratureSpec:
     """Uniform tensor grid on the unit torus: N nodes per circle."""
 
-    nodes: int = 64
-    radius: float = 1.0
+    nodes: int
 
     def __post_init__(self) -> None:
         if self.nodes < 4 or self.nodes & (self.nodes - 1):
             raise ValueError("node count must be a power of two, at least 4")
         if self.nodes > MAX_NODES:
             raise ValueError(f"node count {self.nodes} exceeds the limit {MAX_NODES}")
-        if self.radius != 1.0:
-            raise ValueError("integration runs over the unit torus only")
 
-    def circle(self) -> np.ndarray:
-        angles = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
-        return np.exp(1j * angles)
+    def circle(self) -> list[complex]:
+        return [cmath.exp(1j * (2.0 * math.pi * k / self.nodes)) for k in range(self.nodes)]
 
 
 @dataclass
@@ -283,54 +270,17 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
     )
 
 
-def torus_quadrature(
-    g: Callable[[np.ndarray], np.ndarray],
-    gamma: int,
-    n: int,
-    spec: QuadratureSpec,
-) -> complex:
-    """Average of g over the uniform grid on the torus of the directions in
-    ``gamma`` (other coordinates pinned at 1).
-
-    This average equals  (2 pi i)^(-|gamma|) times the contour integral of
-    g(z) dz_gamma/z_gamma  with ascending wedge order, the orientation that
-    makes each circle run counterclockwise.  For g analytic in a
-    neighborhood of the torus the error decays geometrically in N.
-
-    ``g`` receives an array of points of shape (chunk, n) and must return
-    the corresponding values; evaluation is chunked along the first torus
-    direction and accumulated with numpy's pairwise summation.
-    """
-    dirs = list(elements(gamma))
-    k = len(dirs)
-    nodes = spec.circle()
-    if k == 0:
-        z = np.ones((1, n), dtype=complex)
-        return complex(np.asarray(g(z), dtype=complex).reshape(-1)[0])
-    chunk_sums = []
-    tail = dirs[1:]
-    grids = np.meshgrid(*(nodes for _ in tail), indexing="ij") if tail else []
-    base = np.ones((spec.nodes ** (k - 1), n), dtype=complex)
-    for axis, grid in zip(tail, grids):
-        base[:, axis - 1] = grid.reshape(-1)
-    for w in nodes:
-        pts = base.copy()
-        pts[:, dirs[0] - 1] = w
-        chunk_sums.append(np.add.reduce(np.asarray(g(pts), dtype=complex)))
-    total = np.add.reduce(np.asarray(chunk_sums))
-    return complex(total / spec.nodes**k)
-
-
-def _axis_sums(zeta_j: complex, max_power: int, spec: QuadratureSpec) -> np.ndarray:
-    """S(m) = average over grid nodes w of  w^(m+1) / (w - zeta_j),
-    m = 0..max_power; the per-axis factors of the separated rule."""
-    nodes = spec.circle()
-    base = nodes / (nodes - zeta_j)
-    out = np.empty(max_power + 1, dtype=complex)
-    power = base
-    for m in range(max_power + 1):
-        out[m] = np.add.reduce(power) / spec.nodes
-        power = power * nodes
+def _axis_sums(zeta_j: complex, max_power: int, circle: list[complex]) -> list[complex]:
+    """S(m) = average over the grid nodes w of  w^(m+1) / (w - zeta_j),
+    m = 0..max_power; the per-axis factors of the separated rule.  The
+    terms nearly cancel, so real and imaginary parts are summed with
+    ``math.fsum``, whose rounding error does not grow with N."""
+    terms = [w / (w - zeta_j) for w in circle]
+    out = []
+    for _ in range(max_power + 1):
+        total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+        out.append(total / len(circle))
+        terms = [term * w for term, w in zip(terms, circle)]
     return out
 
 
@@ -338,7 +288,7 @@ def evaluate_representation(
     kernel: KernelData,
     f: PolyFunction,
     zeta: Sequence[complex],
-    spec: QuadratureSpec = QuadratureSpec(),
+    spec: QuadratureSpec,
 ) -> complex:
     """Reproduce f at an interior point of the unit polydisc.
 
@@ -367,7 +317,8 @@ def evaluate_representation(
     if not f.terms:
         return 0j
     max_power = f.max_axis_degree()
-    axis = [_axis_sums(zeta[j], max_power, spec) for j in range(n)]
+    circle = spec.circle()
+    axis = [_axis_sums(zeta[j], max_power, circle) for j in range(n)]
     quad = 0j
     for expo, coeff in sorted(f.terms.items()):
         term = coeff
@@ -381,13 +332,13 @@ def verify_reproduction(
     kernel: KernelData,
     f: PolyFunction,
     zetas: Iterable[Sequence[complex]],
-    spec: QuadratureSpec = QuadratureSpec(),
+    spec: QuadratureSpec,
 ) -> list[dict]:
     """Reproduction report for one test function over sample points."""
     report = []
     for zeta in zetas:
         computed = evaluate_representation(kernel, f, zeta, spec)
-        expected = complex(f(np.asarray(zeta, dtype=complex)))
+        expected = f(zeta)
         report.append(
             {
                 "zeta": [[z.real, z.imag] for z in map(complex, zeta)],

@@ -47,7 +47,6 @@ summand engine is held against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Iterable, Iterator
 
@@ -57,10 +56,6 @@ from .linalg import BigradedTable, ExactMatrix, stripe_cohomology
 __all__ = [
     "basis",
     "differential_matrix",
-    "RkElement",
-    "monomial",
-    "differential",
-    "multiply",
     "stripe",
     "stripe_table",
     "summand_stripe",
@@ -114,98 +109,6 @@ def differential_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
         for sign, target in _diff_terms(K, gamma, sigma):
             entries[(index[target], j)] = sign
     return ExactMatrix(len(dst), len(src), entries)
-
-
-class RkElement:
-    """Finite linear combination of basis monomials, exact coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Basis, int | Fraction] | None = None):
-        self.terms: dict[Basis, int | Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = coeff
-
-    def bidegree(self) -> tuple[int, int] | None:
-        """Common bidegree of all terms, or None if mixed or zero."""
-        degrees = {(card(g) + card(s), card(s)) for g, s in self.terms}
-        return degrees.pop() if len(degrees) == 1 else None
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "RkElement") -> "RkElement":
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return RkElement(out)
-
-    def __sub__(self, other: "RkElement") -> "RkElement":
-        return self + other.scale(-1)
-
-    def scale(self, factor: int | Fraction) -> "RkElement":
-        return RkElement({k: factor * v for k, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RkElement) and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for (gamma, sigma), coeff in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
-            mono = "".join(f"u{i}" for i in elements(gamma)) + "".join(f"v{i}" for i in elements(sigma))
-            bits.append(f"{'+' if coeff > 0 else '-'}{abs(coeff) if abs(coeff) != 1 or not mono else ''}{mono or abs(coeff)}")
-        return " ".join(bits)
-
-
-def monomial(gamma: Iterable[int], sigma: Iterable[int], coeff: int | Fraction = 1) -> RkElement:
-    from .complexes import mask_of
-
-    return RkElement({(mask_of(gamma), mask_of(sigma)): coeff})
-
-
-def differential(K: SimplicialComplex, a: RkElement) -> RkElement:
-    """Differential of an arbitrary element (termwise)."""
-    out: dict[Basis, int | Fraction] = {}
-    for (gamma, sigma), coeff in a.terms.items():
-        for sign, target in _diff_terms(K, gamma, sigma):
-            out[target] = out.get(target, 0) + sign * coeff
-    return RkElement(out)
-
-
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of merging two sorted disjoint exterior monomials u_a * u_b:
-    (-1)^(number of pairs x in a, y in b with x > y)."""
-    inversions = 0
-    for y in elements(b):
-        inversions += (a >> y).bit_count()  # elements of a strictly above y
-    return -1 if inversions % 2 else 1
-
-
-def multiply(K: SimplicialComplex, a: RkElement, b: RkElement) -> RkElement:
-    """Product in the algebra.
-
-    Exterior parts multiply with the shuffle sign, polynomial parts are
-    square-free (a repeated vertex or a non-face kills the term), and any
-    overlap between the combined exterior and polynomial supports dies on
-    the mixed relation u_i v_i = 0.
-    """
-    out: dict[Basis, int | Fraction] = {}
-    for (g1, s1), c1 in a.terms.items():
-        for (g2, s2), c2 in b.terms.items():
-            if g1 & g2 or s1 & s2:
-                continue
-            sigma = s1 | s2
-            gamma = g1 | g2
-            if gamma & sigma or not K.is_face(sigma):
-                continue
-            coeff = c1 * c2 * _merge_sign(g1, g2)
-            key = (gamma, sigma)
-            out[key] = out.get(key, 0) + coeff
-    return RkElement(out)
 
 
 def stripe(K: SimplicialComplex, p: int) -> Iterator[ExactMatrix]:

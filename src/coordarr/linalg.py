@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 __all__ = [
     "CheckFailed",
@@ -73,24 +73,6 @@ class ExactMatrix:
                 if v:
                     self.entries[(r, c)] = v
 
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, k: int) -> "ExactMatrix":
-        return cls(k, k, {(i, i): 1 for i in range(k)})
-
-    @classmethod
-    def from_dense(cls, data: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(rows, cols, {
-            (r, c): v for r, row in enumerate(data) for c, v in enumerate(row) if v
-        })
-
     # -- queries ---------------------------------------------------------...
 
     @property
@@ -99,12 +81,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def to_dense(self) -> list[list[Scalar]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
 
     def columns(self) -> list[dict[int, Scalar]]:
         cols: list[dict[int, Scalar]] = [dict() for _ in range(self.cols)]
@@ -650,10 +626,6 @@ class BigradedTable:
     def free(self, p: int, q: int) -> int:
         block = self.blocks.get((p, q))
         return block.free_rank if block else 0
-
-    def betti(self, s: int) -> int:
-        """Total rank in cohomological degree s (sum over p + q = s)."""
-        return sum(b.free_rank for (p, q), b in self.blocks.items() if p + q == s)
 
     def ranks(self) -> dict[tuple[int, int], int]:
         """Nonzero free ranks only, so tables over Z and Q compare directly

@@ -1,5 +1,5 @@
-"""Cover-subordinate chains, resolvents of product cycles, and the exact
-pairing against logarithmic cochains.
+"""Chains subordinate to the cover, resolvents of product cycles, and the
+exact pairing against logarithmic cochains.
 
 A chain of Čech degree t and dimension s assigns, alternately, a cell chain
 to every (t+1)-tuple of cover indices, supported inside the intersection of

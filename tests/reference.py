@@ -1,0 +1,503 @@
+"""Independent references the test suite holds ``coordarr`` against.
+
+No command of ``coordarr`` reaches these names, so they live with the tests.
+Each keeps its own code rather than calling the engine it checks:
+
+* the algebra model as an algebra: ``RkElement`` with the termwise
+  ``differential`` and the graded-commutative product ``multiply``;
+* the cell model's cochains (``CellCochain``, ``coboundary_cochain``,
+  ``phi``), its full cell list and its all-bidegree ``homology_table``;
+* the Čech model assembled block by block (``log_basis``, ``cech_matrix``),
+  the sparse ``cochain_coboundary``, the filtration ranks computed without
+  the bigraded splitting, and one representative cocycle pulled back in
+  full;
+* the chunked tensor-grid ``torus_quadrature`` the separated rule is
+  compared with;
+* small constructors and readers: dense matrices, Betti numbers, the
+  minimal non-faces and f-vector of a complex, and the named complexes.
+"""
+
+from __future__ import annotations
+
+import warnings
+from fractions import Fraction
+from itertools import combinations
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from coordarr import cech, cells, koszul
+from coordarr.complexes import (
+    SimplicialComplex,
+    card,
+    elements,
+    face_key,
+    mask_of,
+    pos_in,
+    subsets_of,
+)
+from coordarr.kernels import QuadratureSpec
+from coordarr.linalg import (
+    BigradedTable,
+    CohomologyBlock,
+    ExactMatrix,
+    rank_rational,
+    stripe_cohomology,
+)
+
+Scalar = int | Fraction
+
+
+# ---------------------------------------------------------------------------
+# named complexes
+# ---------------------------------------------------------------------------
+
+def full_simplex(n: int) -> SimplicialComplex:
+    return SimplicialComplex(n, [(1 << n) - 1])
+
+
+def simplex_boundary(n: int) -> SimplicialComplex:
+    """All proper subsets of [n]; the complement retracts to a sphere."""
+    return SimplicialComplex.from_missing_faces(n, [list(range(1, n + 1))])
+
+
+def disjoint_points(n: int) -> SimplicialComplex:
+    return SimplicialComplex(n, [1 << (v - 1) for v in range(1, n + 1)])
+
+
+def torus_complex(n: int) -> SimplicialComplex:
+    """Only the empty face; the complement is the algebraic torus."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex(n, [0])
+
+
+# ---------------------------------------------------------------------------
+# complexes and matrices
+# ---------------------------------------------------------------------------
+
+def minimal_non_faces(K: SimplicialComplex) -> tuple[int, ...]:
+    """Inclusion-minimal subsets of [n] that are not faces.
+
+    These generate the defining monomial ideal and index the maximal planes
+    of the arrangement.  A set is a minimal non-face iff it is not a face,
+    yet dropping any single vertex gives one; every such set is a face plus
+    one vertex, which keeps the search linear in the number of faces.
+    """
+    faces = K.faces
+    found = set()
+    for f in faces:
+        for v in range(1, K.n + 1):
+            bit = 1 << (v - 1)
+            if f & bit:
+                continue
+            s = f | bit
+            if s in faces or s in found:
+                continue
+            if all((s & ~(1 << (w - 1))) in faces for w in elements(s)):
+                found.add(s)
+    return tuple(sorted(found, key=face_key))
+
+
+def face_counts(K: SimplicialComplex) -> dict[int, int]:
+    """Number of faces of each cardinality (the f-vector, 0-indexed by
+    cardinality; entry 0 counts the empty face)."""
+    counts: dict[int, int] = {}
+    for f in K.faces:
+        counts[card(f)] = counts.get(card(f), 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def complex_to_json(K: SimplicialComplex) -> dict:
+    """A document ``parse_complex`` reads back, through either the facets
+    or the missing faces."""
+    return {
+        "n": K.n,
+        "facets": [list(elements(f)) for f in K.facets],
+        "missing_faces": [list(elements(f)) for f in minimal_non_faces(K)],
+        "face_counts": {str(k): v for k, v in face_counts(K).items()},
+    }
+
+
+def identity(k: int) -> ExactMatrix:
+    return ExactMatrix(k, k, {(i, i): 1 for i in range(k)})
+
+
+def from_dense(data: Sequence[Sequence[Scalar]]) -> ExactMatrix:
+    rows = len(data)
+    cols = len(data[0]) if rows else 0
+    return ExactMatrix(rows, cols, {
+        (r, c): v for r, row in enumerate(data) for c, v in enumerate(row) if v
+    })
+
+
+def to_dense(m: ExactMatrix) -> list[list[Scalar]]:
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        out[r][c] = v
+    return out
+
+
+def betti(table: BigradedTable, s: int) -> int:
+    """Total rank in cohomological degree s (sum over p + q = s)."""
+    return sum(b.free_rank for (p, q), b in table.blocks.items() if p + q == s)
+
+
+# ---------------------------------------------------------------------------
+# the algebra model as an algebra
+# ---------------------------------------------------------------------------
+
+#: basis element: (gamma, sigma) masks, gamma the exterior part
+Basis = tuple[int, int]
+
+
+class RkElement:
+    """Finite linear combination of basis monomials, exact coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Basis, Scalar] | None = None):
+        self.terms: dict[Basis, Scalar] = {}
+        if terms:
+            for key, coeff in terms.items():
+                if coeff:
+                    self.terms[key] = coeff
+
+    def bidegree(self) -> tuple[int, int] | None:
+        """Common bidegree of all terms, or None if mixed or zero."""
+        degrees = {(card(g) + card(s), card(s)) for g, s in self.terms}
+        return degrees.pop() if len(degrees) == 1 else None
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other: "RkElement") -> "RkElement":
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, 0) + coeff
+        return RkElement(out)
+
+    def __sub__(self, other: "RkElement") -> "RkElement":
+        return self + other.scale(-1)
+
+    def scale(self, factor: Scalar) -> "RkElement":
+        return RkElement({k: factor * v for k, v in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RkElement) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        bits = []
+        for (gamma, sigma), coeff in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
+            mono = "".join(f"u{i}" for i in elements(gamma)) + "".join(f"v{i}" for i in elements(sigma))
+            bits.append(f"{'+' if coeff > 0 else '-'}{abs(coeff) if abs(coeff) != 1 or not mono else ''}{mono or abs(coeff)}")
+        return " ".join(bits)
+
+
+def monomial(gamma: Iterable[int], sigma: Iterable[int], coeff: Scalar = 1) -> RkElement:
+    return RkElement({(mask_of(gamma), mask_of(sigma)): coeff})
+
+
+def differential(K: SimplicialComplex, a: RkElement) -> RkElement:
+    """Differential of an arbitrary element (termwise)."""
+    out: dict[Basis, Scalar] = {}
+    for (gamma, sigma), coeff in a.terms.items():
+        for sign, target in koszul._diff_terms(K, gamma, sigma):
+            out[target] = out.get(target, 0) + sign * coeff
+    return RkElement(out)
+
+
+def _merge_sign(a: int, b: int) -> int:
+    """Sign of merging two sorted disjoint exterior monomials u_a * u_b:
+    (-1)^(number of pairs x in a, y in b with x > y)."""
+    inversions = 0
+    for y in elements(b):
+        inversions += (a >> y).bit_count()  # elements of a strictly above y
+    return -1 if inversions % 2 else 1
+
+
+def multiply(K: SimplicialComplex, a: RkElement, b: RkElement) -> RkElement:
+    """Product in the algebra.
+
+    Exterior parts multiply with the shuffle sign, polynomial parts are
+    square-free (a repeated vertex or a non-face kills the term), and any
+    overlap between the combined exterior and polynomial supports dies on
+    the mixed relation u_i v_i = 0.
+    """
+    out: dict[Basis, Scalar] = {}
+    for (g1, s1), c1 in a.terms.items():
+        for (g2, s2), c2 in b.terms.items():
+            if g1 & g2 or s1 & s2:
+                continue
+            sigma = s1 | s2
+            gamma = g1 | g2
+            if gamma & sigma or not K.is_face(sigma):
+                continue
+            coeff = c1 * c2 * _merge_sign(g1, g2)
+            key = (gamma, sigma)
+            out[key] = out.get(key, 0) + coeff
+    return RkElement(out)
+
+
+# ---------------------------------------------------------------------------
+# the cell model: cells, cochains and the all-bidegree table
+# ---------------------------------------------------------------------------
+
+def cell_dimension(cell: cells.Cell) -> int:
+    sigma, gamma = cell
+    return 2 * card(sigma) + card(gamma)
+
+
+def all_cells(K: SimplicialComplex) -> list[cells.Cell]:
+    """Every cell (sigma, gamma): sigma a face, gamma inside the complement."""
+    full = (1 << K.n) - 1
+    out = []
+    for sigma in K.faces_sorted:
+        for gamma in subsets_of(full & ~sigma):
+            out.append((sigma, gamma))
+    out.sort()
+    return out
+
+
+class CellCochain:
+    """Functional on cell chains via the dual cocell basis."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[cells.Cell, Scalar] | None = None):
+        self.terms: dict[cells.Cell, Scalar] = {}
+        if terms:
+            for cell, coeff in terms.items():
+                if coeff:
+                    self.terms[cell] = coeff
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CellCochain) and self.terms == other.terms
+
+    def __repr__(self) -> str:
+        return f"CellCochain({dict(sorted(self.terms.items()))})"
+
+    def pair(self, chain: cells.CellChain) -> Scalar:
+        total = 0
+        for cell, coeff in chain.terms.items():
+            dual = self.terms.get(cell)
+            if dual:
+                total += dual * coeff
+        return total
+
+
+def coboundary_cochain(K: SimplicialComplex, cochain: CellCochain) -> CellCochain:
+    """Termwise coboundary: minus the adjoint of the boundary."""
+    out: dict[cells.Cell, Scalar] = {}
+    for (sigma, gamma), coeff in cochain.terms.items():
+        # cofaces: move one circle direction i onto the disk factor
+        for i in elements(gamma):
+            bit = 1 << (i - 1)
+            new_sigma = sigma | bit
+            if not K.is_face(new_sigma):
+                continue
+            sign = -1 if pos_in(gamma, i) % 2 else 1
+            target = (new_sigma, gamma & ~bit)
+            out[target] = out.get(target, 0) - sign * coeff
+    return CellCochain(out)
+
+
+def phi(a: RkElement) -> CellCochain:
+    """Relabel an algebra element as a cell cochain: the monomial with
+    exterior part gamma and polynomial part sigma goes to the dual cocell of
+    the (sigma, gamma) cell, coefficients untouched."""
+    return CellCochain({(sigma, gamma): coeff for (gamma, sigma), coeff in a.terms.items()})
+
+
+def homology_table(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
+    """Bigraded cellular homology, torsion included, without cycle bases:
+    the reference the algebra model's table is held against (ranks agree,
+    torsion moves one step in q by the universal coefficients).
+
+    The p-stripe is the chain complex  (p, p) --d--> ... --d--> (p, 0), so
+    its boundary maps go to ``stripe_cohomology`` top degree first.
+    """
+    blocks: dict[tuple[int, int], CohomologyBlock] = {}
+    for p in range(K.n + 1):
+        maps = (cells.boundary_matrix(K, p, q) for q in range(p + 1, -1, -1))
+        for q, block in zip(range(p, -1, -1), stripe_cohomology(maps, coeff)):
+            blocks[(p, q)] = block
+    return BigradedTable(blocks, coeff)
+
+
+# ---------------------------------------------------------------------------
+# the Čech model, block by block
+# ---------------------------------------------------------------------------
+
+def face_cover_engine(K: SimplicialComplex) -> cech._CechEngine:
+    """The Čech engine on the defining cover: every face indexes a cover
+    element, the empty one included (its element is the algebraic torus)."""
+    return cech._CechEngine(K, K.faces_sorted)
+
+
+def log_basis(
+    K: SimplicialComplex, p: int, t: int, indices: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], int]]:
+    """Basis of the (form degree p, Čech degree t) block on the cover with
+    the given indices: admissible pairs (increasing cover tuple, index set
+    I), tuple-major order."""
+    isets = K.k_subsets(p)
+    out = []
+    for tup in combinations(indices, t + 1):
+        inter = cech._intersection(tup)
+        for iset in isets:
+            if iset & inter == 0:
+                out.append((tup, iset))
+    return out
+
+
+def cech_matrix(K: SimplicialComplex, p: int, t: int, indices: tuple[int, ...]) -> ExactMatrix:
+    """Matrix of the coboundary from the (p, t) block to the (p, t+1) block."""
+    src = log_basis(K, p, t, indices)
+    dst = log_basis(K, p, t + 1, indices)
+    src_index = {b: i for i, b in enumerate(src)}
+    sign_p = -1 if p % 2 else 1
+    entries: dict[tuple[int, int], int] = {}
+    for row, (tup, iset) in enumerate(dst):
+        for j in range(len(tup)):
+            sub = tup[:j] + tup[j + 1 :]
+            col = src_index.get((sub, iset))
+            if col is None:
+                continue
+            entries[(row, col)] = sign_p * (-1 if j % 2 else 1)
+    return ExactMatrix(len(dst), len(src), entries)
+
+
+def cochain_coboundary(K: SimplicialComplex, w: cech.LogCochain) -> cech.LogCochain:
+    """Čech coboundary of a face-cover cochain, computed sparsely on its
+    support.
+
+    Every nonzero value of the result sits on a tuple obtained by inserting
+    one extra cover index into a support tuple of ``w``.
+    """
+    out: dict[tuple[int, ...], cech.LogForm] = {}
+    sign_p = -1 if w.p % 2 else 1
+    seen: set[tuple[int, ...]] = set()
+    for base in w.values:
+        base_set = set(base)
+        for extra in K.faces_sorted:
+            if extra in base_set:
+                continue
+            canon = cech.canonical_tuple(base + (extra,))
+            assert canon is not None
+            target, _ = canon
+            if target in seen:
+                continue
+            seen.add(target)
+            total = cech.LogForm(w.p)
+            for j in range(len(target)):
+                sub = target[:j] + target[j + 1 :]
+                term = w.value_at(sub)
+                if term.is_zero():
+                    continue
+                factor = sign_p * (-1 if j % 2 else 1)
+                total = total + term.scale(factor)
+            if not total.is_zero():
+                out[target] = total
+    return cech.LogCochain(w.p, w.t + 1, out)
+
+
+def filtration_ranks_direct(K: SimplicialComplex, indices: tuple[int, ...]) -> dict[tuple[int, int], int]:
+    """Filtration ranks computed without the bigraded splitting.
+
+    For every cutoff k the truncated complex (all form degrees >= k) is
+    assembled as one block matrix per total degree and its cohomology ranks
+    are taken there; the bigraded route must reproduce these numbers
+    exactly.  Quadratic amount of elimination, intended for validation.
+    """
+    n = K.n
+    m = len(indices)
+    block: dict[tuple[int, int], ExactMatrix] = {}
+    for p in range(n + 1):
+        for t in range(m):  # C^t is empty beyond t = m - 1
+            block[(p, t)] = cech_matrix(K, p, t, indices)
+
+    def block_dim(p: int, t: int) -> int:
+        piece = block.get((p, t))
+        return piece.cols if piece else 0
+
+    def assembled_rank(k: int, s: int) -> int:
+        """Rank of the total differential out of degree s in the truncated
+        complex, assembled as one matrix over all form degrees >= k."""
+        entries: dict[tuple[int, int], int] = {}
+        row_off = 0
+        col_off = 0
+        for p in range(k, n + 1):
+            piece = block.get((p, s - p))
+            if piece is None:
+                continue
+            for (r, c), v in piece.entries.items():
+                entries[(row_off + r, col_off + c)] = v
+            row_off += piece.rows
+            col_off += piece.cols
+        return rank_rational(ExactMatrix(row_off, col_off, entries))
+
+    out: dict[tuple[int, int], int] = {}
+    for k in range(n + 2):
+        rank_at = {s: assembled_rank(k, s) for s in range(2 * n + 2)}
+        for s in range(2 * n + 1):
+            dim = sum(block_dim(p, s - p) for p in range(k, n + 1))
+            out[(k, s)] = dim - rank_at[s] - rank_at.get(s - 1, 0)
+    return out
+
+
+def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: int) -> cech.LogCochain:
+    """One basis cocycle of the (p, q) cohomology, pulled back in full to the
+    face cover."""
+    reps = cech.representative_cocycles(K, p, q)
+    if not reps:
+        raise ValueError(f"no cohomology in bidegree ({p},{q})")
+    if not 0 <= class_index < len(reps):
+        raise ValueError(
+            f"class index {class_index} out of range: bidegree ({p},{q}) has rank {len(reps)}"
+        )
+    return cech.pullback_to_faces(K, reps[class_index])
+
+
+# ---------------------------------------------------------------------------
+# quadrature on the full tensor grid
+# ---------------------------------------------------------------------------
+
+def torus_quadrature(
+    g: Callable[[np.ndarray], np.ndarray],
+    gamma: int,
+    n: int,
+    spec: QuadratureSpec,
+) -> complex:
+    """Average of g over the uniform grid on the torus of the directions in
+    ``gamma`` (other coordinates pinned at 1).
+
+    This average equals  (2 pi i)^(-|gamma|) times the contour integral of
+    g(z) dz_gamma/z_gamma  with ascending wedge order, the orientation that
+    makes each circle run counterclockwise.  For g analytic in a
+    neighborhood of the torus the error decays geometrically in N.
+
+    ``g`` receives an array of points of shape (chunk, n) and must return
+    the corresponding values; evaluation is chunked along the first torus
+    direction and accumulated with numpy's pairwise summation.
+    """
+    dirs = list(elements(gamma))
+    k = len(dirs)
+    nodes = np.exp(1j * (2.0 * np.pi * np.arange(spec.nodes) / spec.nodes))
+    if k == 0:
+        z = np.ones((1, n), dtype=complex)
+        return complex(np.asarray(g(z), dtype=complex).reshape(-1)[0])
+    chunk_sums = []
+    tail = dirs[1:]
+    grids = np.meshgrid(*(nodes for _ in tail), indexing="ij") if tail else []
+    base = np.ones((spec.nodes ** (k - 1), n), dtype=complex)
+    for axis, grid in zip(tail, grids):
+        base[:, axis - 1] = grid.reshape(-1)
+    for w in nodes:
+        pts = base.copy()
+        pts[:, dirs[0] - 1] = w
+        chunk_sums.append(np.add.reduce(np.asarray(g(pts), dtype=complex)))
+    total = np.add.reduce(np.asarray(chunk_sums))
+    return complex(total / spec.nodes**k)

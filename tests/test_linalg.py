@@ -25,15 +25,16 @@ from coordarr.linalg import (
 )
 from coordarr import linalg
 from coordarr.linalg import _eliminate_units, _working_copy
+from reference import betti, from_dense, identity, to_dense
 
 
 def test_snf_diagonal_2_3():
     # gcd 1 and determinant 6 force the chain (1, 6)
-    assert smith_normal_form(ExactMatrix.from_dense([[2, 0], [0, 3]])).diag == (1, 6)
+    assert smith_normal_form(from_dense([[2, 0], [0, 3]])).diag == (1, 6)
 
 
 def test_snf_zero_matrix():
-    result = smith_normal_form(ExactMatrix.zero(3, 3))
+    result = smith_normal_form(ExactMatrix(3, 3))
     assert result.diag == (0, 0, 0)
     assert result.rank == 0
 
@@ -53,8 +54,8 @@ def test_snf_rejects_rational():
 
 
 def test_rank_identity_and_proportional_rows():
-    assert rank_rational(ExactMatrix.identity(7)) == 7
-    assert rank_rational(ExactMatrix.from_dense([[1, -1], [-1, 1]])) == 1
+    assert rank_rational(identity(7)) == 7
+    assert rank_rational(from_dense([[1, -1], [-1, 1]])) == 1
 
 
 def test_rank_rational_entries():
@@ -90,7 +91,7 @@ def test_snf_unimodular_invariance(m, rng):
 
 
 def _random_unimodular(k: int, rng: random.Random) -> ExactMatrix:
-    u = ExactMatrix.identity(k)
+    u = identity(k)
     entries = dict(u.entries)
     for _ in range(2 * k):
         i, j = rng.randrange(k), rng.randrange(k)
@@ -129,7 +130,7 @@ def _det(rows: list[list[int]]) -> int:
 def _determinantal_snf(m: ExactMatrix) -> tuple[int, ...]:
     """Invariant factors d_k / d_(k-1), where d_k is the gcd of all k x k
     minors: the Smith form without any elimination."""
-    dense = m.to_dense()
+    dense = to_dense(m)
     size = min(m.rows, m.cols)
     divisors = [1]
     for k in range(1, size + 1):
@@ -149,13 +150,13 @@ def tiny_int_matrices(draw):
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 5))
     values = st.integers(-6, 6)
-    return ExactMatrix.from_dense([[draw(values) for _ in range(cols)] for _ in range(rows)])
+    return from_dense([[draw(values) for _ in range(cols)] for _ in range(rows)])
 
 
 def test_determinantal_oracle_examples():
-    assert _determinantal_snf(ExactMatrix.from_dense([[2, 0], [0, 3]])) == (1, 6)
-    assert _determinantal_snf(ExactMatrix.from_dense([[2, 4, 0], [6, 8, 0]])) == (2, 4)
-    assert _determinantal_snf(ExactMatrix.zero(2, 3)) == (0, 0)
+    assert _determinantal_snf(from_dense([[2, 0], [0, 3]])) == (1, 6)
+    assert _determinantal_snf(from_dense([[2, 4, 0], [6, 8, 0]])) == (2, 4)
+    assert _determinantal_snf(ExactMatrix(2, 3)) == (0, 0)
 
 
 @given(tiny_int_matrices())
@@ -262,7 +263,7 @@ def test_rank_pivots_are_a_column_basis(m):
 
 def test_rank_pivots_include_the_residual_phase():
     # no unit entry: every pivot comes from the fraction-free phase
-    assert len(_check_pivots(ExactMatrix.from_dense([[2, 4, 6], [6, 3, 9], [4, 8, 12]]))) == 2
+    assert len(_check_pivots(from_dense([[2, 4, 6], [6, 3, 9], [4, 8, 12]]))) == 2
     residual_pivots = 0
     for seed in range(20):
         m = _sparse_unit_matrix(seed)
@@ -286,19 +287,19 @@ def test_kernel_vectors_are_in_kernel(m):
 
 
 def test_quotient_basis_reduces_image_away():
-    image = ExactMatrix.from_dense([[1], [1]])
+    image = from_dense([[1], [1]])
     vectors = [{0: 1, 1: 1}, {0: 1, 1: -1}]
     reduced = quotient_basis(vectors, image)
     assert len(reduced) == 1  # the first vector is itself in the image
 
 
 def test_cohomology_block_free():
-    blocks = stripe_cohomology([ExactMatrix.zero(4, 0), ExactMatrix.zero(0, 4)], "Z")
+    blocks = stripe_cohomology([ExactMatrix(4, 0), ExactMatrix(0, 4)], "Z")
     assert blocks == [CohomologyBlock(4)]
 
 
 def test_cohomology_block_torsion():
-    [block] = stripe_cohomology([ExactMatrix.from_dense([[2]]), ExactMatrix.zero(0, 1)], "Z")
+    [block] = stripe_cohomology([from_dense([[2]]), ExactMatrix(0, 1)], "Z")
     assert block == CohomologyBlock(0, (2,))
     assert str(block) == "Z/2"
 
@@ -316,12 +317,12 @@ def test_cohomology_block_from_cellular_oracle():
 
 
 def test_cohomology_block_rejects_nonzero_composition():
-    d_in = ExactMatrix.from_dense([[1], [0]])
-    d_out = ExactMatrix.from_dense([[1, 0]])
+    d_in = from_dense([[1], [0]])
+    d_out = from_dense([[1, 0]])
     with pytest.raises(CheckFailed):
         stripe_cohomology([d_in, d_out], "Z")
     with pytest.raises(ValueError, match="block mismatch"):
-        stripe_cohomology([d_in, ExactMatrix.zero(1, 3)], "Q")
+        stripe_cohomology([d_in, ExactMatrix(1, 3)], "Q")
 
 
 def _rp2_stripe(p: int) -> list[ExactMatrix]:
@@ -381,20 +382,20 @@ def test_compose_is_zero_exact_products():
         ([[2**70, 1]], [[2**70], [1]], False),
     ]
     for outer, inner, zero in cases:
-        product_vanishes = compose_is_zero(ExactMatrix.from_dense(outer), ExactMatrix.from_dense(inner))
+        product_vanishes = compose_is_zero(from_dense(outer), from_dense(inner))
         assert product_vanishes is zero, (outer, inner)
 
 
 def test_compose_is_zero_rejects_shape_mismatch():
     with pytest.raises(ValueError):
-        compose_is_zero(ExactMatrix.zero(2, 3), ExactMatrix.zero(2, 2))
+        compose_is_zero(ExactMatrix(2, 3), ExactMatrix(2, 2))
 
 
 def test_bigraded_table_helpers():
     t = BigradedTable({(2, 1): CohomologyBlock(1), (6, 3): CohomologyBlock(0, (2,))})
     assert t.ranks() == {(2, 1): 1}
     assert t.torsions() == {(6, 3): (2,)}
-    assert t.betti(3) == 1
+    assert betti(t, 3) == 1
     assert t.to_json()["h"]["6,3"] == {"rank": 0, "torsion": [2]}
 
 

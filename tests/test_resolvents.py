@@ -8,8 +8,15 @@ import pytest
 from coordarr import cech, cells
 from coordarr import resolvents as rv
 from coordarr.complexes import SimplicialComplex, card, mask_of
-from coordarr.corpus import disjoint_points, simplex_boundary, torus_complex
 from coordarr.linalg import CheckFailed, ExactMatrix, rank_rational
+from reference import (
+    cochain_coboundary,
+    disjoint_points,
+    homology_table,
+    representative_cocycle,
+    simplex_boundary,
+    torus_complex,
+)
 
 
 def edge_boundary():
@@ -139,7 +146,7 @@ def test_resolvent_rejects_bad_input():
 
 def test_resolvent_identities_across_sample_generators():
     for K in (edge_boundary(), simplex_boundary(3), disjoint_points(3)):
-        for (p, q) in cells.homology_table(K).ranks():
+        for (p, q) in homology_table(K).ranks():
             for g in cells.homology(K, p, q):
                 res = rv.build_resolvent(K, g)
                 res.validate()
@@ -176,7 +183,7 @@ def test_pairing_degree_mismatch():
 def test_pairing_with_representative_is_unit_period():
     K = edge_boundary()
     res = rv.build_resolvent(K, s3_cycle())
-    w = cech.representative_cocycle(K, 2, 1, 0)
+    w = representative_cocycle(K, 2, 1, 0)
     value = rv.resolvent_pairing(res, w)
     assert value.tau_power == 2
     assert abs(value.coeff) == 1
@@ -263,7 +270,7 @@ def test_pairing_relation_cech_side_explicit():
     t12 = mask_of([1, 2])
     w = cech.LogCochain(2, 0, {(0,): cech.LogForm(2, {t12: 1})})
     g = rv.UChain(1, 2, {(0, mask_of([1])): cells.CellChain({(0, t12): 1})})
-    lhs = rv.pair(cech.cochain_coboundary(K, w, "faces"), g)
+    lhs = rv.pair(cochain_coboundary(K, w), g)
     rhs = rv.pair(w, rv.delta_prime(g))
     assert lhs == rhs == rv.PairingScalar(Fraction(-1), 2)
 
@@ -279,7 +286,7 @@ def test_pairing_relation_cech_side_random():
         g = _random_uchain(K, rng, degree=t + 1)
         if w.is_zero() or g.is_zero():
             continue
-        lhs = rv.pair(cech.cochain_coboundary(K, w, "faces"), g)
+        lhs = rv.pair(cochain_coboundary(K, w), g)
         rhs = rv.pair(w, rv.delta_prime(g))
         assert lhs == rhs
 
@@ -305,7 +312,7 @@ def test_pairing_invariance_under_boundary_shift():
     K = SimplicialComplex.from_vertex_lists(3, [[1, 2], [2, 3]])
     (p, q) = (2, 1)
     cycle = cells.homology(K, p, q)[0]
-    w = cech.representative_cocycle(K, p, q, 0)
+    w = representative_cocycle(K, p, q, 0)
     base = rv.resolvent_pairing(rv.build_resolvent(K, cycle), w)
     assert not base.is_zero()
     shift = cells.boundary_chain(cells.CellChain({(mask_of([1, 2]), 0): 3}))
@@ -317,15 +324,15 @@ def test_pairing_invariance_under_boundary_shift():
 def test_pairing_invariance_under_coboundary_shift():
     K = edge_boundary()
     res = rv.build_resolvent(K, s3_cycle())
-    w = cech.representative_cocycle(K, 2, 1, 0)
+    w = representative_cocycle(K, 2, 1, 0)
     eta = cech.LogCochain(2, 0, {(0,): cech.LogForm(2, {mask_of([1, 2]): Fraction(5, 3)})})
-    w_shifted = w + cech.cochain_coboundary(K, eta, "faces")
+    w_shifted = w + cochain_coboundary(K, eta)
     assert rv.resolvent_pairing(res, w_shifted) == rv.resolvent_pairing(res, w)
 
 
 def test_orthogonality_and_gram_invertibility():
     K = disjoint_points(3)
-    cycles = {pq: cells.homology(K, *pq) for pq in cells.homology_table(K).ranks()}
+    cycles = {pq: cells.homology(K, *pq) for pq in homology_table(K).ranks()}
     reps = {
         key: [cech.pullback_to_faces(K, w) for w in cech.representative_cocycles(K, *key)]
         for key in cycles
