@@ -30,8 +30,8 @@ complexes.
 The pullback is evaluated on demand: its value at a face tuple T is the
 facet cochain's value at r(T), sign of the sorting permutation included and
 zero when two faces of T share a facet.  ``pullback_to_faces`` applies this
-one rule either at the tuples a caller asks for (the kernels ask for the
-support of a resolvent's top piece) or over the whole support.
+one rule at the tuples a caller asks for (the kernels ask for the support
+of a resolvent's top piece).
 
 Internally each (p, t) block splits as a direct sum over the index sets I
 (the coboundary never mixes the dz_I/z_I coefficients).  ``cohomology``
@@ -59,7 +59,7 @@ pulled back where they pair.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .complexes import SimplicialComplex, card, elements, face_key
@@ -419,9 +419,8 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
 
     The kernel-mod-image bases are extracted per index set on the facet
     cover.  They stay there: a caller pulls them back to the face cover
-    through ``pullback_to_faces``, at the tuples it reads (the kernels) or in
-    full; the pullback of a cocycle basis along a mutual refinement is again
-    a basis.
+    through ``pullback_to_faces`` at the tuples it reads; the pullback of a
+    cocycle basis along a mutual refinement is again a basis.
     """
     engine = _CechEngine(K, K.facets)
     tuples_here = engine.tuples(q + 1)
@@ -439,9 +438,7 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
     return out
 
 
-def pullback_to_faces(
-    K: SimplicialComplex, w: LogCochain, tuples: Iterable[Sequence[int]] | None = None
-) -> LogCochain:
+def pullback_to_faces(K: SimplicialComplex, w: LogCochain, tuples: Iterable[Sequence[int]]) -> LogCochain:
     """Pull a facet-cover cochain back to the face cover along the
     refinement r: face -> first containing facet.
 
@@ -449,19 +446,9 @@ def pullback_to_faces(
     supplies the permutation sign and vanishes when two faces of T refine
     to the same facet.  It is evaluated at ``tuples`` only (the kernels
     pass the support of a resolvent's top piece, the one place the pairing
-    reads); by default at its whole support, the products of the preimage
-    classes of r over the support tuples of ``w``.  Values are stored on
-    canonically sorted tuples; a tuple with a repeated face is zero.
+    reads).  Values are stored on canonically sorted tuples; a tuple with a
+    repeated face is zero.
     """
-    if tuples is None:
-        preimages: dict[int, list[int]] = {f: [] for f in K.facets}
-        for face in K.faces_sorted:
-            preimages[K.containing_facet(face)].append(face)
-        tuples = (
-            choice
-            for facet_tuple in w.values
-            for choice in product(*(preimages[f] for f in facet_tuple))
-        )
     out: dict[FaceTuple, LogForm] = {}
     for tup in tuples:
         canon = canonical_tuple(tup)

@@ -20,8 +20,8 @@ the plain transpose the relabeling map from the Koszul-model monomials to
 dual cocells anticommutes with the differentials, with the negated one it
 commutes on the nose, making the relabeling an isomorphism of differential
 bigraded modules.  Blockwise this says that the coboundary matrices equal
-the algebra model's differential matrices; ``phi_checked`` checks that
-identity on every block as the algebra model builds it, which is the
+the algebra model's differential matrices; ``phi_mismatches`` compares the
+two on every block, face J included, without eliminating any, which is the
 working check on both sign conventions (a flipped sign shows up even when
 every rank survives it).
 
@@ -33,7 +33,6 @@ alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
 
 from . import koszul
 from .complexes import SimplicialComplex, card, elements, pos_in
@@ -46,7 +45,7 @@ __all__ = [
     "coboundary_matrix",
     "CellChain",
     "boundary_chain",
-    "phi_checked",
+    "phi_mismatches",
     "homology",
 ]
 
@@ -159,20 +158,21 @@ def boundary_chain(chain: CellChain) -> CellChain:
     return CellChain(out)
 
 
-def phi_checked(K: SimplicialComplex, p: int, mismatches: list[tuple[int, int]]) -> Iterator[ExactMatrix]:
-    """The algebra model's full p-stripe (``koszul.stripe``, the summands
-    of face J included), each differential compared with the coboundary
-    matrix of its bidegree, signs included, as it passes; a (p, q) where
-    they differ goes to ``mismatches``.  With none, the relabeling of each
-    monomial u_gamma v_sigma as the dual cocell of (sigma, gamma) commutes
-    with the differentials and the cell cohomology is the algebra model's
-    table by construction.  The table of these stripes is the reference that
-    ``koszul.cohomology``, which skips the face J, is held against.
+def phi_mismatches(K: SimplicialComplex) -> list[tuple[int, int]]:
+    """The bidegrees (p, q), p in 0..n and q in -1..p, where the algebra
+    model's differential (``koszul.differential_matrix``, the summands of
+    face J included) differs from the cell coboundary, signs included.  Each
+    matrix is built once and compared, not eliminated.  With none, the
+    relabeling of each monomial u_gamma v_sigma as the dual cocell of
+    (sigma, gamma) commutes with the differentials, and the cell cohomology
+    is the algebra model's table by construction.
     """
-    for q, d in enumerate(koszul.stripe(K, p), -1):
-        if d != coboundary_matrix(K, p, q):
-            mismatches.append((p, q))
-        yield d
+    return [
+        (p, q)
+        for p in range(K.n + 1)
+        for q in range(-1, p + 1)
+        if koszul.differential_matrix(K, p, q) != coboundary_matrix(K, p, q)
+    ]
 
 
 def homology(K: SimplicialComplex, p: int, q: int) -> list[CellChain]:

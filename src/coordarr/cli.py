@@ -1,11 +1,11 @@
 """Command-line front end.
 
+Every bigraded table comes from one engine, ``koszul.cohomology``, which
+eliminates only the summands of the vertex sets J that are not faces:
 ``cohomology --model rk``, ``hodge`` and the message of an unavailable
-kernel read the algebra model's table from ``koszul.cohomology``, which
-eliminates only the summands of the vertex sets J that are not faces.
-``compare`` and ``corpus`` build the full stripes instead, every face J
-included, compare each block with the cell coboundary and eliminate it, so
-their rk table is an independent route to the same numbers.  ``kernel`` and
+kernel report from it, and ``compare`` and ``corpus`` check it.  Their
+identity check with the cell model compares every block of the full
+stripes, face J included, and eliminates none.  ``kernel`` and
 ``resolvent`` read the cycles of one bidegree of the cell model and no
 table.  The Čech model runs only as the oracle of ``compare`` and
 ``corpus``, and for the kernels' cocycles.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -80,17 +79,15 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 def _compare_models(K: SimplicialComplex) -> tuple[dict[str, BigradedTable], dict[str, bool]]:
     """Tables and checks of the model comparison.
 
-    The rk table over Z is computed from the stripes ``cells.phi_checked``
-    passes on, so each differential is built once and compared with the
-    cell coboundary on its way; the cell table is the rk table, returned
-    only when every block is identical.  The Čech table is over Q.
+    The rk table over Z is the one every command reports,
+    ``koszul.cohomology``; the Čech table over Q is its oracle.  The cell
+    table is the rk table, returned only when ``cells.phi_mismatches``
+    finds every block of the two models identical.
     """
     tables: dict[str, BigradedTable] = {}
     checks: dict[str, bool] = {}
-    mismatches: list[tuple[int, int]] = []
-    stripes = [cells.phi_checked(K, p, mismatches) for p in range(K.n + 1)]
     for name, compute in (
-        ("rk", lambda: koszul.stripe_table(stripes, "Z")),
+        ("rk", lambda: koszul.cohomology(K, "Z")),
         ("cech", lambda: cech.cohomology(K)),
     ):
         # a differential that fails to square to zero is rejected by the
@@ -101,8 +98,7 @@ def _compare_models(K: SimplicialComplex) -> tuple[dict[str, BigradedTable], dic
         except CheckFailed as exc:
             checks[f"{name} model consistent"] = False
             print(f"FAIL  {name} model: {exc}")
-    for _ in itertools.chain(*stripes):  # the maps an early rk failure left unread
-        pass
+    mismatches = cells.phi_mismatches(K)
     checks["differentials rk=cell"] = not mismatches
     if mismatches:
         print(f"FAIL  cell coboundary differs from the rk differential at (p, q) = {mismatches}")

@@ -234,7 +234,8 @@ def parse_complex(document: str | dict) -> SimplicialComplex:
 
     The document must supply ``n`` and either ``facets`` or
     ``missing_faces`` (lists of 1-based vertex lists).  When both are
-    present, ``facets`` wins.
+    present, ``facets`` wins.  JSON ``true`` and ``false`` are not integers
+    here, though Python counts ``bool`` as ``int``.
     """
     if isinstance(document, str):
         try:
@@ -246,7 +247,7 @@ def parse_complex(document: str | dict) -> SimplicialComplex:
     if "n" not in document or document["n"] in (None, ""):
         raise ComplexError("missing vertex count 'n'")
     n = document["n"]
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ComplexError(f"'n' must be an integer, got {n!r}")
     if "facets" in document:
         facets = document["facets"]
@@ -264,6 +265,6 @@ def _check_vertex_lists(lists: object, label: str) -> None:
         raise ComplexError(f"'{label}' must be a list of vertex lists")
     for entry in lists:
         if not isinstance(entry, (list, tuple)) or not all(
-            isinstance(v, int) and v >= 1 for v in entry
+            isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in entry
         ):
             raise ComplexError(f"'{label}' entries must be lists of positive integers")

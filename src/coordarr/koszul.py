@@ -35,13 +35,13 @@ matrix per (p, q), eliminated once; the Smith form of a
 block-diagonal matrix is that of the direct sum, so the torsion is the full
 stripe's.
 
-``basis``, ``differential_matrix`` and ``stripe`` keep the full stripes,
-every J included, ordered by (sigma mask, gamma mask).  The cell model
-orders its (sigma, gamma) cells the same way, so the dual-basis relabeling
-between the two models is the identity permutation on each block.
-``compare`` and ``corpus`` check and eliminate these full stripes
-(``cells.phi_checked``), which makes them the independent reference the
-summand engine is held against.
+``basis`` and ``differential_matrix`` keep the full (p, q) blocks, every J
+included, ordered by (sigma mask, gamma mask).  The cell model orders its
+(sigma, gamma) cells the same way, so the dual-basis relabeling between the
+two models is the identity permutation on each block; ``compare`` and
+``corpus`` check that identity on every block (``cells.phi_mismatches``)
+but eliminate none of them.  The table of the full stripes is a test
+reference only.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .linalg import BigradedTable, ExactMatrix, stripe_cohomology
 __all__ = [
     "basis",
     "differential_matrix",
-    "stripe",
     "stripe_table",
     "summand_stripe",
     "cohomology",
@@ -109,12 +108,6 @@ def differential_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
         for sign, target in _diff_terms(K, gamma, sigma):
             entries[(index[target], j)] = sign
     return ExactMatrix(len(dst), len(src), entries)
-
-
-def stripe(K: SimplicialComplex, p: int) -> Iterator[ExactMatrix]:
-    """The full stripe: the differentials out of (p, -1), ..., (p, p), every
-    J included, each built only when it is asked for."""
-    return (differential_matrix(K, p, q) for q in range(-1, p + 1))
 
 
 def stripe_table(stripes: Iterable[Iterable[ExactMatrix]], coeff: str = "Z") -> BigradedTable:

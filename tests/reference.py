@@ -4,13 +4,15 @@ No command of ``coordarr`` reaches these names, so they live with the tests.
 Each keeps its own code rather than calling the engine it checks:
 
 * the algebra model as an algebra: ``RkElement`` with the termwise
-  ``differential`` and the graded-commutative product ``multiply``;
+  ``differential`` and the graded-commutative product ``multiply``; and
+  its ``full_stripe``, every J included, the route the summand engine is
+  checked against;
 * the cell model's cochains (``CellCochain``, ``coboundary_cochain``,
   ``phi``), its full cell list and its all-bidegree ``homology_table``;
 * the Čech model assembled block by block (``log_basis``, ``cech_matrix``),
   the sparse ``cochain_coboundary``, the filtration ranks computed without
-  the bigraded splitting, and one representative cocycle pulled back in
-  full;
+  the bigraded splitting, and the pullback of a cocycle over its whole
+  support (``full_pullback``, ``representative_cocycle``);
 * the chunked tensor-grid ``torus_quadrature`` the separated rule is
   compared with;
 * small constructors and readers: dense matrices, Betti numbers, the
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -241,6 +243,13 @@ def multiply(K: SimplicialComplex, a: RkElement, b: RkElement) -> RkElement:
     return RkElement(out)
 
 
+def full_stripe(K: SimplicialComplex, p: int) -> list[ExactMatrix]:
+    """The differentials out of (p, -1), ..., (p, p) on the whole monomial
+    basis, the summands of face J included: the full stripe the summand
+    engine ``koszul.cohomology`` is held against."""
+    return [koszul.differential_matrix(K, p, q) for q in range(-1, p + 1)]
+
+
 # ---------------------------------------------------------------------------
 # the cell model: cells, cochains and the all-bidegree table
 # ---------------------------------------------------------------------------
@@ -448,6 +457,21 @@ def filtration_ranks_direct(K: SimplicialComplex, indices: tuple[int, ...]) -> d
     return out
 
 
+def full_pullback(K: SimplicialComplex, w: cech.LogCochain) -> cech.LogCochain:
+    """``w`` pulled back to the face cover over its whole support: the
+    products of the preimage classes of r: face -> first containing facet,
+    over the support tuples of ``w``."""
+    preimages: dict[int, list[int]] = {f: [] for f in K.facets}
+    for face in K.faces_sorted:
+        preimages[K.containing_facet(face)].append(face)
+    tuples = [
+        choice
+        for facet_tuple in w.values
+        for choice in product(*(preimages[f] for f in facet_tuple))
+    ]
+    return cech.pullback_to_faces(K, w, tuples)
+
+
 def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: int) -> cech.LogCochain:
     """One basis cocycle of the (p, q) cohomology, pulled back in full to the
     face cover."""
@@ -458,7 +482,7 @@ def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: in
         raise ValueError(
             f"class index {class_index} out of range: bidegree ({p},{q}) has rank {len(reps)}"
         )
-    return cech.pullback_to_faces(K, reps[class_index])
+    return full_pullback(K, reps[class_index])
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from reference import (
     face_cover_engine,
     filtration_ranks_direct,
     full_simplex,
+    full_pullback,
     homology_table,
     log_basis,
     representative_cocycle,
@@ -257,7 +258,7 @@ def test_representative_count_matches_rank():
     for K in (disjoint_points(3), simplex_boundary(3), projective_plane()):
         table = cech.cohomology(K)
         for (p, q), rank in table.ranks().items():
-            reps = [cech.pullback_to_faces(K, w) for w in cech.representative_cocycles(K, p, q)]
+            reps = [full_pullback(K, w) for w in cech.representative_cocycles(K, p, q)]
             assert len(reps) == rank
             for w in reps:
                 assert (w.p, w.t) == (p, q)
@@ -287,7 +288,7 @@ def test_pullback_matches_direct_face_computation():
     K = simplex_boundary(3)
     for (p, q) in ((3, 2),):
         for w in cech.representative_cocycles(K, p, q):
-            assert cochain_coboundary(K, cech.pullback_to_faces(K, w)).is_zero()
+            assert cochain_coboundary(K, full_pullback(K, w)).is_zero()
 
 
 def _accumulated_pullback(K, w):
@@ -324,7 +325,7 @@ def test_pullback_at_top_piece_tuples_equals_full_pullback(K):
     for (p, q) in homology_table(K).ranks():
         cycles = cells.homology(K, p, q)
         facet_cocycles = cech.representative_cocycles(K, p, q)
-        full = [cech.pullback_to_faces(K, w) for w in facet_cocycles]
+        full = [full_pullback(K, w) for w in facet_cocycles]
         assert full == [representative_cocycle(K, p, q, i) for i in range(len(full))]
         for w, pulled in zip(facet_cocycles, full):
             reference = _accumulated_pullback(K, w)
@@ -345,7 +346,7 @@ def test_pullback_at_top_piece_tuples_equals_full_pullback(K):
 def test_pullback_evaluates_any_tuple_order():
     K = simplex_boundary(3)
     (w,) = cech.representative_cocycles(K, 3, 2)
-    full = cech.pullback_to_faces(K, w)
+    full = full_pullback(K, w)
     tup = next(iter(full.values))
     swapped = cech.pullback_to_faces(K, w, [(tup[1], tup[0], tup[2]), (tup[0], tup[0], tup[1])])
     assert swapped.values == {tup: full.values[tup]}

@@ -33,15 +33,6 @@ def edge_boundary():
     return SimplicialComplex.from_vertex_lists(2, [[1], [2]])
 
 
-def phi_mismatches(K):
-    """Every bidegree where the identity check of ``compare`` fails."""
-    mismatches = []
-    for p in range(K.n + 1):
-        for _ in cells.phi_checked(K, p, mismatches):
-            pass
-    return mismatches
-
-
 def test_cells_count_edge_boundary():
     K = edge_boundary()
     got = all_cells(K)
@@ -185,7 +176,7 @@ def test_phi_matrix_identity_all_blocks():
         simplex_boundary(3),
         torus_complex(2),
     ):
-        assert phi_mismatches(K) == [], K
+        assert cells.phi_mismatches(K) == [], K
 
 
 def test_phi_mismatches_sees_sign_fault(monkeypatch):
@@ -202,7 +193,7 @@ def test_phi_mismatches_sees_sign_fault(monkeypatch):
         return m
 
     monkeypatch.setattr(cells, "boundary_matrix", broken)
-    assert phi_mismatches(edge_boundary()) == [(2, 0)]
+    assert cells.phi_mismatches(edge_boundary()) == [(2, 0)]
 
 
 def test_projective_plane_torsion_and_uct():

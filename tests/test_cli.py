@@ -136,28 +136,69 @@ def test_compare_builds_each_differential_once(edge_file, monkeypatch):
     assert sorted(calls) == [(p, q) for p in range(3) for q in range(-1, p + 1)]
 
 
-def test_identity_check_covers_all_blocks_after_rk_failure(full_file, monkeypatch, tmp_path, capsys):
-    # a flipped Koszul sign stops the rk model at its d o d check; the
-    # identity check must still read every differential and name the block
+def _flip_first_entry(m: ExactMatrix) -> ExactMatrix:
+    key = min(m.entries)
+    return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
+
+
+def test_identity_check_covers_all_blocks_after_rk_failure(triangle_file, monkeypatch, tmp_path, capsys):
+    # a flipped sign in the summand of J = {1, 2, 3} stops the rk model at
+    # its d o d check; a flipped full-stripe block at (2, 0) must still be
+    # named by the identity check, which builds every block
+    summand_stripe = koszul.summand_stripe
+
+    def broken_summands(K, p):
+        for q, m in enumerate(summand_stripe(K, p), -1):
+            yield _flip_first_entry(m) if (p, q) == (3, 0) and m.entries else m
+
     calls = []
-    original = koszul.differential_matrix
+    differential_matrix = koszul.differential_matrix
 
-    def broken(K, p, q):
+    def broken_block(K, p, q):
         calls.append((p, q))
-        m = original(K, p, q)
-        if (p, q) == (2, 0) and m.entries:
-            key = min(m.entries)
-            return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
-        return m
+        m = differential_matrix(K, p, q)
+        return _flip_first_entry(m) if (p, q) == (2, 0) and m.entries else m
 
-    monkeypatch.setattr(koszul, "differential_matrix", broken)
+    monkeypatch.setattr(koszul, "summand_stripe", broken_summands)
+    monkeypatch.setattr(koszul, "differential_matrix", broken_block)
     out = tmp_path / "compare.json"
-    assert run(["compare", full_file, "--json", str(out)]) == 1
-    assert sorted(calls) == [(p, q) for p in range(3) for q in range(-1, p + 1)]
+    assert run(["compare", triangle_file, "--json", str(out)]) == 1
+    assert sorted(calls) == [(p, q) for p in range(4) for q in range(-1, p + 1)]
     checks = json.loads(out.read_text())["checks"]
     assert checks["rk model consistent"] == "fail"
     assert checks["differentials rk=cell"] == "fail"
     assert "at (p, q) = [(2, 0)]" in capsys.readouterr().out
+
+
+class _DropLastNonFace:
+    """A complex whose ``k_subsets`` omit the last non-face of each size,
+    so ``koszul.summand_stripe`` drops that J's summand."""
+
+    def __init__(self, K: SimplicialComplex):
+        self._K = K
+
+    def __getattr__(self, name):
+        return getattr(self._K, name)
+
+    def k_subsets(self, k: int) -> list[int]:
+        subsets = list(self._K.k_subsets(k))
+        non_faces = [J for J in subsets if not self._K.is_face(J)]
+        return [J for J in subsets if not non_faces or J != non_faces[-1]]
+
+
+def test_compare_and_corpus_check_the_reported_table(tmp_path, monkeypatch):
+    # compare and corpus read the table hodge reports from, so a summand
+    # the engine loses shows up as a rank the Čech oracle does not have
+    summand_stripe = koszul.summand_stripe
+    monkeypatch.setattr(koszul, "summand_stripe", lambda K, p: summand_stripe(_DropLastNonFace(K), p))
+    cycle = [[i, i % 8 + 1] for i in range(1, 9)]
+    for name, doc in (("rp2", {"n": 6, "facets": PROJECTIVE_PLANE_FACETS}), ("c8", {"n": 8, "facets": cycle})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"{name}-compare.json"
+        assert run(["compare", str(path), "--json", str(out)]) == 1, name
+        assert json.loads(out.read_text())["checks"]["ranks rk=cech"] == "fail", name
+    assert run(["corpus", "--random", "0"]) == 1
 
 
 def test_hodge_and_kernel_do_not_run_the_cech_table(edge_file, monkeypatch, capsys):
@@ -176,6 +217,9 @@ def test_compare_exit_codes_for_bad_input(tmp_path):
     bad.write_text("{not json")
     assert run(["compare", str(bad)]) == 2
     assert run(["compare", str(tmp_path / "missing.json")]) == 2
+    # JSON booleans are not vertex data
+    bad.write_text('{"n": true, "facets": [[true]]}')
+    assert run(["compare", str(bad)]) == 2
 
 
 def test_failed_self_check_exits_1(triangle_file, monkeypatch, capsys):
@@ -248,7 +292,8 @@ def test_tables_never_build_the_full_stripes(edge_file, monkeypatch, capsys):
 
 def test_full_simplex_tables_eliminate_no_entry(tmp_path, monkeypatch):
     # every nonempty J is a face, so the tables reach elimination with empty
-    # maps only; compare still eliminates the full stripes, face J included
+    # maps only, compare's included; its identity check still builds and
+    # compares every block, face J included
     path = tmp_path / "full4.json"
     path.write_text(json.dumps({"n": 4, "facets": [[1, 2, 3, 4]]}))
     stripes = _recording_stripes(monkeypatch)
@@ -260,8 +305,17 @@ def test_full_simplex_tables_eliminate_no_entry(tmp_path, monkeypatch):
         assert run([argv[0], str(path), *argv[1:]]) == 0
     assert stripes and not any(m.entries for maps in stripes for m in maps)
     assert eliminated == []
+    compared = {"rk": [], "cell": []}
+    for module, name, key in ((koszul, "differential_matrix", "rk"), (cells, "coboundary_matrix", "cell")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda K, p, q, original=original, key=key: compared[key].append((p, q)) or original(K, p, q),
+        )
     assert run(["compare", str(path)]) == 0
-    assert eliminated and all(m.entries for m in eliminated)
+    assert eliminated == []
+    every_block = [(p, q) for p in range(5) for q in range(-1, p + 1)]
+    assert compared == {"rk": every_block, "cell": every_block}
 
 
 def test_bad_node_count_exits_2(edge_file, capsys):

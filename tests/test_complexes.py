@@ -101,6 +101,13 @@ def test_errors():
         parse_complex({"n": 2})  # neither representation
     with pytest.raises(ComplexError):
         parse_complex("{broken")
+    # JSON booleans are not vertex data, though Python's bool is an int
+    with pytest.raises(ComplexError):
+        parse_complex('{"n": true, "facets": [[true]]}')
+    with pytest.raises(ComplexError):
+        parse_complex({"n": 2, "missing_faces": [[1, True]]})
+    with pytest.raises(ComplexError):
+        parse_complex({"n": 2, "facets": [[False]]})
 
 
 def test_json_round_trip():

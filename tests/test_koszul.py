@@ -17,6 +17,7 @@ from reference import (
     differential,
     disjoint_points,
     full_simplex,
+    full_stripe,
     homology_table,
     monomial,
     multiply,
@@ -187,9 +188,9 @@ def test_total_degree_matches_cell_model():
 
 
 def _full_stripe_json(K: SimplicialComplex, coeff: str) -> dict:
-    """The table of the full stripes, every J included: the route ``compare``
-    takes, and the reference for the summand engine."""
-    return koszul.stripe_table((koszul.stripe(K, p) for p in range(K.n + 1)), coeff).to_json()
+    """The table of the full stripes, every J included: the reference for
+    the summand engine."""
+    return koszul.stripe_table((full_stripe(K, p) for p in range(K.n + 1)), coeff).to_json()
 
 
 def _cycle(n: int) -> SimplicialComplex:

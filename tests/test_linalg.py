@@ -25,7 +25,7 @@ from coordarr.linalg import (
 )
 from coordarr import linalg
 from coordarr.linalg import _eliminate_units, _working_copy
-from reference import betti, from_dense, identity, to_dense
+from reference import betti, from_dense, full_stripe, identity, to_dense
 
 
 def test_snf_diagonal_2_3():
@@ -326,10 +326,9 @@ def test_cohomology_block_rejects_nonzero_composition():
 
 
 def _rp2_stripe(p: int) -> list[ExactMatrix]:
-    from coordarr import koszul
     from coordarr.corpus import projective_plane
 
-    return list(koszul.stripe(projective_plane(), p))
+    return full_stripe(projective_plane(), p)
 
 
 def test_stripe_eliminates_each_nonempty_map_once(monkeypatch):

@@ -12,6 +12,7 @@ from coordarr.linalg import CheckFailed, ExactMatrix, rank_rational
 from reference import (
     cochain_coboundary,
     disjoint_points,
+    full_pullback,
     homology_table,
     representative_cocycle,
     simplex_boundary,
@@ -334,7 +335,7 @@ def test_orthogonality_and_gram_invertibility():
     K = disjoint_points(3)
     cycles = {pq: cells.homology(K, *pq) for pq in homology_table(K).ranks()}
     reps = {
-        key: [cech.pullback_to_faces(K, w) for w in cech.representative_cocycles(K, *key)]
+        key: [full_pullback(K, w) for w in cech.representative_cocycles(K, *key)]
         for key in cycles
     }
     for (p, q), gens in cycles.items():
