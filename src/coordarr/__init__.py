@@ -10,7 +10,7 @@ from .complexes import (
     parse_complex,
 )
 from .linalg import BigradedTable, CheckFailed, CohomologyBlock, ExactMatrix, SnfResult
-from .resolvents import PairingScalar, Resolvent, UChain, build_resolvent
+from .resolvents import Resolvent, UChain, build_resolvent
 from .kernels import (
     KernelData,
     KernelUnavailableError,
@@ -31,7 +31,6 @@ __all__ = [
     "CohomologyBlock",
     "ExactMatrix",
     "SnfResult",
-    "PairingScalar",
     "Resolvent",
     "UChain",
     "build_resolvent",

@@ -6,9 +6,10 @@ coordinates z_i with i outside tau are nonzero, so the closed form
 dz_I/z_I (ascending wedge of dz_i/z_i over I) is holomorphic there exactly
 when I misses tau.  A cochain of Čech degree t and form degree p assigns to
 every strictly increasing (t+1)-tuple of cover indices a constant-coefficient
-combination of such forms, subject to that admissibility constraint on the
-tuple's intersection.  The exterior derivative kills every dz_I/z_I, so the
-total differential of the double complex collapses to the Čech coboundary
+combination of such forms, held as a plain dict {I mask: coefficient} and
+subject to that admissibility constraint on the tuple's intersection.  The
+exterior derivative kills every dz_I/z_I, so the total differential of the
+double complex collapses to the Čech coboundary
 
     (delta w)_(T') = (-1)^p * sum_j (-1)^j * w_(T' minus j-th index),
 
@@ -74,7 +75,6 @@ from .linalg import (
 )
 
 __all__ = [
-    "LogForm",
     "LogCochain",
     "cohomology",
     "representative_cocycles",
@@ -118,125 +118,61 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-class LogForm:
-    """Constant-coefficient combination  sum_I c_I dz_I/z_I  of one degree."""
-
-    __slots__ = ("degree", "terms")
-
-    def __init__(self, degree: int, terms: dict[int, int | Fraction] | None = None):
-        self.degree = degree
-        self.terms: dict[int, int | Fraction] = {}
-        if terms:
-            for mask, coeff in terms.items():
-                if card(mask) != degree:
-                    raise ValueError(
-                        f"index set {elements(mask)} has wrong degree (expected {degree})"
-                    )
-                if coeff:
-                    self.terms[mask] = coeff
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_admissible(self, tau: int) -> bool:
-        """Holomorphic on the cover element indexed by tau?"""
-        return all(mask & tau == 0 for mask in self.terms)
-
-    def scale(self, factor: int | Fraction) -> "LogForm":
-        return LogForm(self.degree, {m: factor * c for m, c in self.terms.items()})
-
-    def __add__(self, other: "LogForm") -> "LogForm":
-        if other.degree != self.degree:
-            raise ValueError("cannot add forms of different degree")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return LogForm(self.degree, out)
-
-    def __sub__(self, other: "LogForm") -> "LogForm":
-        return self + other.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LogForm)
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = [
-            f"{'+' if c > 0 else '-'}{abs(c) if abs(c) != 1 else ''}dz{list(elements(m))}/z"
-            for m, c in sorted(self.terms.items())
-        ]
-        return " ".join(bits)
+#: a constant log form  sum_I c_I dz_I/z_I, as {I mask: c_I}
+Form = dict[int, int | Fraction]
 
 
 class LogCochain:
-    """Alternating cochain: increasing cover-index tuples -> log forms.
+    """Alternating cochain: increasing cover-index tuples -> log forms of
+    degree p.
 
-    Values are stored on canonically sorted tuples only; evaluation on an
-    arbitrary tuple applies the permutation sign (and is zero on repeats),
-    which realizes alternation without storing redundant data.
+    Every index set I of a value has |I| = p and misses the intersection of
+    its tuple, so the form is holomorphic there; zero coefficients and empty
+    forms are dropped.  Values are stored on canonically sorted tuples only;
+    evaluation on an arbitrary tuple applies the permutation sign (and is
+    zero on repeats), which realizes alternation without storing redundant
+    data.
     """
 
     __slots__ = ("p", "t", "values")
 
-    def __init__(self, p: int, t: int, values: dict[FaceTuple, LogForm] | None = None):
+    def __init__(self, p: int, t: int, values: dict[FaceTuple, Form] | None = None):
         self.p = p
         self.t = t
-        self.values: dict[FaceTuple, LogForm] = {}
+        self.values: dict[FaceTuple, Form] = {}
         if values:
             for tup, form in values.items():
-                if form.degree != p:
-                    raise ValueError("form degree does not match the cochain")
                 if len(tup) != t + 1:
                     raise ValueError("tuple length does not match the Čech degree")
-                if not form.is_zero():
-                    if not form.is_admissible(_intersection(tup)):
+                inter = _intersection(tup)
+                kept: Form = {}
+                for mask, coeff in form.items():
+                    if card(mask) != p:
                         raise ValueError(
-                            f"form {form!r} not holomorphic on the intersection of {tup}"
+                            f"index set {elements(mask)} has wrong degree (expected {p})"
                         )
-                    self.values[tup] = form
+                    if coeff:
+                        if mask & inter:
+                            raise ValueError(
+                                f"dz{list(elements(mask))}/z not holomorphic on the "
+                                f"intersection of {tup}"
+                            )
+                        kept[mask] = coeff
+                if kept:
+                    self.values[tup] = kept
 
-    def value_at(self, tup: Sequence[int]) -> LogForm:
+    def value_at(self, tup: Sequence[int]) -> Form:
         canon = canonical_tuple(tup)
         if canon is None:
-            return LogForm(self.p)
+            return {}
         key, sign = canon
-        form = self.values.get(key)
-        if form is None:
-            return LogForm(self.p)
-        return form if sign == 1 else form.scale(-1)
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def scale(self, factor: int | Fraction) -> "LogCochain":
-        return LogCochain(self.p, self.t, {k: f.scale(factor) for k, f in self.values.items()})
-
-    def __add__(self, other: "LogCochain") -> "LogCochain":
-        if (other.p, other.t) != (self.p, self.t):
-            raise ValueError("cannot add cochains of different bidegree")
-        out = dict(self.values)
-        for tup, form in other.values.items():
-            out[tup] = out.get(tup, LogForm(self.p)) + form
-        return LogCochain(self.p, self.t, out)
-
-    def __sub__(self, other: "LogCochain") -> "LogCochain":
-        return self + other.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LogCochain)
-            and (self.p, self.t) == (other.p, other.t)
-            and self.values == other.values
-        )
+        form = self.values.get(key, {})
+        return form if sign == 1 else {m: -c for m, c in form.items()}
 
     def __repr__(self) -> str:
         inner = "; ".join(
-            f"{tuple(list(elements(f)) for f in tup)} -> {form!r}"
+            f"{tuple(list(elements(f)) for f in tup)} -> "
+            + " ".join(f"({c})dz{list(elements(m))}/z" for m, c in sorted(form.items()))
             for tup, form in sorted(self.values.items(), key=lambda kv: tuple(map(face_key, kv[0])))
         )
         return f"LogCochain(p={self.p}, t={self.t}: {inner})"
@@ -249,7 +185,7 @@ class LogCochain:
                     "tuple": [list(elements(f)) for f in tup],
                     "forms": [
                         {"I": list(elements(m)), "coeff": str(Fraction(c))}
-                        for m, c in sorted(form.terms.items())
+                        for m, c in sorted(form.items())
                     ],
                 }
             )
@@ -431,10 +367,7 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
             continue
         reps = quotient_basis(kernel_basis(engine.block(iset, q)), engine.block(iset, q - 1))
         for vec in reps:
-            values = {
-                tuples_here[cols[i]][0]: LogForm(p, {iset: v}) for i, v in vec.items()
-            }
-            out.append(LogCochain(p, q, values))
+            out.append(LogCochain(p, q, {tuples_here[cols[i]][0]: {iset: v} for i, v in vec.items()}))
     return out
 
 
@@ -449,13 +382,13 @@ def pullback_to_faces(K: SimplicialComplex, w: LogCochain, tuples: Iterable[Sequ
     reads).  Values are stored on canonically sorted tuples; a tuple with a
     repeated face is zero.
     """
-    out: dict[FaceTuple, LogForm] = {}
+    out: dict[FaceTuple, Form] = {}
     for tup in tuples:
         canon = canonical_tuple(tup)
         if canon is None:
             continue
         key = canon[0]
         form = w.value_at([K.containing_facet(face) for face in key])
-        if not form.is_zero():
+        if form:
             out[key] = form
     return LogCochain(w.p, w.t, out)

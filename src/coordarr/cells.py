@@ -119,18 +119,6 @@ class CellChain:
     def scale(self, factor: int | Fraction) -> "CellChain":
         return CellChain({k: factor * v for k, v in self.terms.items()})
 
-    def __add__(self, other: "CellChain") -> "CellChain":
-        out = dict(self.terms)
-        for cell, coeff in other.terms.items():
-            out[cell] = out.get(cell, 0) + coeff
-        return CellChain(out)
-
-    def __sub__(self, other: "CellChain") -> "CellChain":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "CellChain":
-        return self.scale(-1)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CellChain) and self.terms == other.terms
 

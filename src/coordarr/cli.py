@@ -165,7 +165,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         print(f"FAIL  {exc}")
         return CHECK_FAILED
     ok = data.check_normalized()
-    print(f"kernel for total degree {args.s}: scale {data.scale}, "
+    print(f"kernel for total degree {args.s}: scale ({data.scale})*(2pii)^{-data.n}, "
           f"{len(data.top_piece.values)} top tuples; normalization {'exact' if ok else 'FAIL'}")
     payload = data.to_json()
     print(json.dumps(payload, sort_keys=True, indent=2))

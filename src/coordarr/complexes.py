@@ -117,8 +117,8 @@ class SimplicialComplex:
     """A finite simplicial complex on {1, ..., n}, including the empty face.
 
     The face family is kept as a frozenset of masks and is downward closed
-    by construction.  Instances are immutable and hashable; all derived data
-    is cached, so they are safe to share between threads.
+    by construction.  Instances are immutable and compare by identity; all
+    derived data is cached, so they are safe to share between threads.
     """
 
     __slots__ = ("n", "facets", "__dict__")
@@ -212,18 +212,6 @@ class SimplicialComplex:
         """All k-element subsets of [n] as masks, in lexicographic order of
         their sorted vertex lists; shared by every complex on n vertices."""
         return _k_subsets(self.n, k)
-
-    # -- dunder --------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.n == other.n
-            and self.facets == other.facets
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.facets))
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(n={self.n}, facets={[list(elements(f)) for f in self.facets]})"

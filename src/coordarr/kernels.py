@@ -12,8 +12,9 @@ representation is assembled from the three finite models:
   pullback grows like (faces/facets)^(s-n+1);
 * the top resolvent piece of a dual product cycle, a degree-(s-n) cover
   chain all of whose atoms are the full torus;
-* the exact pairing of the two, a nonzero rational multiple of
-  (2 pi i)^n, whose inverse is stored as the normalization scale.
+* the exact pairing of the two, a nonzero rational multiple c of
+  (2 pi i)^n; the scale is the rational 1/c, and the normalization is
+  scale * (2 pi i)^-n.
 
 With the scale in place the pairing of cocycle against top piece is exactly
 one, and for a function f holomorphic near the closed unit polydisc,
@@ -40,11 +41,12 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import cech, cells, koszul
 from .complexes import SimplicialComplex
-from .resolvents import PairingScalar, Resolvent, UChain, build_resolvent, pair, resolvent_pairing
+from .resolvents import UChain, build_resolvent, pair, resolvent_pairing
 
 __all__ = [
     "PolyFunction",
@@ -81,10 +83,6 @@ class PolyFunction:
                     raise ValueError(f"coefficient {coeff} of {expo} is not finite")
                 if coeff:
                     self.terms[tuple(expo)] = coeff
-
-    @classmethod
-    def constant(cls, n: int, value: complex = 1.0) -> "PolyFunction":
-        return cls(n, {(0,) * n: value})
 
     def max_axis_degree(self) -> int:
         return max((max(e) for e in self.terms), default=0)
@@ -202,21 +200,23 @@ class KernelData:
 
     ``cocycle`` holds the pulled-back cocycle on the support of
     ``top_piece`` only (its nonzero values there), which is exactly what
-    ``raw_pairing`` and ``evaluate_representation`` sum over.
+    ``raw_pairing`` and ``evaluate_representation`` sum over.  The cocycle
+    has form degree n, so the pairing is ``raw_pairing() * (2 pi i)^n`` and
+    the normalization ``scale * (2 pi i)^-n``: the powers cancel by
+    construction, and only the rational factors are stored.
     """
 
     n: int
     s: int
     cocycle: cech.LogCochain
     top_piece: UChain
-    scale: PairingScalar
+    scale: Fraction
 
-    def raw_pairing(self) -> PairingScalar:
+    def raw_pairing(self) -> Fraction:
         return pair(self.cocycle, self.top_piece)
 
     def check_normalized(self) -> bool:
-        total = self.raw_pairing() * self.scale
-        return total.coeff == 1 and total.tau_power == 0
+        return self.raw_pairing() * self.scale == 1
 
     def to_json(self) -> dict:
         return {
@@ -224,7 +224,11 @@ class KernelData:
             "s": self.s,
             "cocycle": self.cocycle.to_json(),
             "top_piece": self.top_piece.to_json(),
-            "scale": self.scale.to_json(),
+            "scale": {
+                "num": str(self.scale.numerator),
+                "den": str(self.scale.denominator),
+                "tau_power": -self.n,
+            },
         }
 
 
@@ -238,9 +242,12 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
     them, so an empty list is the test that no kernel exists.  The cocycles
     stay on the facet cover, and each is pulled back to the face cover only
     at the tuples of the resolvent's top piece, the only ones the pairing
-    reads.
+    reads.  A total degree outside 0..2n is bad input (``ValueError``),
+    refused before any work.
     """
     n = K.n
+    if not 0 <= s <= 2 * n:
+        raise ValueError(f"total degree s = {s} out of range 0..{2 * n}")
     q = s - n
     cycles = cells.homology(K, n, q)
     if not cycles:
@@ -256,14 +263,8 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
         for facet_cocycle in facet_cocycles:
             cocycle = cech.pullback_to_faces(K, facet_cocycle, resolvent.top.values)
             raw = resolvent_pairing(resolvent, cocycle)
-            if not raw.is_zero():
-                return KernelData(
-                    n=n,
-                    s=s,
-                    cocycle=cocycle,
-                    top_piece=resolvent.top,
-                    scale=raw.inverse(),
-                )
+            if raw:
+                return KernelData(n=n, s=s, cocycle=cocycle, top_piece=resolvent.top, scale=1 / raw)
     raise KernelUnavailableError(
         "pairing matrix between cycle and cocycle bases is zero; "
         "this contradicts nondegeneracy and indicates a bug"
@@ -272,12 +273,14 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
 
 def _axis_sums(zeta_j: complex, max_power: int, circle: list[complex]) -> list[complex]:
     """S(m) = average over the grid nodes w of  w^(m+1) / (w - zeta_j),
-    m = 0..max_power; the per-axis factors of the separated rule.  The
-    terms nearly cancel, so real and imaginary parts are summed with
-    ``math.fsum``, whose rounding error does not grow with N."""
+    m = 0..min(max_power, N - 1); the per-axis factors of the separated
+    rule.  Every node has w^N = 1, so S(m) = S(m mod N) and a caller reads
+    exponent e at ``e % N``.  The terms nearly cancel, so real and
+    imaginary parts are summed with ``math.fsum``, whose rounding error
+    does not grow with N."""
     terms = [w / (w - zeta_j) for w in circle]
     out = []
-    for _ in range(max_power + 1):
+    for _ in range(min(max_power, len(circle) - 1) + 1):
         total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
         out.append(total / len(circle))
         terms = [term * w for term, w in zip(terms, circle)]
@@ -308,11 +311,9 @@ def evaluate_representation(
     if not all(abs(z) < 1.0 for z in zeta):  # also false for nan
         raise ValueError("evaluation point must lie strictly inside the unit polydisc")
 
-    # the raw pairing is the tuple sum times (2 pi i)^n; the scale's
-    # tau_power must cancel the quadrature normalization exactly
-    if kernel.scale.tau_power + n != 0:
-        raise ValueError("kernel scale does not cancel the torus period power")
-    prefactor = complex(kernel.scale.coeff * kernel.raw_pairing().coeff)
+    # the (2 pi i)^n of the raw pairing and the (2 pi i)^-n of the scale
+    # cancel, so only their rational factors enter
+    prefactor = complex(kernel.scale * kernel.raw_pairing())
 
     if not f.terms:
         return 0j
@@ -323,7 +324,7 @@ def evaluate_representation(
     for expo, coeff in sorted(f.terms.items()):
         term = coeff
         for j, e in enumerate(expo):
-            term *= axis[j][e]
+            term *= axis[j][e % spec.nodes]
         quad += term
     return prefactor * quad
 

@@ -644,9 +644,6 @@ class BigradedTable:
             },
         }
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BigradedTable) and self.blocks == other.blocks
-
     def __repr__(self) -> str:
         inner = ", ".join(f"({p},{q}): {b}" for (p, q), b in sorted(self.blocks.items()))
         return f"BigradedTable({{{inner}}})"

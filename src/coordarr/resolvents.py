@@ -32,8 +32,8 @@ increasing tuples, the integral of the assigned form over the assigned
 chain.  Only torus atoms against their own matching index set survive: a
 disk factor supports no nonzero integral of a holomorphic form, and on a
 torus only the exactly matching logarithmic monomial has a period, worth
-(2 pi i) per circle; scalars therefore live in Q times an integer power of
-2 pi i and are kept exact.
+(2 pi i) per circle.  A cochain of form degree p therefore pairs to c *
+(2 pi i)^p with c rational, and the pairing returns the exact c.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "delta_prime",
     "boundary",
     "epsilon_prime",
-    "PairingScalar",
     "Resolvent",
     "build_resolvent",
     "pair",
@@ -169,80 +168,18 @@ def epsilon_prime(g: UChain) -> CellChain:
 
 
 # ---------------------------------------------------------------------------
-# exact pairing scalars
+# exact pairing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairingScalar:
-    """Exact value  coeff * (2 pi i)^tau_power;  zero is (0, 0)."""
-
-    coeff: Fraction
-    tau_power: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        if not self.coeff and self.tau_power:
-            object.__setattr__(self, "tau_power", 0)
-
-    @classmethod
-    def zero(cls) -> "PairingScalar":
-        return cls(Fraction(0), 0)
-
-    @classmethod
-    def one(cls) -> "PairingScalar":
-        return cls(Fraction(1), 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeff
-
-    def __bool__(self) -> bool:
-        return bool(self.coeff)
-
-    def __add__(self, other: "PairingScalar") -> "PairingScalar":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.tau_power != other.tau_power:
-            raise ValueError("cannot add scalars with different (2 pi i) powers")
-        return PairingScalar(self.coeff + other.coeff, self.tau_power)
-
-    def __mul__(self, other: "PairingScalar") -> "PairingScalar":
-        if self.is_zero() or other.is_zero():
-            return PairingScalar.zero()
-        return PairingScalar(self.coeff * other.coeff, self.tau_power + other.tau_power)
-
-    def scale(self, factor: int | Fraction) -> "PairingScalar":
-        return PairingScalar(self.coeff * factor, self.tau_power if factor else 0)
-
-    def inverse(self) -> "PairingScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverting a zero pairing scalar")
-        return PairingScalar(1 / self.coeff, -self.tau_power)
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        if self.tau_power == 0:
-            return str(self.coeff)
-        return f"({self.coeff})*(2pii)^{self.tau_power}"
-
-    def to_json(self) -> dict:
-        return {
-            "num": str(self.coeff.numerator),
-            "den": str(self.coeff.denominator),
-            "tau_power": self.tau_power,
-        }
-
-
-def pair(w: LogCochain, g: UChain) -> PairingScalar:
-    """Pairing of a log cochain with a cover chain of the same degree.
+def pair(w: LogCochain, g: UChain) -> Fraction:
+    """Pairing of a log cochain with a cover chain of the same degree: the
+    rational c of the value c * (2 pi i)^p, p = ``w.p``.
 
     Sum over increasing tuples of the period of the assigned form on the
     assigned chain.  Atom periods: a disk factor kills the term, and a
     torus S_gamma pairs only with dz_gamma/z_gamma, period (2 pi i)^|gamma|.
     Homogeneity in the form degree p makes every surviving term carry the
-    same power p, so the result is a single exact scalar.
+    same power p, so the rational factor determines the value.
     """
     if w.t != g.degree:
         raise ValueError(f"degree mismatch: cochain degree {w.t}, chain degree {g.degree}")
@@ -254,12 +191,10 @@ def pair(w: LogCochain, g: UChain) -> PairingScalar:
         for (sigma, gamma), c in chain.terms.items():
             if sigma:
                 continue
-            coeff = form.terms.get(gamma)
+            coeff = form.get(gamma)
             if coeff:
                 total += Fraction(coeff) * Fraction(c)
-    if not total:
-        return PairingScalar.zero()
-    return PairingScalar(total, w.p)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +289,13 @@ def build_resolvent(K: SimplicialComplex, cycle: CellChain) -> Resolvent:
     return resolvent
 
 
-def resolvent_pairing(res: Resolvent, w: LogCochain) -> PairingScalar:
-    """Total pairing of a pure-bidegree cocycle against a resolvent.
+def resolvent_pairing(res: Resolvent, w: LogCochain) -> Fraction:
+    """Total pairing of a pure-bidegree cocycle against a resolvent, as the
+    rational factor of (2 pi i)^p that ``pair`` returns.
 
     Only the piece matching the cochain's Čech degree can contribute; a
     cochain of degree beyond the resolvent length pairs to zero.
     """
     if w.t < 0 or w.t > res.q:
-        return PairingScalar.zero()
+        return Fraction(0)
     return pair(w, res.pieces[w.t])

@@ -386,7 +386,7 @@ def cochain_coboundary(K: SimplicialComplex, w: cech.LogCochain) -> cech.LogCoch
     Every nonzero value of the result sits on a tuple obtained by inserting
     one extra cover index into a support tuple of ``w``.
     """
-    out: dict[tuple[int, ...], cech.LogForm] = {}
+    out: dict[tuple[int, ...], dict[int, Scalar]] = {}
     sign_p = -1 if w.p % 2 else 1
     seen: set[tuple[int, ...]] = set()
     for base in w.values:
@@ -400,16 +400,12 @@ def cochain_coboundary(K: SimplicialComplex, w: cech.LogCochain) -> cech.LogCoch
             if target in seen:
                 continue
             seen.add(target)
-            total = cech.LogForm(w.p)
+            total: dict[int, Scalar] = {}
             for j in range(len(target)):
-                sub = target[:j] + target[j + 1 :]
-                term = w.value_at(sub)
-                if term.is_zero():
-                    continue
                 factor = sign_p * (-1 if j % 2 else 1)
-                total = total + term.scale(factor)
-            if not total.is_zero():
-                out[target] = total
+                for iset, c in w.value_at(target[:j] + target[j + 1 :]).items():
+                    total[iset] = total.get(iset, 0) + factor * c
+            out[target] = total
     return cech.LogCochain(w.p, w.t + 1, out)
 
 
