@@ -8,7 +8,11 @@ identity check with the cell model compares every block of the full
 stripes, face J included, and eliminates none.  ``kernel`` and
 ``resolvent`` read the cycles of one bidegree of the cell model and no
 table.  The Čech model runs only as the oracle of ``compare`` and
-``corpus``, and for the kernels' cocycles.
+``corpus``, and for the kernels' cocycles.  ``resolvent`` builds and
+validates every piece; ``kernel`` and ``verify-kernel`` build the top piece
+only on the flags the pairing can read (one on the boundary of a simplex)
+and check the resolvent identity at each kept flag prefix, and ``kernel``
+writes only those top tuples to its artifact.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (model
 disagreement, a differential that does not square to zero, a broken

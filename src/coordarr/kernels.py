@@ -11,7 +11,10 @@ representation is assembled from the three finite models:
   the pairing and the reproduction formula read nothing else, and the full
   pullback grows like (faces/facets)^(s-n+1);
 * the top resolvent piece of a dual product cycle, a degree-(s-n) cover
-  chain all of whose atoms are the full torus;
+  chain all of whose atoms are the full torus, built only on the flags
+  where some facet cocycle can pull back to nonzero.  The whole piece has
+  n! tuples on the boundary of the simplex on n vertices, and the pairing
+  reads one of them;
 * the exact pairing of the two, a nonzero rational multiple c of
   (2 pi i)^n; the scale is the rational 1/c, and the normalization is
   scale * (2 pi i)^-n.
@@ -42,7 +45,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import cech, cells, koszul
 from .complexes import SimplicialComplex
@@ -198,9 +201,12 @@ class QuadratureSpec:
 class KernelData:
     """Normalized data of one integral representation.
 
-    ``cocycle`` holds the pulled-back cocycle on the support of
-    ``top_piece`` only (its nonzero values there), which is exactly what
-    ``raw_pairing`` and ``evaluate_representation`` sum over.  The cocycle
+    ``top_piece`` holds the top resolvent piece on the kept flags only,
+    those where some facet cocycle can pull back to nonzero; its
+    coefficients there are those of the whole piece.  ``cocycle`` holds the
+    pulled-back cocycle on those tuples (its nonzero values there), which
+    is exactly what ``raw_pairing`` and ``evaluate_representation`` sum
+    over, so the pairing is that of the whole piece.  The cocycle
     has form degree n, so the pairing is ``raw_pairing() * (2 pi i)^n`` and
     the normalization ``scale * (2 pi i)^-n``: the powers cancel by
     construction, and only the rational factors are stored.
@@ -240,9 +246,13 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
     guarantees some pair works), then normalizes.  The cycles come from
     the one bidegree (n, s-n) of the cell model, and there are h(n, s-n) of
     them, so an empty list is the test that no kernel exists.  The cocycles
-    stay on the facet cover, and each is pulled back to the face cover only
-    at the tuples of the resolvent's top piece, the only ones the pairing
-    reads.  A total degree outside 0..2n is bad input (``ValueError``),
+    stay on the facet cover.  Each resolvent is built only on the flag
+    prefixes that ``_pullback_can_be_nonzero`` keeps, and checked at each
+    of them (``CheckFailed`` on a broken identity); each cocycle is pulled
+    back to the face cover only at the kept top tuples.  The pruned tuples
+    pull back to zero under every cocycle, so the pairings, and with them
+    the cycle and cocycle the search settles on, are those of the whole
+    resolvent.  A total degree outside 0..2n is bad input (``ValueError``),
     refused before any work.
     """
     n = K.n
@@ -258,8 +268,9 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
             f"h(n={n}, q={q}) = 0; nonzero ranks in degree {s}: {row or 'none'}"
         )
     facet_cocycles = cech.representative_cocycles(K, n, q)
+    keep = _pullback_can_be_nonzero(K, facet_cocycles)
     for cycle in cycles:
-        resolvent = build_resolvent(K, cycle)
+        resolvent = build_resolvent(K, cycle, keep)
         for facet_cocycle in facet_cocycles:
             cocycle = cech.pullback_to_faces(K, facet_cocycle, resolvent.top.values)
             raw = resolvent_pairing(resolvent, cocycle)
@@ -269,6 +280,36 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
         "pairing matrix between cycle and cocycle bases is zero; "
         "this contradicts nondegeneracy and indicates a bug"
     )
+
+
+def _pullback_can_be_nonzero(
+    K: SimplicialComplex, facet_cocycles: list[cech.LogCochain]
+) -> Callable[[tuple[int, ...]], bool]:
+    """Predicate on resolvent flag prefixes: false when every flag that
+    extends the prefix pulls back to zero under every facet cocycle.
+
+    The pullback at a face tuple T is the facet cochain at r(T), with r the
+    first containing facet.  It vanishes when two faces of T share r, or
+    when the facets r(T) are not a support tuple.  An extension only adds
+    faces, so once a prefix repeats a facet, or its facets lie in no
+    support tuple, every extension does the same.
+    """
+    position = {facet: i for i, facet in enumerate(K.facets)}
+    supports = set()
+    for w in facet_cocycles:
+        for tup in w.values:
+            supports.add(sum(1 << position[facet] for facet in tup))
+
+    def keep(prefix: tuple[int, ...]) -> bool:
+        seen = 0
+        for face in prefix:
+            bit = 1 << position[K.containing_facet(face)]
+            if seen & bit:
+                return False
+            seen |= bit
+        return any(seen & support == seen for support in supports)
+
+    return keep
 
 
 def _axis_sums(zeta_j: complex, max_power: int, circle: list[complex]) -> list[complex]:

@@ -25,7 +25,13 @@ the extended flag (sigma_k - i, sigma_k, ..., sigma_0) is
     (-1)^(pos(i, gamma+i)) * c * D_(sigma_k - i) x S_(gamma + i).
 
 Cardinalities increase strictly along a flag, so the flag order coincides
-with the canonical storage order of tuples.
+with the canonical storage order of tuples.  Every flag has exactly one
+parent, the flag without its first face, so a caller may prune: a prefix
+predicate decides which flags enter each piece, and a refused prefix takes
+every flag that extends it along.  The ``resolvent`` command keeps them all
+and validates the whole resolvent; the kernels keep only the flags whose
+pulled-back cocycle can be nonzero, and for them the identity is checked
+at each kept prefix against all of its children instead.
 
 The pairing of a log cochain against a chain of the same degree sums, over
 increasing tuples, the integral of the assigned form over the assigned
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .cells import Cell, CellChain, boundary_chain
 from .cech import LogCochain
@@ -217,8 +224,8 @@ class Resolvent:
         return self.pieces[self.q]
 
     def validate(self) -> None:
-        """Raise ``CheckFailed`` unless both resolvent identities and the
-        support condition hold."""
+        """Raise ``CheckFailed`` unless both resolvent identities, the
+        support condition and delta' o delta' = 0 hold."""
         if not epsilon_prime(self.pieces[0]) == self.source:
             raise CheckFailed("piece 0 does not reassemble the source cycle")
         for k in range(self.q):
@@ -228,6 +235,15 @@ class Resolvent:
                 raise CheckFailed(f"resolvent identity fails between pieces {k} and {k + 1}")
         if not boundary(self.top).is_zero():
             raise CheckFailed("top piece has nonzero boundary")
+        # the identities cannot see a sign error of delta' at odd positions:
+        # on flag-shaped supports those contributions cancel in pairs, and
+        # delta' o delta' vanishes on every whole piece all the same; on one
+        # tuple of piece 2 alone nothing cancels
+        if self.q >= 2 and self.pieces[2].values:
+            tup, chain = min(self.pieces[2].values.items())
+            probe = UChain(2, self.pieces[2].dimension, {tup: chain})
+            if not delta_prime(delta_prime(probe)).is_zero():
+                raise CheckFailed("delta' does not square to zero on piece 2")
         for k, piece in enumerate(self.pieces):
             if piece.degree != k or piece.dimension != self.p + self.q - k:
                 raise CheckFailed(f"piece {k} has wrong (degree, dimension)")
@@ -243,13 +259,33 @@ class Resolvent:
         }
 
 
-def build_resolvent(K: SimplicialComplex, cycle: CellChain) -> Resolvent:
+def _keep_every_prefix(flag: FaceTuple) -> bool:
+    return True
+
+
+def build_resolvent(
+    K: SimplicialComplex,
+    cycle: CellChain,
+    keep: Callable[[FaceTuple], bool] = _keep_every_prefix,
+) -> Resolvent:
     """Resolvent of a closed homogeneous product cycle, by the flag recursion.
 
     The input must be a cycle (zero boundary) all of whose atoms share one
-    bidegree (p, q) and have disk supports inside the complex.  Both
-    resolvent identities and the support condition are verified before the
-    result is returned.
+    bidegree (p, q) and have disk supports inside the complex.
+
+    ``keep`` is asked about every flag prefix (sigma_k, ..., sigma_0)
+    before it enters piece k, and a prefix it refuses is dropped with every
+    flag that extends it.  Every flag has exactly one parent, so the kept
+    tuples carry the same coefficients as in the full build.  With the
+    default, which keeps every prefix, the resolvent is whole and
+    ``validate`` checks it before it is returned.  A pruned resolvent cannot
+    pass ``validate``; instead, at every kept prefix of piece k the identity
+    boundary(piece k) = -delta'(piece k+1) is checked against all of the
+    prefix's children, computed before pruning (no children at the top, so
+    the top chains must be closed).  Only children of the prefix itself
+    reach it under delta' (each other removal leaves a gap in the flag's
+    cardinalities), so this is the full identity at that tuple.  A failure
+    raises ``CheckFailed``.
     """
     if cycle.is_zero():
         raise ValueError("cannot resolve the zero chain")
@@ -262,12 +298,13 @@ def build_resolvent(K: SimplicialComplex, cycle: CellChain) -> Resolvent:
             raise ValueError(f"disk support {elements(sigma)} is not a face")
     if not boundary_chain(cycle).is_zero():
         raise ValueError("chain is not closed")
+    pruned = keep is not _keep_every_prefix
 
     # piece 0: group the atoms by their disk support
     grouped: dict[FaceTuple, Terms] = {}
     for (sigma, gamma), c in cycle.terms.items():
         grouped.setdefault((sigma,), {})[(sigma, gamma)] = c
-    pieces = [_wrap(0, p + q, grouped)]
+    pieces = [_wrap(0, p + q, {flag: terms for flag, terms in grouped.items() if keep(flag)})]
 
     for k in range(q):
         sign_k = -1 if (p + q - k) % 2 else 1
@@ -282,11 +319,30 @@ def build_resolvent(K: SimplicialComplex, cycle: CellChain) -> Resolvent:
                     sign = -1 if pos_in(new_gamma, i) % 2 else 1
                     key = (sigma & ~bit, new_gamma)
                     moved[key] = moved.get(key, 0) + sign_k * sign * c
-        pieces.append(_wrap(k + 1, p + q - k - 1, values))
+        children = _wrap(k + 1, p + q - k - 1, values)
+        if pruned:
+            _check_at_prefixes(pieces[k], children, k)
+            children = UChain(k + 1, children.dimension,
+                              {flag: chain for flag, chain in children.values.items() if keep(flag)})
+        pieces.append(children)
 
     resolvent = Resolvent(cycle, p, q, pieces)
-    resolvent.validate()
+    if pruned:
+        _check_at_prefixes(resolvent.top, UChain(q + 1, p - 1), q)
+    else:
+        resolvent.validate()
     return resolvent
+
+
+def _check_at_prefixes(piece: UChain, children: UChain, k: int) -> None:
+    """boundary(piece k) = -delta'(children) at every tuple of piece k, where
+    ``children`` holds every child of those tuples; raise ``CheckFailed``
+    at the first tuple where it fails."""
+    reached = delta_prime(children).values
+    for flag, chain in piece.values.items():
+        if boundary_chain(chain).scale(-1) != reached.get(flag, CellChain()):
+            faces = [list(elements(face)) for face in flag]
+            raise CheckFailed(f"resolvent identity fails between pieces {k} and {k + 1} at {faces}")
 
 
 def resolvent_pairing(res: Resolvent, w: LogCochain) -> Fraction:

@@ -13,6 +13,9 @@ Each keeps its own code rather than calling the engine it checks:
   the sparse ``cochain_coboundary``, the filtration ranks computed without
   the bigraded splitting, and the pullback of a cocycle over its whole
   support (``full_pullback``, ``representative_cocycle``);
+* the kernel over the whole resolvent (``full_kernel``): the search of
+  ``build_kernel`` with every top tuple built, validated and kept, the
+  route the pruned flag recursion is checked against;
 * the chunked tensor-grid ``torus_quadrature`` the separated rule is
   compared with;
 * small constructors and readers: dense matrices, Betti numbers, the
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from coordarr import cech, cells, koszul
+from coordarr import cech, cells, koszul, resolvents
 from coordarr.complexes import (
     SimplicialComplex,
     card,
@@ -38,7 +41,7 @@ from coordarr.complexes import (
     pos_in,
     subsets_of,
 )
-from coordarr.kernels import QuadratureSpec
+from coordarr.kernels import KernelData, QuadratureSpec
 from coordarr.linalg import (
     BigradedTable,
     CohomologyBlock,
@@ -479,6 +482,22 @@ def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: in
             f"class index {class_index} out of range: bidegree ({p},{q}) has rank {len(reps)}"
         )
     return full_pullback(K, reps[class_index])
+
+
+def full_kernel(K: SimplicialComplex, s: int) -> KernelData:
+    """The kernel of ``build_kernel`` with the whole top piece: the same
+    cycles and cocycles in the same order, each resolvent built in full and
+    validated, and each cocycle pulled back at every top tuple."""
+    n, q = K.n, s - K.n
+    facet_cocycles = cech.representative_cocycles(K, n, q)
+    for cycle in cells.homology(K, n, q):
+        resolvent = resolvents.build_resolvent(K, cycle)
+        for facet_cocycle in facet_cocycles:
+            cocycle = cech.pullback_to_faces(K, facet_cocycle, resolvent.top.values)
+            raw = resolvents.resolvent_pairing(resolvent, cocycle)
+            if raw:
+                return KernelData(n=n, s=s, cocycle=cocycle, top_piece=resolvent.top, scale=1 / raw)
+    raise ValueError(f"no kernel in total degree {s}")
 
 
 # ---------------------------------------------------------------------------

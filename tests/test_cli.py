@@ -13,12 +13,13 @@ from pathlib import Path
 import pytest
 
 import coordarr
-from coordarr import cech, cells, kernels, koszul, linalg
+from coordarr import cech, cells, kernels, koszul, linalg, resolvents
 from coordarr.cli import run
-from coordarr.complexes import SimplicialComplex
+from coordarr.complexes import SimplicialComplex, parse_complex
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS
 from coordarr.linalg import CheckFailed, ExactMatrix
 from coordarr.resolvents import Resolvent
+from reference import full_kernel
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -390,24 +391,32 @@ def test_resolvent_artifact_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-#: sha256 of the ``kernel --json`` artifact, recorded while cochain values
-#: were still form objects and the scale a pairing-scalar type
+#: sha256 of the ``kernel --json`` artifact, whose ``top_piece`` holds the
+#: read tuples only
 KERNEL_ARTIFACTS = {
     "sphere4": (
         {"n": 4, "facets": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]},
         7,
-        "6ee5d22c8eae86d0c4ca3d58c5090a13175925a982fcdb4cd22eeeedcc4851c6",
+        "ae407bb1810a6456b2a80fa855fcba4d4b64a191c0980f84df2bf0d8cfe46a56",
     ),
     "sphere5": (
         {"n": 5, "facets": [[2, 3, 4, 5], [1, 3, 4, 5], [1, 2, 4, 5], [1, 2, 3, 5], [1, 2, 3, 4]]},
         9,
-        "ed83bd465496b9ab820b2c54726631e21d36038dfbc4367e698f3e9468954779",
+        "7accd6cbc3bc86dead028c145630b2a366bc884a7c2b6d98daf449a50c0714a2",
     ),
     "cycle4": (
         {"n": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]},
         6,
-        "abdd607ea6a73cc1200dc6f389b4f92f0cf33c2def9f9a5069e2f852229874c4",
+        "1a994ed1b6f22552e4a6da04e948d55109305373e106e68134d836028d2a5463",
     ),
+}
+
+#: sha256 of the same artifacts with the whole top piece, recorded while
+#: cochain values were still form objects and the scale a pairing-scalar type
+FULL_TOP_PIECE_DIGESTS = {
+    "sphere4": "6ee5d22c8eae86d0c4ca3d58c5090a13175925a982fcdb4cd22eeeedcc4851c6",
+    "sphere5": "ed83bd465496b9ab820b2c54726631e21d36038dfbc4367e698f3e9468954779",
+    "cycle4": "abdd607ea6a73cc1200dc6f389b4f92f0cf33c2def9f9a5069e2f852229874c4",
 }
 
 
@@ -421,10 +430,40 @@ def test_kernel_artifact_digest(name, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name", sorted(KERNEL_ARTIFACTS))
+def test_kernel_artifact_is_the_full_one_on_the_read_tuples(name, tmp_path):
+    # the full build reproduces the recorded whole-top-piece artifact byte
+    # for byte, and filtering its top piece to the cocycle's tuples gives
+    # the artifact the command writes now
+    doc, s, _ = KERNEL_ARTIFACTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "kernel.json"
+    assert run(["kernel", str(path), "--s", str(s), "--json", str(out)]) == 0
+    written = json.loads(out.read_text())
+    full = full_kernel(parse_complex(doc), s).to_json()
+    full_text = json.dumps({**written, "artifacts": full}, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(full_text.encode()).hexdigest() == FULL_TOP_PIECE_DIGESTS[name]
+    read = [entry["tuple"] for entry in full["cocycle"]]
+    top = [entry for entry in full["top_piece"] if entry["tuple"] in read]
+    assert written["artifacts"] == {**full, "top_piece": top}
+
+
 def test_kernel(edge_file, capsys):
     assert run(["kernel", edge_file, "--s", "3"]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first == "kernel for total degree 3: scale (-1)*(2pii)^-2, 2 top tuples; normalization exact"
+    assert first == "kernel for total degree 3: scale (-1)*(2pii)^-2, 1 top tuples; normalization exact"
+
+
+def test_kernel_recursion_sign_fault_exits_1(tmp_path, monkeypatch, capsys):
+    # one vertex's sign flipped in the flag recursion: the identity check at
+    # the kept prefixes fails, so the command exits 1 and writes nothing
+    original = resolvents.pos_in
+    monkeypatch.setattr(resolvents, "pos_in", lambda mask, v: original(mask, v) + (v == 2))
+    out = tmp_path / "kernel.json"
+    assert run(["kernel", _sphere_file(tmp_path, 4), "--s", "7", "--json", str(out)]) == 1
+    assert "resolvent identity fails" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_kernel_serialized_once_for_stdout_and_artifact(edge_file, tmp_path, monkeypatch, capsys):
@@ -443,7 +482,7 @@ def test_kernel_serialized_once_for_stdout_and_artifact(edge_file, tmp_path, mon
     assert json.loads(printed) == json.loads(out.read_text())["artifacts"]
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_kernel_normalization_from_json_alone(n, tmp_path, monkeypatch):
     # the artifact alone pins the normalization, by the benchmark's own
     # checker: exact pairing of the stored cocycle against the top piece,
@@ -457,7 +496,7 @@ def test_kernel_normalization_from_json_alone(n, tmp_path, monkeypatch):
     assert run(["kernel", str(src), "--s", str(2 * n - 1), "--json", str(out)]) == 0
     doc = json.loads(out.read_text())["artifacts"]
     assert checks.kernel_normalized(doc)
-    assert 0 < len(doc["cocycle"]) <= len(doc["top_piece"])
+    assert 0 < len(doc["cocycle"]) == len(doc["top_piece"])
 
 
 def test_kernel_unavailable(full_file):

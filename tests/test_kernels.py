@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from coordarr import cech, linalg
+from coordarr import cech, cells, linalg
 from coordarr import kernels as kn
 from coordarr.complexes import SimplicialComplex, mask_of
-from reference import full_simplex, simplex_boundary, torus_quadrature
+from coordarr.corpus import PROJECTIVE_PLANE_FACETS
+from reference import full_kernel, full_simplex, simplex_boundary, torus_quadrature
+from test_metamorphic import complexes
 
 
 def edge_boundary():
     return SimplicialComplex.from_vertex_lists(2, [[1], [2]])
+
+
+def cycle_graph(n):
+    return SimplicialComplex.from_vertex_lists(n, [[i, i % n + 1] for i in range(1, n + 1)])
 
 
 # -- polynomials ----------------------------------------------------------------
@@ -174,11 +181,94 @@ def test_total_degree_outside_0_to_2n_is_bad_input(s, monkeypatch):
 
 
 def test_boundary_simplex_7_kernel_on_top_piece_support():
-    # the sphere S^13 case, whose full pullback has 2,097,152 tuples
+    # the sphere S^13 case, whose full pullback has 2,097,152 tuples and
+    # whose full top piece has 5,040
     data = kn.build_kernel(simplex_boundary(7), 13)
     assert data.check_normalized()
-    assert set(data.cocycle.values) <= set(data.top_piece.values)
-    assert len(data.cocycle.values) <= len(data.top_piece.values) == 5040
+    assert set(data.cocycle.values) == set(data.top_piece.values)
+    assert len(data.top_piece.values) == 1
+
+
+# -- the top piece on demand -----------------------------------------------------
+
+
+def _assert_on_demand_equals_full(K, s):
+    """Same scale and cocycle as the full build; the kept top tuples hold
+    every tuple the pairing reads, with the full build's coefficients."""
+    data = kn.build_kernel(K, s)
+    full = full_kernel(K, s)
+    assert data.scale == full.scale
+    assert data.cocycle.values == full.cocycle.values
+    # the read tuples: where the cocycle pulled back to the full top is nonzero
+    read = set(full.cocycle.values)
+    assert read <= set(data.top_piece.values)
+    for tup, chain in data.top_piece.values.items():
+        assert chain == full.top_piece.values[tup]
+    return data, full
+
+
+@pytest.mark.parametrize(
+    ("K", "s"),
+    [(simplex_boundary(n), 2 * n - 1) for n in range(3, 8)]
+    + [(cycle_graph(6), 8), (cycle_graph(8), 10), (edge_boundary(), 3)],
+    ids=["sphere3", "sphere4", "sphere5", "sphere6", "sphere7", "cycle6", "cycle8", "edge"],
+)
+def test_on_demand_kernel_equals_the_full_build(K, s):
+    data, full = _assert_on_demand_equals_full(K, s)
+    # on these complexes the pruning keeps exactly the read tuples
+    assert set(data.top_piece.values) == set(full.cocycle.values)
+    assert len(data.top_piece.values) == 1 < len(full.top_piece.values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(complexes(5))
+def test_on_demand_kernel_equals_the_full_build_on_random_complexes(K):
+    for s in range(K.n, 2 * K.n + 1):
+        if cells.homology(K, K.n, s - K.n):
+            _assert_on_demand_equals_full(K, s)
+
+
+@pytest.mark.parametrize(
+    ("name", "s", "message"),
+    [
+        ("path", 5, "no class of full holomorphic degree in H^5: "
+                    "h(n=3, q=2) = 0; nonzero ranks in degree 5: none"),
+        ("rp2", 7, "no class of full holomorphic degree in H^7: "
+                   "h(n=6, q=1) = 0; nonzero ranks in degree 7: {5: 6}"),
+        ("rp2", 9, "no class of full holomorphic degree in H^9: "
+                   "h(n=6, q=3) = 0; nonzero ranks in degree 9: none"),
+    ],
+    ids=["path-s5", "rp2-s7", "rp2-s9"],
+)
+def test_unavailable_message_unchanged_by_the_pruning(name, s, message):
+    K = {
+        "path": SimplicialComplex.from_vertex_lists(3, [[1, 2], [2, 3]]),
+        "rp2": SimplicialComplex.from_vertex_lists(6, PROJECTIVE_PLANE_FACETS),
+    }[name]
+    with pytest.raises(kn.KernelUnavailableError) as info:
+        kn.build_kernel(K, s)
+    assert str(info.value) == message
+
+
+def test_boundary_simplex_9_kernel_keeps_one_flag(monkeypatch):
+    # the full top piece would hold 9! = 362,880 tuples
+    kept = []
+    original = kn.build_resolvent
+
+    def recording(K, cycle, keep):
+        def counted(prefix):
+            ok = keep(prefix)
+            if ok:
+                kept.append(prefix)
+            return ok
+
+        return original(K, cycle, counted)
+
+    monkeypatch.setattr(kn, "build_resolvent", recording)
+    data = kn.build_kernel(simplex_boundary(9), 17)
+    assert data.check_normalized()
+    assert len(data.top_piece.values) == len(data.cocycle.values) == 1
+    assert len(kept) <= 2**9 - 1
 
 # -- reproduction --------------------------------------------------------------------
 
