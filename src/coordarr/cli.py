@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Every bigraded table comes from one engine, ``koszul.cohomology``, which
-eliminates only the summands of the vertex sets J that are not faces:
-``cohomology --model rk``, ``hodge`` and the message of an unavailable
-kernel report from it, and ``compare`` and ``corpus`` check it.  Their
-identity check with the cell model compares every block of the full
+splits the full subcomplex K_J of each non-face vertex set J into its
+connected components, counts the extra H~^0 classes, and eliminates each
+distinct component that is not a face once, merging the torsion that meets
+in one bidegree: ``cohomology --model rk``, ``hodge`` and the message of an
+unavailable kernel report from it, and ``compare`` and ``corpus`` check it.
+Their identity check with the cell model compares every block of the full
 stripes, face J included, and eliminates none.  ``kernel`` and
 ``resolvent`` read the cycles of one bidegree of the cell model and no
 table.  The Čech model runs only as the oracle of ``compare`` and

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import warnings
 
-from .complexes import SimplicialComplex, mask_of, subsets_of
+from .complexes import SimplicialComplex, mask_of
 
 __all__ = [
     "projective_plane",
@@ -34,29 +34,39 @@ def projective_plane() -> SimplicialComplex:
 
 
 def all_complexes(n: int) -> list[SimplicialComplex]:
-    """Every simplicial complex on exactly [n] (empty face always present),
-    enumerated by brute force over downward-closed families; n <= 4 only.
+    """Every simplicial complex on exactly [n] (empty face always present);
+    n <= 4 only.
 
-    The count is the number of antichains of nonempty subsets of [n]:
-    2, 5, 19, 167 for n = 1..4.
+    A depth-first search decides the nonempty subsets of [n] in increasing
+    mask order, and a subset may join the family only when every subset one
+    vertex smaller already has, so every branch ends in a downward-closed
+    family and no other family is visited.  A family is recorded as the
+    bitmask with bit m - 1 set for each of its masks m, and the complexes
+    come sorted by it.  The count is the number of antichains of nonempty
+    subsets of [n]: 2, 5, 19, 167 for n = 1..4.
     """
     if n > 4:
         raise ValueError("exhaustive enumeration is limited to n <= 4")
-    nonempty = [m for m in range(1, 1 << n)]
+    end = 1 << n
+    families: list[int] = []
+
+    def extend(m: int, family: int) -> None:
+        if m == end:
+            families.append(family)
+            return
+        extend(m + 1, family)
+        smaller = [m & ~(1 << k) for k in range(n) if m >> k & 1]
+        if all(family >> (s - 1) & 1 for s in smaller if s):
+            extend(m + 1, family | 1 << (m - 1))
+
+    extend(1, 0)
     out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for bits in range(1 << len(nonempty)):
-            family = {nonempty[i] for i in range(len(nonempty)) if bits >> i & 1}
-            closed = all(
-                sub in family
-                for m in family
-                for sub in subsets_of(m)
-                if sub and sub != m
-            )
-            if closed:
-                maximal = [m for m in family if not any(m != g and m & g == m for g in family)]
-                out.append(SimplicialComplex(n, maximal or [0]))
+        for family in sorted(families):
+            members = [m for m in range(1, end) if family >> (m - 1) & 1]
+            maximal = [m for m in members if not any(m != g and m & g == m for g in members)]
+            out.append(SimplicialComplex(n, maximal or [0]))
     return out
 
 

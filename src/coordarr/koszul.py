@@ -24,16 +24,28 @@ direct sum, over the vertex sets J with |J| = p, of one summand per J whose
 monomials u_(J - sigma) v_sigma are indexed by the faces sigma of the full
 subcomplex K_J: up to signs it is the augmented cochain complex of K_J, and
 its (p, q) group is the reduced cohomology H~^(q-1)(K_J) (Hochster, 1977;
-Buchstaber–Panov, *Toric Topology*, Thm 3.2.9).  When J is a nonempty face,
-K_J is a full simplex and the summand is split exact over Z: it carries
-neither rank nor torsion.  ``cohomology``, the one engine behind every
-bigraded table and ``hodge_table``, therefore assembles only the summands
-of the J that are not faces, plus J = ∅ -- a face, but its summand is the
-unit in bidegree (0, 0), since the complex {∅} has H~^(-1) = Z.  Their
-monomials are grouped by J, so each differential is one block-diagonal
-matrix per (p, q), eliminated once; the Smith form of a
-block-diagonal matrix is that of the direct sum, so the torsion is the full
-stripe's.
+Buchstaber–Panov, *Toric Topology*, Thm 3.2.9).  ``cohomology``, the one
+engine behind every bigraded table and ``hodge_table``, reads that group off
+the connected components of K_J, found from the 1-skeleton:
+
+* a ghost vertex ({v} not a face) spans nothing, so it lies in no
+  component; a J of ghosts only (J = ∅ included) has K_J = {∅}, whose
+  H~^(-1) is the unit Z in bidegree (|J|, 0);
+* the reduced cohomology of a disjoint union is the direct sum over its
+  components, plus one free class in H~^0 for each component after the
+  first (Hatcher, Prop. 2.6): #components - 1 at (|J|, 1);
+* a component C that is a face is a full simplex, acyclic: it adds nothing.
+  Every other component is eliminated once, through its own summand
+  (``summand(K, C)``), and its groups are cached by the mask of C, since
+  the same C recurs in many J (on the cycle C_n: O(n^2) arcs against 2^n
+  sets J);
+* over Z the invariant factors of all the groups that meet in one
+  bidegree are merged by ``direct_sum_torsion``, so Z/2 + Z/3 comes out
+  as Z/6: the torsion of the whole stripe.
+
+The unit is the summand of C = ∅, eliminated like any other.  Each
+eliminated summand passes ``stripe_cohomology``'s checks: d o d = 0 and no
+negative free rank.
 
 ``basis`` and ``differential_matrix`` keep the full (p, q) blocks, every J
 included, ordered by (sigma mask, gamma mask).  The cell model orders its
@@ -46,18 +58,24 @@ reference only.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterator
 
 from .complexes import SimplicialComplex, card, elements, pos_in
-from .linalg import BigradedTable, ExactMatrix, stripe_cohomology
+from .linalg import (
+    BigradedTable,
+    CohomologyBlock,
+    ExactMatrix,
+    direct_sum_torsion,
+    stripe_cohomology,
+)
 
 __all__ = [
     "basis",
     "differential_matrix",
-    "stripe_table",
-    "summand_stripe",
+    "summand",
     "cohomology",
     "HodgeTable",
     "hodge_table",
@@ -110,51 +128,87 @@ def differential_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
     return ExactMatrix(len(dst), len(src), entries)
 
 
-def stripe_table(stripes: Iterable[Iterable[ExactMatrix]], coeff: str = "Z") -> BigradedTable:
-    """Table of the stripes p = 0, 1, ..., read one at a time; the group
-    between d_(q-1) and d_q is the (p, q) block."""
-    blocks = {}
-    for p, maps in enumerate(stripes):
-        for q, block in enumerate(stripe_cohomology(maps, coeff)):
-            blocks[(p, q)] = block
-    return BigradedTable(blocks, coeff)
-
-
-def summand_stripe(K: SimplicialComplex, p: int) -> Iterator[ExactMatrix]:
-    """The differentials out of (p, -1), ..., (p, p) restricted to the
-    summands that can carry cohomology: the J with |J| = p that are not
-    faces, and J = ∅ at p = 0.  The (p, q) basis is the monomials
-    u_(J - sigma) v_sigma with |sigma| = q, grouped by J, so each map is
-    block-diagonal with one block per J.  A stripe without such a J
-    yields no maps.
+def summand(K: SimplicialComplex, J: int) -> Iterator[ExactMatrix]:
+    """The differentials out of (|J|, -1), ..., (|J|, |J|) on the summand of
+    J: the monomials u_(J - sigma) v_sigma, sigma a face inside J, with
+    |sigma| = q in the (|J|, q) basis, in face order.  J = ∅ gives the unit,
+    one monomial at q = 0.
     """
-    if p == 0:
-        supports = [0]
-    else:
-        supports = [J for J in K.k_subsets(p) if not K.is_face(J)]
-    if not supports:
-        return
-    layers: list[list[tuple[int, int]]] = [[] for _ in range(p + 2)]
-    for J in supports:
-        for sigma in K.faces_sorted:
-            if sigma & J == sigma:
-                layers[card(sigma)].append((J, sigma))
+    layers: list[list[int]] = [[] for _ in range(card(J) + 2)]
+    for sigma in K.faces_sorted:
+        if sigma & J == sigma:
+            layers[card(sigma)].append(sigma)
     yield ExactMatrix(len(layers[0]), 0)
     for src, dst in zip(layers, layers[1:]):
-        index = {b: r for r, b in enumerate(dst)}
+        index = {sigma: r for r, sigma in enumerate(dst)}
         entries: dict[tuple[int, int], int] = {}
-        for c, (J, sigma) in enumerate(src):
+        for c, sigma in enumerate(src):
             for sign, (_, target) in _diff_terms(K, J & ~sigma, sigma):
-                entries[(index[(J, target)], c)] = sign
+                entries[(index[target], c)] = sign
         yield ExactMatrix(len(dst), len(src), entries)
 
 
+def _components(J: int, neighbors: list[int]) -> list[int]:
+    """Vertex masks of the connected components of the graph restricted to
+    J; ``neighbors[k]`` is the neighbor mask of the vertex with bit k."""
+    out = []
+    while J:
+        component = frontier = J & -J
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= neighbors[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & J & ~component
+            component |= frontier
+        J &= ~component
+        out.append(component)
+    return out
+
+
 def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
-    """Bigraded cohomology table of the algebra, stripe by stripe, from the
-    summands of the J that are not faces (``summand_stripe``); each
-    differential is built once and eliminated once.
+    """Bigraded cohomology table of the algebra, from the connected
+    components of the full subcomplexes K_J of the non-face J (and of J = ∅):
+    #components - 1 free classes at (|J|, 1), the unit at (|J|, 0) when K_J
+    has no vertex, and the cached groups of each component that is not a
+    face.  Each such component's summand is built once and eliminated once;
+    the torsion meeting in one bidegree is merged by ``direct_sum_torsion``.
     """
-    return stripe_table((summand_stripe(K, p) for p in range(K.n + 1)), coeff)
+    neighbors = [0] * K.n
+    for face in K.faces:
+        if card(face) == 2:
+            low = face & -face
+            neighbors[low.bit_length() - 1] |= face ^ low
+            neighbors[(face ^ low).bit_length() - 1] |= low
+    cache: dict[int, list[tuple[int, CohomologyBlock]]] = {}
+    free: dict[tuple[int, int], int] = defaultdict(int)
+    torsion: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
+    for p in range(K.n + 1):
+        for J in K.k_subsets(p):
+            if J and K.is_face(J):
+                continue
+            components = _components(J & K.vertex_support, neighbors)
+            if len(components) > 1:
+                free[(p, 1)] += len(components) - 1
+            for C in components or [0]:
+                groups = cache.get(C)
+                if groups is None:
+                    # a nonempty face is a simplex: acyclic, never eliminated
+                    groups = cache[C] = [] if C and K.is_face(C) else [
+                        (q, block)
+                        for q, block in enumerate(stripe_cohomology(summand(K, C), coeff))
+                        if not block.is_trivial()
+                    ]
+                for q, block in groups:
+                    free[(p, q)] += block.free_rank
+                    if block.torsion:
+                        torsion[(p, q)].append(block.torsion)
+    blocks = {
+        key: CohomologyBlock(free[key], direct_sum_torsion(torsion[key]))
+        for key in free.keys() | torsion.keys()
+    }
+    return BigradedTable(blocks, coeff)
 
 
 @dataclass

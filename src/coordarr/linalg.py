@@ -2,8 +2,9 @@
 
 This is the single carrier for every differential in the package: Smith
 normal form over the integers, ranks over the rationals, kernel and
-quotient bases, and ``stripe_cohomology``, which turns one stripe of
-composable maps into its groups, eliminating each map once.
+quotient bases, ``stripe_cohomology``, which turns one stripe of
+composable maps into its groups, eliminating each map once, and
+``direct_sum_torsion``, which merges the invariant factors of a direct sum.
 Everything is arbitrary precision and deterministic, with no floating
 point anywhere.
 
@@ -39,6 +40,7 @@ __all__ = [
     "CohomologyBlock",
     "BigradedTable",
     "smith_normal_form",
+    "direct_sum_torsion",
     "rank_rational",
     "kernel_basis",
     "quotient_basis",
@@ -347,6 +349,17 @@ def smith_normal_form(m: ExactMatrix) -> SnfResult:
                     changed = True
     diag = [1] * units + diag + [0] * (min(m.rows, m.cols) - units - len(diag))
     return SnfResult(tuple(diag))
+
+
+def direct_sum_torsion(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Invariant factors of a direct sum, from the invariant factors of its
+    summands: the torsion of the Smith form of the diagonal matrix of all
+    of them, so (2,) and (3,) give (6,).  One summand is its own answer."""
+    if len(parts) < 2:
+        return parts[0] if parts else ()
+    factors = [d for part in parts for d in part]
+    diagonal = ExactMatrix(len(factors), len(factors), {(i, i): d for i, d in enumerate(factors)})
+    return smith_normal_form(diagonal).torsion
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Container
 
 from .cells import Cell, CellChain, boundary_chain
 from .cech import LogCochain
@@ -136,11 +136,12 @@ class UChain:
         ]
 
 
-def delta_prime(g: UChain) -> UChain:
+def delta_prime(g: UChain, at: Container[FaceTuple] | None = None) -> UChain:
     """Čech-type degree lowering: (delta' G)_(T) = (-1)^s sum_i G_(i, T).
 
     The sum over all cover indices i is implicit: only insertions that land
     in the support contribute, so the computation runs over the support.
+    With ``at``, only the tuples T in it are computed.
     """
     if g.degree == 0:
         raise ValueError("delta' is undefined on degree-0 chains")
@@ -151,6 +152,8 @@ def delta_prime(g: UChain) -> UChain:
             # removing position j: G evaluated at (tup[j], rest) picks up the
             # sign of moving index j to the front
             rest = tup[:j] + tup[j + 1 :]
+            if at is not None and rest not in at:
+                continue
             _add_into(out.setdefault(rest, {}), chain, sign_s * (-1 if j % 2 else 1))
     return _wrap(g.degree - 1, g.dimension, out)
 
@@ -337,8 +340,9 @@ def build_resolvent(
 def _check_at_prefixes(piece: UChain, children: UChain, k: int) -> None:
     """boundary(piece k) = -delta'(children) at every tuple of piece k, where
     ``children`` holds every child of those tuples; raise ``CheckFailed``
-    at the first tuple where it fails."""
-    reached = delta_prime(children).values
+    at the first tuple where it fails.  delta' is computed at the tuples of
+    piece k only: every other tuple it reaches is no kept prefix."""
+    reached = delta_prime(children, at=piece.values).values
     for flag, chain in piece.values.items():
         if boundary_chain(chain).scale(-1) != reached.get(flag, CellChain()):
             faces = [list(elements(face)) for face in flag]

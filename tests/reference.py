@@ -5,8 +5,9 @@ Each keeps its own code rather than calling the engine it checks:
 
 * the algebra model as an algebra: ``RkElement`` with the termwise
   ``differential`` and the graded-commutative product ``multiply``; and
-  its ``full_stripe``, every J included, the route the summand engine is
-  checked against;
+  its ``full_stripe``, every J included, and ``stripe_table``, which
+  eliminates whole stripes: the route the component engine is checked
+  against;
 * the cell model's cochains (``CellCochain``, ``coboundary_cochain``,
   ``phi``), its full cell list and its all-bidegree ``homology_table``;
 * the Čech model assembled block by block (``log_basis``, ``cech_matrix``),
@@ -18,6 +19,9 @@ Each keeps its own code rather than calling the engine it checks:
   route the pruned flag recursion is checked against;
 * the chunked tensor-grid ``torus_quadrature`` the separated rule is
   compared with;
+* the brute-force enumeration of every complex on a few vertices
+  (``all_complexes_brute_force``), the order the pruned search of
+  ``corpus.all_complexes`` must reproduce;
 * small constructors and readers: dense matrices, Betti numbers, the
   minimal non-faces and f-vector of a complex, and the named complexes.
 """
@@ -80,6 +84,24 @@ def torus_complex(n: int) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 # complexes and matrices
 # ---------------------------------------------------------------------------
+
+def all_complexes_brute_force(n: int) -> list[SimplicialComplex]:
+    """Every simplicial complex on exactly [n], by testing each of the
+    2^(2^n - 1) families of nonempty subsets for closure under taking
+    subsets, in increasing family bitmask (bit m - 1 for mask m): the
+    reference ``corpus.all_complexes`` is held against."""
+    nonempty = list(range(1, 1 << n))
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for bits in range(1 << len(nonempty)):
+            family = {m for i, m in enumerate(nonempty) if bits >> i & 1}
+            closed = all(sub in family for m in family for sub in subsets_of(m) if sub and sub != m)
+            if closed:
+                maximal = [m for m in family if not any(m != g and m & g == m for g in family)]
+                out.append(SimplicialComplex(n, maximal or [0]))
+    return out
+
 
 def minimal_non_faces(K: SimplicialComplex) -> tuple[int, ...]:
     """Inclusion-minimal subsets of [n] that are not faces.
@@ -244,6 +266,16 @@ def multiply(K: SimplicialComplex, a: RkElement, b: RkElement) -> RkElement:
             key = (gamma, sigma)
             out[key] = out.get(key, 0) + coeff
     return RkElement(out)
+
+
+def stripe_table(stripes: Iterable[Iterable[ExactMatrix]], coeff: str = "Z") -> BigradedTable:
+    """Table of the stripes p = 0, 1, ..., read one at a time; the group
+    between d_(q-1) and d_q is the (p, q) block."""
+    blocks = {}
+    for p, maps in enumerate(stripes):
+        for q, block in enumerate(stripe_cohomology(maps, coeff)):
+            blocks[(p, q)] = block
+    return BigradedTable(blocks, coeff)
 
 
 def full_stripe(K: SimplicialComplex, p: int) -> list[ExactMatrix]:

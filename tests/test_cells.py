@@ -25,6 +25,7 @@ from reference import (
     monomial,
     phi,
     simplex_boundary,
+    stripe_table,
     torus_complex,
 )
 
@@ -151,7 +152,7 @@ def test_cohomology_equals_rk_everywhere_small():
         stripes = (
             (cells.coboundary_matrix(K, p, q) for q in range(-1, p + 1)) for p in range(K.n + 1)
         )
-        assert koszul.stripe_table(stripes, "Z").to_json() == koszul.cohomology(K, "Z").to_json()
+        assert stripe_table(stripes, "Z").to_json() == koszul.cohomology(K, "Z").to_json()
 
 
 def test_phi_examples():

@@ -15,7 +15,7 @@ import pytest
 import coordarr
 from coordarr import cech, cells, kernels, koszul, linalg, resolvents
 from coordarr.cli import run
-from coordarr.complexes import SimplicialComplex, parse_complex
+from coordarr.complexes import SimplicialComplex, card, parse_complex
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS
 from coordarr.linalg import CheckFailed, ExactMatrix
 from coordarr.resolvents import Resolvent
@@ -146,11 +146,11 @@ def test_identity_check_covers_all_blocks_after_rk_failure(triangle_file, monkey
     # a flipped sign in the summand of J = {1, 2, 3} stops the rk model at
     # its d o d check; a flipped full-stripe block at (2, 0) must still be
     # named by the identity check, which builds every block
-    summand_stripe = koszul.summand_stripe
+    summand = koszul.summand
 
-    def broken_summands(K, p):
-        for q, m in enumerate(summand_stripe(K, p), -1):
-            yield _flip_first_entry(m) if (p, q) == (3, 0) and m.entries else m
+    def broken_summand(K, J):
+        for q, m in enumerate(summand(K, J), -1):
+            yield _flip_first_entry(m) if (card(J), q) == (3, 0) and m.entries else m
 
     calls = []
     differential_matrix = koszul.differential_matrix
@@ -160,7 +160,7 @@ def test_identity_check_covers_all_blocks_after_rk_failure(triangle_file, monkey
         m = differential_matrix(K, p, q)
         return _flip_first_entry(m) if (p, q) == (2, 0) and m.entries else m
 
-    monkeypatch.setattr(koszul, "summand_stripe", broken_summands)
+    monkeypatch.setattr(koszul, "summand", broken_summand)
     monkeypatch.setattr(koszul, "differential_matrix", broken_block)
     out = tmp_path / "compare.json"
     assert run(["compare", triangle_file, "--json", str(out)]) == 1
@@ -171,27 +171,18 @@ def test_identity_check_covers_all_blocks_after_rk_failure(triangle_file, monkey
     assert "at (p, q) = [(2, 0)]" in capsys.readouterr().out
 
 
-class _DropLastNonFace:
-    """A complex whose ``k_subsets`` omit the last non-face of each size,
-    so ``koszul.summand_stripe`` drops that J's summand."""
-
-    def __init__(self, K: SimplicialComplex):
-        self._K = K
-
-    def __getattr__(self, name):
-        return getattr(self._K, name)
-
-    def k_subsets(self, k: int) -> list[int]:
-        subsets = list(self._K.k_subsets(k))
-        non_faces = [J for J in subsets if not self._K.is_face(J)]
-        return [J for J in subsets if not non_faces or J != non_faces[-1]]
+def _is_last_non_face(K: SimplicialComplex, J: int) -> bool:
+    """Whether J is the last non-face of its size, in ``k_subsets`` order."""
+    non_faces = [S for S in K.k_subsets(card(J)) if not K.is_face(S)]
+    return bool(non_faces) and J == non_faces[-1]
 
 
 def test_compare_and_corpus_check_the_reported_table(tmp_path, monkeypatch):
     # compare and corpus read the table hodge reports from, so a summand
-    # the engine loses shows up as a rank the Čech oracle does not have
-    summand_stripe = koszul.summand_stripe
-    monkeypatch.setattr(koszul, "summand_stripe", lambda K, p: summand_stripe(_DropLastNonFace(K), p))
+    # the engine loses (here: the component that is the last non-face of
+    # its size) shows up as a rank the Čech oracle does not have
+    summand = koszul.summand
+    monkeypatch.setattr(koszul, "summand", lambda K, J: iter(()) if _is_last_non_face(K, J) else summand(K, J))
     cycle = [[i, i % 8 + 1] for i in range(1, 9)]
     for name, doc in (("rp2", {"n": 6, "facets": PROJECTIVE_PLANE_FACETS}), ("c8", {"n": 8, "facets": cycle})):
         path = tmp_path / f"{name}.json"
@@ -228,18 +219,18 @@ def test_failed_self_check_exits_1(triangle_file, monkeypatch, capsys):
     # face: d o d != 0 is a failed check, not bad input.  (On the edge
     # boundary the map out of (2, 1) is zero, so no flip at (2, 0) can
     # break d o d there.)
-    original = koszul.summand_stripe
+    original = koszul.summand
     flipped = []
 
-    def broken(K, p):
-        for q, m in enumerate(original(K, p), -1):
-            if (p, q) == (3, 0) and m.entries:
+    def broken(K, J):
+        for q, m in enumerate(original(K, J), -1):
+            if (card(J), q) == (3, 0) and m.entries:
                 key = min(m.entries)
                 m = ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
                 flipped.append(q)
             yield m
 
-    monkeypatch.setattr(koszul, "summand_stripe", broken)
+    monkeypatch.setattr(koszul, "summand", broken)
     for argv in (["cohomology", triangle_file], ["hodge", triangle_file]):
         assert run(argv) == 1
         assert "d_out o d_in != 0" in capsys.readouterr().err
@@ -254,7 +245,8 @@ def _sphere_file(tmp_path, n: int) -> str:
 
 
 def _recording_stripes(monkeypatch) -> list[list[ExactMatrix]]:
-    """Record every stripe the table engine hands to elimination."""
+    """Record the maps of every summand the table engine hands to
+    elimination, one list per summand."""
     stripes: list[list[ExactMatrix]] = []
     original = koszul.stripe_cohomology
 
@@ -268,11 +260,12 @@ def _recording_stripes(monkeypatch) -> list[list[ExactMatrix]]:
 
 def test_hodge_eliminates_only_the_non_face_summands(tmp_path, monkeypatch, capsys):
     # every J of size < 12 is a face of the boundary of the 12-simplex, so
-    # only J = {} (1 monomial) and J = [12] (its 4,095 faces) are assembled
+    # only J = {} (1 monomial) and J = [12] (its 4,095 faces) are assembled,
+    # one summand each
     stripes = _recording_stripes(monkeypatch)
     assert run(["hodge", _sphere_file(tmp_path, 12)]) == 0
     sizes = [sum(m.cols for m in maps) for maps in stripes]
-    assert sizes == [1] + [0] * 11 + [4095]
+    assert sizes == [1, 4095]
     h_lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("h(")]
     assert h_lines == ["h(0,0) = 1", "h(12,11) = 1"]
 
@@ -692,9 +685,11 @@ def test_every_public_name_is_reached_by_a_command(tmp_path):
     assert sorted(missed - set(NOT_ENTERED_BY_A_COMMAND)) == []
 
 
-def test_benchmark_trace_bindings_still_exist(edge_file):
+def test_benchmark_trace_bindings_still_exist(edge_file, triangle_file):
     # the benchmark's tracer patches coordarr functions by module attribute;
-    # a renamed binding must fail here, not silently break a traced run
+    # a renamed binding must fail here, not silently break a traced run.  The
+    # edge's tables eliminate no entry (its one non-face J splits into two
+    # points), so the triangle brings the Smith form and the rational rank
     script = f"""
 import json, sys
 sys.path.insert(0, {str(ROOT / "perfbench")!r})
@@ -704,6 +699,7 @@ recorder = tracing.Recorder()
 tracing.install(recorder)
 codes = [cli.run(argv) for argv in (
     ["compare", {edge_file!r}], ["hodge", {edge_file!r}], ["kernel", {edge_file!r}, "--s", "3"],
+    ["compare", {triangle_file!r}], ["hodge", {triangle_file!r}],
     ["verify-kernel", {edge_file!r}, "--s", "3", "--f", "1+z1*z2", "--zeta", "0.3,-0.4"])]
 start = len(recorder.spans)
 codes.append(cli.run(["resolvent", {edge_file!r}, "--p", "2", "--q", "1"]))
@@ -713,7 +709,7 @@ print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.span
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["codes"] == [0] * 7
     # the resolvent command reaches build_resolvent through cli's own binding
     assert {"cells.homology", "resolvents.build"} <= set(result["resolvent"])
     assert {

@@ -14,7 +14,8 @@ from coordarr.complexes import (
     parse_complex,
     pos_in,
 )
-from reference import complex_to_json, minimal_non_faces
+from coordarr.corpus import all_complexes
+from reference import all_complexes_brute_force, complex_to_json, minimal_non_faces
 
 
 def test_parse_two_vertices():
@@ -134,3 +135,16 @@ def test_containing_facet():
     assert K.containing_facet(mask_of([1])) in K.facets
     with pytest.raises(ValueError):
         K.containing_facet(mask_of([1, 2, 3]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_complexes_equal_the_brute_force(n):
+    # the pruned search gives the same complexes in the same order
+    pruned = [(K.n, K.facets) for K in all_complexes(n)]
+    assert pruned == [(K.n, K.facets) for K in all_complexes_brute_force(n)]
+    assert len(pruned) == [2, 5, 19, 167][n - 1]
+
+
+def test_all_complexes_refuses_five_vertices():
+    with pytest.raises(ValueError, match="n <= 4"):
+        all_complexes(5)

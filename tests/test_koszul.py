@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from coordarr import koszul
 from coordarr.complexes import SimplicialComplex, mask_of
-from coordarr.corpus import standard_corpus
-from coordarr.linalg import compose_is_zero
+from coordarr.corpus import PROJECTIVE_PLANE_FACETS, standard_corpus
+from coordarr.linalg import ExactMatrix, compose_is_zero
 from reference import (
     RkElement,
     betti,
@@ -22,6 +23,7 @@ from reference import (
     monomial,
     multiply,
     simplex_boundary,
+    stripe_table,
     to_dense,
 )
 
@@ -190,7 +192,7 @@ def test_total_degree_matches_cell_model():
 def _full_stripe_json(K: SimplicialComplex, coeff: str) -> dict:
     """The table of the full stripes, every J included: the reference for
     the summand engine."""
-    return koszul.stripe_table((full_stripe(K, p) for p in range(K.n + 1)), coeff).to_json()
+    return stripe_table((full_stripe(K, p) for p in range(K.n + 1)), coeff).to_json()
 
 
 def _cycle(n: int) -> SimplicialComplex:
@@ -236,13 +238,113 @@ def test_summand_engine_equals_full_stripes_on_random_complexes(K):
         assert koszul.cohomology(K, coeff).to_json() == _full_stripe_json(K, coeff)
 
 
-def test_summand_stripe_is_the_summand_of_each_non_face():
-    # the edge boundary: only J = {1, 2} is not a face at p = 2; its summand
-    # is u1u2 -> v1u2 - u1v2, sigma = {}, {1}, {2} in face order
-    maps = list(koszul.summand_stripe(SimplicialComplex.from_vertex_lists(2, [[1], [2]]), 2))
+def test_summand_is_the_summand_of_each_non_face(monkeypatch):
+    # the edge boundary: J = {1, 2} is not a face; its summand is
+    # u1u2 -> v1u2 - u1v2, sigma = {}, {1}, {2} in face order
+    maps = list(koszul.summand(SimplicialComplex.from_vertex_lists(2, [[1], [2]]), mask_of([1, 2])))
     assert [(m.rows, m.cols) for m in maps] == [(1, 0), (2, 1), (0, 2), (0, 0)]
     assert to_dense(maps[1]) == [[1], [-1]]
-    # a stripe whose J are all faces yields no map at all
-    assert list(koszul.summand_stripe(full_simplex(3), 2)) == []
+    # a complex whose nonempty J are all faces asks for no summand but the unit
+    calls = _recording_summands(monkeypatch)
+    koszul.cohomology(full_simplex(3), "Z")
+    assert calls == [0]
     # J = {} stays: the unit in bidegree (0, 0)
-    assert [(m.rows, m.cols) for m in koszul.summand_stripe(full_simplex(3), 0)] == [(1, 0), (0, 1)]
+    assert [(m.rows, m.cols) for m in koszul.summand(full_simplex(3), 0)] == [(1, 0), (0, 1)]
+
+
+def _recording_summands(monkeypatch) -> list[int]:
+    """Record the J of every summand the table engine builds."""
+    calls: list[int] = []
+    original = koszul.summand
+    monkeypatch.setattr(koszul, "summand", lambda K, J: calls.append(J) or original(K, J))
+    return calls
+
+
+@st.composite
+def disjoint_unions_with_ghosts(draw) -> SimplicialComplex:
+    """Two or three random complexes on disjoint vertex sets, plus ghost
+    vertices that span no face, with the labels shuffled: at most 7
+    vertices."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda s: sum(s) <= 7))
+    ghosts = draw(st.integers(0, 7 - sum(sizes)))
+    total = sum(sizes) + ghosts
+    labels = draw(st.permutations(range(1, total + 1)))
+    facets = []
+    start = 0
+    for size in sizes:
+        piece = labels[start : start + size]
+        start += size
+        for local in draw(st.lists(st.integers(1, (1 << size) - 1), min_size=1, max_size=4)):
+            facets.append(mask_of(v for i, v in enumerate(piece) if local >> i & 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex(total, facets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(disjoint_unions_with_ghosts())
+def test_component_engine_equals_full_stripes_on_disjoint_unions(K):
+    for coeff in ("Z", "Q"):
+        assert koszul.cohomology(K, coeff).to_json() == _full_stripe_json(K, coeff)
+
+
+def test_torsion_of_two_projective_planes_adds_up():
+    # H~^1(RP^2_S) has Z/2 only for S the whole plane, so the torsion of
+    # RP^2 + RP^2 sits at the J that hold one whole plane and a proper part
+    # of the other, Z/2 each, and at J = [12], Z/2 + Z/2
+    shifted = [[v + 6 for v in facet] for facet in PROJECTIVE_PLANE_FACETS]
+    K = SimplicialComplex.from_vertex_lists(12, PROJECTIVE_PLANE_FACETS + shifted)
+    expected = {(6 + k, 3): (2,) * (2 * comb(6, k)) for k in range(6)}
+    expected[(12, 3)] = (2, 2)
+    assert koszul.cohomology(K, "Z").torsions() == expected
+
+
+def test_torsion_meeting_in_one_bidegree_is_merged(monkeypatch):
+    # two disjoint triangle boundaries whose summands are replaced by
+    # complexes with Z/2 and Z/3 at q = 1: every J holding one triangle
+    # and part of the other meets one of them, and J = [6] meets both
+    K = SimplicialComplex.from_vertex_lists(6, [[1, 2], [1, 3], [2, 3], [4, 5], [4, 6], [5, 6]])
+    factors = {mask_of([1, 2, 3]): 2, mask_of([4, 5, 6]): 3}
+    original = koszul.summand
+
+    def with_torsion(K, J):
+        if J not in factors:
+            return original(K, J)
+        return iter([ExactMatrix(1, 0), ExactMatrix(1, 1, {(0, 0): factors[J]}), ExactMatrix(0, 1)])
+
+    monkeypatch.setattr(koszul, "summand", with_torsion)
+    table = koszul.cohomology(K, "Z")
+    assert table.torsions() == {(3, 1): (6,), (4, 1): (6, 6, 6), (5, 1): (6, 6, 6), (6, 1): (6,)}
+    # the free classes of the components are untouched: #components - 1 per
+    # J, and every 4-set splits into two components
+    assert table.free(6, 1) == 1 and table.free(4, 1) == comb(6, 4)
+
+
+def test_each_component_of_the_cycle_is_eliminated_once(monkeypatch):
+    # on C_12 the components of the K_J that are not faces are the arcs of
+    # 3 to 11 vertices and the whole cycle; the unit is the summand of {}
+    n = 12
+    calls = _recording_summands(monkeypatch)
+    koszul.cohomology(_cycle(n), "Z")
+    arcs = {
+        sum(1 << (start + i) % n for i in range(length))
+        for start in range(n)
+        for length in range(3, n)
+    }
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {0, (1 << n) - 1} | arcs
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_cycle_hodge_numbers_match_the_closed_form(n):
+    # h(p, 1) sums (c - 1) over the p-subsets of the cycle that form c
+    # arcs, and there are (n / c) C(p - 1, c - 1) C(n - p - 1, c - 1) of them
+    expected = {(0, 0): 1, (n, 2): 1}
+    for p in range(2, n - 1):
+        h = 0
+        for c in range(2, min(p, n - p) + 1):
+            count, rest = divmod(n * comb(p - 1, c - 1) * comb(n - p - 1, c - 1), c)
+            assert rest == 0
+            h += (c - 1) * count
+        expected[(p, 1)] = h
+    assert koszul.hodge_table(_cycle(n)).h == expected

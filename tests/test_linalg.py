@@ -17,6 +17,7 @@ from coordarr.linalg import (
     CheckFailed,
     ExactMatrix,
     compose_is_zero,
+    direct_sum_torsion,
     kernel_basis,
     quotient_basis,
     rank_rational,
@@ -31,6 +32,17 @@ from reference import betti, from_dense, full_stripe, identity, to_dense
 def test_snf_diagonal_2_3():
     # gcd 1 and determinant 6 force the chain (1, 6)
     assert smith_normal_form(from_dense([[2, 0], [0, 3]])).diag == (1, 6)
+
+
+def test_direct_sum_torsion_merges_the_invariant_factors():
+    # Z/2 + Z/3 is Z/6, not Z/2 + Z/3 written as a chain
+    assert direct_sum_torsion([(2,), (3,)]) == (6,)
+    assert direct_sum_torsion([(4,), (2,)]) == (2, 4)
+    assert direct_sum_torsion([(2, 2), (3,), (9,)]) == (6, 18)
+    assert direct_sum_torsion([(2,), (2,)]) == (2, 2)
+    # one summand is already a divisibility chain; none is the trivial group
+    assert direct_sum_torsion([(2, 6)]) == (2, 6)
+    assert direct_sum_torsion([]) == ()
 
 
 def test_snf_zero_matrix():
