@@ -23,7 +23,13 @@ bigraded modules.  Blockwise this says that the coboundary matrices equal
 the algebra model's differential matrices; ``phi_mismatches`` compares the
 two on every block, face J included, without eliminating any, which is the
 working check on both sign conventions (a flipped sign shows up even when
-every rank survives it).
+every rank survives it).  It walks each p-stripe once: each model's (p, q)
+basis is built once and shared by the two blocks it bounds, and
+``coboundary_matrix`` has ``boundary_matrix`` write the boundary terms
+straight into coboundary position, row and column swapped and sign flipped,
+so no transposed copy is made.  Both term formulas walk the set bits of a
+mask lowest first (``x & -x``); the sign comes from the number of bits
+below, with no vertex list.
 
 ``homology(K, p, q)`` gives the cycle generators of the one bidegree a
 resolvent or a kernel starts from, from the two boundary maps at (p, q)
@@ -35,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import koszul
-from .complexes import SimplicialComplex, card, elements, pos_in
+from .complexes import SimplicialComplex, card, elements
 from .linalg import CheckFailed, ExactMatrix, compose_is_zero, kernel_basis, quotient_basis
 
 __all__ = [
@@ -55,46 +61,76 @@ Cell = tuple[int, int]
 
 def cells_of_bidegree(K: SimplicialComplex, p: int, q: int) -> list[Cell]:
     """Cells of bidegree (p, q), ordered by (sigma, gamma) mask pair --
-    the same order the algebra model uses for its monomials."""
+    the same order the algebra model uses for its monomials.  Faces come in
+    mask order and each sigma's gammas in mask order, so the list is sorted
+    as it is built."""
     if q < 0 or p < q or p - q > K.n:
         return []
-    out = []
-    for sigma in K.faces_sorted:
-        if card(sigma) != q:
-            continue
-        for gamma in K.k_subsets(p - q):
-            if gamma & sigma == 0:
-                out.append((sigma, gamma))
-    out.sort()
-    return out
+    gammas = K.k_subsets_by_mask(p - q)
+    return [
+        (sigma, gamma)
+        for sigma in K.faces_sorted
+        if card(sigma) == q
+        for gamma in gammas
+        if not gamma & sigma
+    ]
 
 
 def _boundary_terms(sigma: int, gamma: int) -> list[tuple[int, Cell]]:
+    """Signed faces of one cell: each bit i of sigma moved onto the circles,
+    with sign (-1)^pos(i, gamma + i), pos being one more than the number of
+    gamma bits below i."""
     out = []
-    for i in elements(sigma):
-        bit = 1 << (i - 1)
-        new_gamma = gamma | bit
-        sign = -1 if pos_in(new_gamma, i) % 2 else 1
-        out.append((sign, (sigma & ~bit, new_gamma)))
+    rest = sigma
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        sign = 1 if (gamma & (bit - 1)).bit_count() & 1 else -1
+        out.append((sign, (sigma ^ bit, gamma | bit)))
     return out
 
 
-def boundary_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
-    """Boundary from bidegree (p, q) chains to (p, q-1) chains."""
-    src = cells_of_bidegree(K, p, q)
-    dst = cells_of_bidegree(K, p, q - 1)
+def boundary_matrix(
+    K: SimplicialComplex,
+    p: int,
+    q: int,
+    src: list[Cell] | None = None,
+    dst: list[Cell] | None = None,
+    dual: bool = False,
+) -> ExactMatrix:
+    """Boundary from bidegree (p, q) chains to (p, q-1) chains.
+
+    ``src`` and ``dst`` are the cells of (p, q) and (p, q-1) when the caller
+    already holds them.  With ``dual`` the same terms are written as the
+    coboundary from (p, q-1) cochains to (p, q) cochains, row and column
+    swapped and sign flipped, in the same pass: the negated transpose
+    without a transposed copy.
+    """
+    if src is None:
+        src = cells_of_bidegree(K, p, q)
+    if dst is None:
+        dst = cells_of_bidegree(K, p, q - 1)
     index = {c: i for i, c in enumerate(dst)}
-    entries: dict[tuple[int, int], int] = {}
+    # every target indexes dst and every sign is ±1: fill the entries in place
+    out = ExactMatrix(len(src), len(dst)) if dual else ExactMatrix(len(dst), len(src))
+    entries = out.entries
     for j, (sigma, gamma) in enumerate(src):
         for sign, target in _boundary_terms(sigma, gamma):
-            entries[(index[target], j)] = sign
-    return ExactMatrix(len(dst), len(src), entries)
+            if dual:
+                entries[(j, index[target])] = -sign
+            else:
+                entries[(index[target], j)] = sign
+    return out
 
 
-def coboundary_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
+def coboundary_matrix(
+    K: SimplicialComplex, p: int, q: int, src: list[Cell] | None = None, dst: list[Cell] | None = None
+) -> ExactMatrix:
     """Coboundary from (p, q) cochains to (p, q+1) cochains: minus the
-    transpose of the (p, q+1) boundary (see the module docstring)."""
-    return -boundary_matrix(K, p, q + 1).transpose()
+    transpose of the (p, q+1) boundary (see the module docstring), written
+    by ``boundary_matrix`` in its own pass.  ``src`` and ``dst`` are the
+    cells of (p, q) and (p, q+1) when the caller already holds them."""
+    return boundary_matrix(K, p, q + 1, dst, src, dual=True)
 
 
 class CellChain:
@@ -149,18 +185,28 @@ def boundary_chain(chain: CellChain) -> CellChain:
 def phi_mismatches(K: SimplicialComplex) -> list[tuple[int, int]]:
     """The bidegrees (p, q), p in 0..n and q in -1..p, where the algebra
     model's differential (``koszul.differential_matrix``, the summands of
-    face J included) differs from the cell coboundary, signs included.  Each
-    matrix is built once and compared, not eliminated.  With none, the
-    relabeling of each monomial u_gamma v_sigma as the dual cocell of
-    (sigma, gamma) commutes with the differentials, and the cell cohomology
-    is the algebra model's table by construction.
+    face J included) differs from the cell coboundary, signs included.
+
+    Each p-stripe is walked once, q upwards.  Each model's (p, q) basis is
+    built once and shared by the two blocks it bounds.  Each block of each
+    model is built once from that model's own term formula, the cell block
+    written straight into coboundary position (``coboundary_matrix``), and
+    the two are compared entry by entry, not eliminated.  Nothing outlives
+    the call.  With no mismatch, the relabeling of each monomial
+    u_gamma v_sigma as the dual cocell of (sigma, gamma) commutes with the
+    differentials, and the cell cohomology is the algebra model's table by
+    construction.
     """
-    return [
-        (p, q)
-        for p in range(K.n + 1)
-        for q in range(-1, p + 1)
-        if koszul.differential_matrix(K, p, q) != coboundary_matrix(K, p, q)
-    ]
+    out = []
+    for p in range(K.n + 1):
+        monomials, cocells = koszul.basis(K, p, -1), cells_of_bidegree(K, p, -1)
+        for q in range(-1, p + 1):
+            monomials_above, cocells_above = koszul.basis(K, p, q + 1), cells_of_bidegree(K, p, q + 1)
+            d_rk = koszul.differential_matrix(K, p, q, monomials, monomials_above)
+            if d_rk != coboundary_matrix(K, p, q, cocells, cocells_above):
+                out.append((p, q))
+            monomials, cocells = monomials_above, cocells_above
+    return out
 
 
 def homology(K: SimplicialComplex, p: int, q: int) -> list[CellChain]:

@@ -7,7 +7,9 @@ distinct component that is not a face once, merging the torsion that meets
 in one bidegree: ``cohomology --model rk``, ``hodge`` and the message of an
 unavailable kernel report from it, and ``compare`` and ``corpus`` check it.
 Their identity check with the cell model compares every block of the full
-stripes, face J included, and eliminates none.  ``kernel`` and
+stripes, face J included, and eliminates none; it walks each p-stripe once,
+builds each basis of each model once, and keeps nothing once it returns
+(``corpus`` holds every complex alive).  ``kernel`` and
 ``resolvent`` read the cycles of one bidegree of the cell model and no
 table.  The Čech model runs only as the oracle of ``compare`` and
 ``corpus``, and for the kernels' cocycles.  ``resolvent`` builds and

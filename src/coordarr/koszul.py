@@ -47,13 +47,19 @@ The unit is the summand of C = ∅, eliminated like any other.  Each
 eliminated summand passes ``stripe_cohomology``'s checks: d o d = 0 and no
 negative free rank.
 
+The components of each J are derived from those of J minus its top vertex
+(``_components_by_subset``, a depth-first walk over the vertex sets), not
+searched afresh.
+
 ``basis`` and ``differential_matrix`` keep the full (p, q) blocks, every J
-included, ordered by (sigma mask, gamma mask).  The cell model orders its
-(sigma, gamma) cells the same way, so the dual-basis relabeling between the
-two models is the identity permutation on each block; ``compare`` and
-``corpus`` check that identity on every block (``cells.phi_mismatches``)
-but eliminate none of them.  The table of the full stripes is a test
-reference only.
+included, ordered by (sigma mask, gamma mask); the basis comes out in that
+order as it is built, each sigma's gammas taken in mask order.  The cell
+model orders its (sigma, gamma) cells the same way, so the dual-basis
+relabeling between the two models is the identity permutation on each
+block; ``compare`` and ``corpus`` check that identity on every block
+(``cells.phi_mismatches``, one walk per p-stripe that hands each basis to
+the two blocks it bounds) but eliminate none of them.  The table of the
+full stripes is a test reference only.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterator
 
-from .complexes import SimplicialComplex, card, elements, pos_in
+from .complexes import SimplicialComplex, card
 from .linalg import (
     BigradedTable,
     CohomologyBlock,
@@ -86,46 +92,63 @@ Basis = tuple[int, int]
 
 
 def basis(K: SimplicialComplex, p: int, q: int) -> list[Basis]:
-    """Monomial basis of the (p, q) component.
+    """Monomial basis of the (p, q) component, ordered by (sigma, gamma).
 
     All pairs (gamma, sigma) with sigma a face of cardinality q, gamma of
-    cardinality p - q disjoint from sigma; empty when out of range.
+    cardinality p - q disjoint from sigma; empty when out of range.  Faces
+    come in mask order and each sigma's gammas in mask order, so the list is
+    sorted as it is built.
     """
     if q < 0 or p < q or p - q > K.n:
         return []
-    out = []
-    for sigma in K.faces_sorted:
-        if card(sigma) != q:
-            continue
-        for gamma in K.k_subsets(p - q):
-            if gamma & sigma == 0:
-                out.append((gamma, sigma))
-    out.sort(key=lambda gs: (gs[1], gs[0]))
-    return out
+    gammas = K.k_subsets_by_mask(p - q)
+    return [
+        (gamma, sigma)
+        for sigma in K.faces_sorted
+        if card(sigma) == q
+        for gamma in gammas
+        if not gamma & sigma
+    ]
 
 
 def _diff_terms(K: SimplicialComplex, gamma: int, sigma: int) -> list[tuple[int, Basis]]:
-    """Signed targets of the differential on one basis monomial."""
+    """Signed targets of the differential on one basis monomial.  The bits
+    of gamma are walked from the lowest up, so the sign (-1)^(pos(i, gamma)
+    - 1) flips once per bit passed."""
+    faces = K.faces
     out = []
-    for i in elements(gamma):
-        new_sigma = sigma | (1 << (i - 1))
-        if not K.is_face(new_sigma):
-            continue
-        sign = -1 if (pos_in(gamma, i) - 1) % 2 else 1
-        out.append((sign, (gamma & ~(1 << (i - 1)), new_sigma)))
+    sign = 1
+    rest = gamma
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if sigma | bit in faces:
+            out.append((sign, (gamma ^ bit, sigma | bit)))
+        sign = -sign
     return out
 
 
-def differential_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
-    """Matrix of the differential from the (p, q) basis to the (p, q+1) basis."""
-    src = basis(K, p, q)
-    dst = basis(K, p, q + 1)
+def differential_matrix(
+    K: SimplicialComplex, p: int, q: int, src: list[Basis] | None = None, dst: list[Basis] | None = None
+) -> ExactMatrix:
+    """Matrix of the differential from the (p, q) basis to the (p, q+1) basis.
+
+    ``src`` and ``dst`` are those two bases when the caller already holds
+    them: the identity check builds each basis once for the two blocks it
+    bounds.
+    """
+    if src is None:
+        src = basis(K, p, q)
+    if dst is None:
+        dst = basis(K, p, q + 1)
     index = {b: i for i, b in enumerate(dst)}
-    entries: dict[tuple[int, int], int] = {}
+    # every target indexes dst and every sign is ±1: fill the entries in place
+    out = ExactMatrix(len(dst), len(src))
+    entries = out.entries
     for j, (gamma, sigma) in enumerate(src):
         for sign, target in _diff_terms(K, gamma, sigma):
             entries[(index[target], j)] = sign
-    return ExactMatrix(len(dst), len(src), entries)
+    return out
 
 
 def summand(K: SimplicialComplex, J: int) -> Iterator[ExactMatrix]:
@@ -141,30 +164,48 @@ def summand(K: SimplicialComplex, J: int) -> Iterator[ExactMatrix]:
     yield ExactMatrix(len(layers[0]), 0)
     for src, dst in zip(layers, layers[1:]):
         index = {sigma: r for r, sigma in enumerate(dst)}
-        entries: dict[tuple[int, int], int] = {}
+        out = ExactMatrix(len(dst), len(src))
+        entries = out.entries
         for c, sigma in enumerate(src):
             for sign, (_, target) in _diff_terms(K, J & ~sigma, sigma):
                 entries[(index[target], c)] = sign
-        yield ExactMatrix(len(dst), len(src), entries)
+        yield out
 
 
-def _components(J: int, neighbors: list[int]) -> list[int]:
-    """Vertex masks of the connected components of the graph restricted to
-    J; ``neighbors[k]`` is the neighbor mask of the vertex with bit k."""
-    out = []
-    while J:
-        component = frontier = J & -J
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= neighbors[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & J & ~component
-            component |= frontier
-        J &= ~component
-        out.append(component)
-    return out
+def _components_by_subset(K: SimplicialComplex) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every vertex set J of [n], with the vertex masks of the connected
+    components of the 1-skeleton of K restricted to J; a ghost vertex lies
+    in no component.
+
+    J comes after J minus its top vertex v, whose components it derives:
+    v joins every component it has a neighbor in, or stands alone; a ghost
+    v changes nothing.  The walk is depth first, so it holds the children
+    of at most n sets at a time.
+    """
+    neighbors = [0] * K.n
+    for face in K.faces:
+        if card(face) == 2:
+            low = face & -face
+            neighbors[low.bit_length() - 1] |= face ^ low
+            neighbors[(face ^ low).bit_length() - 1] |= low
+    support = K.vertex_support
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        J, components = stack.pop()
+        yield J, components
+        for top in range(J.bit_length(), K.n):
+            if support >> top & 1:
+                joined = 1 << top
+                apart = []
+                for C in components:
+                    if C & neighbors[top]:
+                        joined |= C
+                    else:
+                        apart.append(C)
+                apart.append(joined)
+                stack.append((J | 1 << top, tuple(apart)))
+            else:
+                stack.append((J | 1 << top, components))
 
 
 def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
@@ -175,35 +216,28 @@ def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
     face.  Each such component's summand is built once and eliminated once;
     the torsion meeting in one bidegree is merged by ``direct_sum_torsion``.
     """
-    neighbors = [0] * K.n
-    for face in K.faces:
-        if card(face) == 2:
-            low = face & -face
-            neighbors[low.bit_length() - 1] |= face ^ low
-            neighbors[(face ^ low).bit_length() - 1] |= low
     cache: dict[int, list[tuple[int, CohomologyBlock]]] = {}
     free: dict[tuple[int, int], int] = defaultdict(int)
     torsion: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
-    for p in range(K.n + 1):
-        for J in K.k_subsets(p):
-            if J and K.is_face(J):
-                continue
-            components = _components(J & K.vertex_support, neighbors)
-            if len(components) > 1:
-                free[(p, 1)] += len(components) - 1
-            for C in components or [0]:
-                groups = cache.get(C)
-                if groups is None:
-                    # a nonempty face is a simplex: acyclic, never eliminated
-                    groups = cache[C] = [] if C and K.is_face(C) else [
-                        (q, block)
-                        for q, block in enumerate(stripe_cohomology(summand(K, C), coeff))
-                        if not block.is_trivial()
-                    ]
-                for q, block in groups:
-                    free[(p, q)] += block.free_rank
-                    if block.torsion:
-                        torsion[(p, q)].append(block.torsion)
+    for J, components in _components_by_subset(K):
+        if J and K.is_face(J):
+            continue
+        p = J.bit_count()
+        if len(components) > 1:
+            free[(p, 1)] += len(components) - 1
+        for C in components or [0]:
+            groups = cache.get(C)
+            if groups is None:
+                # a nonempty face is a simplex: acyclic, never eliminated
+                groups = cache[C] = [] if C and K.is_face(C) else [
+                    (q, block)
+                    for q, block in enumerate(stripe_cohomology(summand(K, C), coeff))
+                    if not block.is_trivial()
+                ]
+            for q, block in groups:
+                free[(p, q)] += block.free_rank
+                if block.torsion:
+                    torsion[(p, q)].append(block.torsion)
     blocks = {
         key: CohomologyBlock(free[key], direct_sum_torsion(torsion[key]))
         for key in free.keys() | torsion.keys()

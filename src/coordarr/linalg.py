@@ -95,9 +95,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
-
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}")

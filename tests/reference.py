@@ -10,6 +10,16 @@ Each keeps its own code rather than calling the engine it checks:
   against;
 * the cell model's cochains (``CellCochain``, ``coboundary_cochain``,
   ``phi``), its full cell list and its all-bidegree ``homology_table``;
+* the identity check between the two models in its matrix form
+  (``phi_mismatches_by_matrices``: each basis sorted per block, the cell
+  coboundary as the negated transpose of a built boundary), and the two
+  term formulas written with ``elements`` and ``pos_in``
+  (``diff_terms_by_position``, ``boundary_terms_by_position``): the routes
+  the stripe walk of ``cells.phi_mismatches`` and the bit-walking term
+  functions are held against;
+* the connected components of a vertex set by breadth-first search
+  (``components_by_search``), the route the derived components of
+  ``koszul.cohomology`` are held against;
 * the Čech model assembled block by block (``log_basis``, ``cech_matrix``),
   the sparse ``cochain_coboundary``, the filtration ranks computed without
   the bigraded splitting, and the pullback of a cocycle over its whole
@@ -236,6 +246,40 @@ def differential(K: SimplicialComplex, a: RkElement) -> RkElement:
     return RkElement(out)
 
 
+def diff_terms_by_position(K: SimplicialComplex, gamma: int, sigma: int) -> list[tuple[int, Basis]]:
+    """``koszul._diff_terms`` as a vertex list: i runs over the sorted
+    gamma, sign (-1)^(pos(i, gamma) - 1), faces only."""
+    out = []
+    for i in elements(gamma):
+        new_sigma = sigma | (1 << (i - 1))
+        if not K.is_face(new_sigma):
+            continue
+        sign = -1 if (pos_in(gamma, i) - 1) % 2 else 1
+        out.append((sign, (gamma & ~(1 << (i - 1)), new_sigma)))
+    return out
+
+
+def components_by_search(K: SimplicialComplex, J: int) -> list[int]:
+    """Vertex masks of the connected components of the 1-skeleton of K
+    restricted to J, by breadth-first search from the lowest vertex left;
+    ghost vertices lie in no component."""
+    edges = [f for f in K.faces if card(f) == 2]
+    J &= K.vertex_support
+    out = []
+    while J:
+        component = frontier = J & -J
+        while frontier:
+            reach = 0
+            for e in edges:
+                if e & frontier:
+                    reach |= e
+            frontier = reach & J & ~component
+            component |= frontier
+        J &= ~component
+        out.append(component)
+    return out
+
+
 def _merge_sign(a: int, b: int) -> int:
     """Sign of merging two sorted disjoint exterior monomials u_a * u_b:
     (-1)^(number of pairs x in a, y in b with x > y)."""
@@ -346,6 +390,68 @@ def coboundary_cochain(K: SimplicialComplex, cochain: CellCochain) -> CellCochai
             target = (new_sigma, gamma & ~bit)
             out[target] = out.get(target, 0) - sign * coeff
     return CellCochain(out)
+
+
+def boundary_terms_by_position(sigma: int, gamma: int) -> list[tuple[int, cells.Cell]]:
+    """``cells._boundary_terms`` as a vertex list: i runs over the sorted
+    sigma, sign (-1)^pos(i, gamma + i)."""
+    out = []
+    for i in elements(sigma):
+        bit = 1 << (i - 1)
+        new_gamma = gamma | bit
+        sign = -1 if pos_in(new_gamma, i) % 2 else 1
+        out.append((sign, (sigma & ~bit, new_gamma)))
+    return out
+
+
+def _sorted_pairs(K: SimplicialComplex, p: int, q: int) -> list[tuple[int, int]]:
+    """(sigma, gamma) pairs of bidegree (p, q), sorted after the fact."""
+    if q < 0 or p < q or p - q > K.n:
+        return []
+    out = [
+        (sigma, gamma)
+        for sigma in K.faces_sorted
+        if card(sigma) == q
+        for gamma in K.k_subsets(p - q)
+        if gamma & sigma == 0
+    ]
+    out.sort()
+    return out
+
+
+def phi_mismatches_by_matrices(K: SimplicialComplex) -> list[tuple[int, int]]:
+    """The identity check in matrix form: for every (p, q), p in 0..n and q
+    in -1..p, the algebra model's differential block and the negated
+    transpose of the (p, q+1) cell boundary block, each built on its own
+    from freshly sorted bases through the modules' term functions, compared
+    as matrices.  ``cells.phi_mismatches`` must name the same blocks."""
+
+    def rk_block(p: int, q: int) -> ExactMatrix:
+        src = [(g, s) for s, g in _sorted_pairs(K, p, q)]
+        index = {(g, s): i for i, (s, g) in enumerate(_sorted_pairs(K, p, q + 1))}
+        entries = {}
+        for j, (gamma, sigma) in enumerate(src):
+            for sign, target in koszul._diff_terms(K, gamma, sigma):
+                entries[(index[target], j)] = sign
+        return ExactMatrix(len(index), len(src), entries)
+
+    def cell_coboundary(p: int, q: int) -> ExactMatrix:
+        src, dst = _sorted_pairs(K, p, q + 1), _sorted_pairs(K, p, q)
+        index = {c: i for i, c in enumerate(dst)}
+        entries = {}
+        for j, (sigma, gamma) in enumerate(src):
+            for sign, target in cells._boundary_terms(sigma, gamma):
+                entries[(index[target], j)] = sign
+        boundary = ExactMatrix(len(dst), len(src), entries)
+        transpose = boundary.transpose()
+        return ExactMatrix(transpose.rows, transpose.cols, {k: -v for k, v in transpose.entries.items()})
+
+    return [
+        (p, q)
+        for p in range(K.n + 1)
+        for q in range(-1, p + 1)
+        if rk_block(p, q) != cell_coboundary(p, q)
+    ]
 
 
 def phi(a: RkElement) -> CellCochain:

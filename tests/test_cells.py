@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from coordarr import cells, koszul
-from coordarr.complexes import SimplicialComplex, mask_of
-from coordarr.corpus import projective_plane
+from coordarr.cli import run
+from coordarr.complexes import SimplicialComplex, card, mask_of, subsets_of
+from coordarr.corpus import projective_plane, standard_corpus
 from coordarr.linalg import (
     CheckFailed,
     ExactMatrix,
@@ -16,18 +21,23 @@ from coordarr.linalg import (
 from reference import (
     CellCochain,
     all_cells,
+    boundary_terms_by_position,
     cell_dimension,
     coboundary_cochain,
+    complex_to_json,
+    diff_terms_by_position,
     differential,
     disjoint_points,
     full_simplex,
     homology_table,
     monomial,
     phi,
+    phi_mismatches_by_matrices,
     simplex_boundary,
     stripe_table,
     torus_complex,
 )
+from test_metamorphic import complexes
 
 
 def edge_boundary():
@@ -186,8 +196,8 @@ def test_phi_mismatches_sees_sign_fault(monkeypatch):
     # is the (2, 1) boundary read as the coboundary out of (2, 0)
     original = cells.boundary_matrix
 
-    def broken(K, p, q):
-        m = original(K, p, q)
+    def broken(K, p, q, *args, **kwargs):
+        m = original(K, p, q, *args, **kwargs)
         if (p, q) == (2, 1) and m.entries:
             key = min(m.entries)
             return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
@@ -195,6 +205,99 @@ def test_phi_mismatches_sees_sign_fault(monkeypatch):
 
     monkeypatch.setattr(cells, "boundary_matrix", broken)
     assert cells.phi_mismatches(edge_boundary()) == [(2, 0)]
+
+
+def _disjoint_pairs(n: int) -> list[tuple[int, int]]:
+    """Every pair (gamma, sigma) of disjoint subsets of [n]: 3^n of them."""
+    full = (1 << n) - 1
+    return [(gamma, sigma) for sigma in range(full + 1) for gamma in subsets_of(full & ~sigma)]
+
+
+@pytest.mark.parametrize("K", [full_simplex(7), projective_plane()], ids=["simplex7", "rp2"])
+def test_term_functions_equal_the_position_forms(K):
+    # the bit-walking term functions against their elements/pos_in forms,
+    # on every pair, so sigma need not be a face; on RP² the face filter
+    # of the differential drops terms
+    pairs = _disjoint_pairs(K.n)
+    assert len(pairs) == 3 ** K.n
+    filtered = 0
+    for gamma, sigma in pairs:
+        terms = koszul._diff_terms(K, gamma, sigma)
+        assert terms == diff_terms_by_position(K, gamma, sigma), (gamma, sigma)
+        assert cells._boundary_terms(sigma, gamma) == boundary_terms_by_position(sigma, gamma), (gamma, sigma)
+        filtered += len(terms) < card(gamma)
+    assert (filtered > 0) == (K.n == 6)
+
+
+def _flip_top_gamma_removal(diff_terms):
+    """Fault: on a monomial with |sigma| = 1, the term that removes the top
+    vertex of gamma changes sign."""
+
+    def faulty(K, gamma, sigma):
+        terms = diff_terms(K, gamma, sigma)
+        if card(sigma) != 1 or not gamma:
+            return terms
+        top = 1 << (gamma.bit_length() - 1)
+        return [(-sign if target[0] == gamma ^ top else sign, target) for sign, target in terms]
+
+    return faulty
+
+
+def _flip_vertex_n_move(boundary_terms, n: int):
+    """Fault: the boundary term that moves vertex n onto the circles
+    changes sign."""
+
+    def faulty(sigma, gamma):
+        return [
+            (-sign if sigma & ~target[0] == 1 << (n - 1) else sign, target)
+            for sign, target in boundary_terms(sigma, gamma)
+        ]
+
+    return faulty
+
+
+def _inject(mp: pytest.MonkeyPatch, fault: str | None, K: SimplicialComplex) -> None:
+    if fault == "top_gamma":
+        mp.setattr(koszul, "_diff_terms", _flip_top_gamma_removal(_DIFF_TERMS))
+    elif fault == "vertex_n":
+        mp.setattr(cells, "_boundary_terms", _flip_vertex_n_move(_BOUNDARY_TERMS, K.n))
+
+
+_DIFF_TERMS, _BOUNDARY_TERMS = koszul._diff_terms, cells._boundary_terms
+FAULTS = [None, "top_gamma", "vertex_n"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_stripe_walk_names_the_blocks_of_the_matrix_form_on_the_corpus(fault):
+    # the stripe walk and the matrix form of the identity check name the
+    # same blocks, on correct code (none) and under each fault (some)
+    named = 0
+    for K in standard_corpus(200, 20260810):
+        with pytest.MonkeyPatch.context() as mp:
+            _inject(mp, fault, K)
+            mismatches = cells.phi_mismatches(K)
+            assert mismatches == phi_mismatches_by_matrices(K), K
+        named += bool(mismatches)
+    assert (named > 0) == (fault is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(complexes(6), st.sampled_from(FAULTS))
+def test_stripe_walk_names_the_blocks_of_the_matrix_form_on_random_complexes(K, fault):
+    with pytest.MonkeyPatch.context() as mp:
+        _inject(mp, fault, K)
+        assert cells.phi_mismatches(K) == phi_mismatches_by_matrices(K)
+
+
+@pytest.mark.parametrize("fault", FAULTS[1:])
+def test_compare_exits_1_under_a_term_sign_fault(fault, monkeypatch, tmp_path):
+    K = projective_plane()
+    path, out = tmp_path / "rp2.json", tmp_path / "compare.json"
+    path.write_text(json.dumps(complex_to_json(K)))
+    _inject(monkeypatch, fault, K)
+    assert cells.phi_mismatches(K)
+    assert run(["compare", str(path), "--json", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"]["differentials rk=cell"] == "fail"
 
 
 def test_projective_plane_torsion_and_uct():

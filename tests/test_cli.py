@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import inspect
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import coordarr
-from coordarr import cech, cells, kernels, koszul, linalg, resolvents
+from coordarr import cech, cells, cli, kernels, koszul, linalg, resolvents
 from coordarr.cli import run
 from coordarr.complexes import SimplicialComplex, card, parse_complex
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS
@@ -109,8 +110,8 @@ def test_compare_detects_injected_sign_fault(edge_file, monkeypatch):
     # complex and the comparison must fail, not crash
     original = cells.boundary_matrix
 
-    def broken(K, p, q):
-        m = original(K, p, q)
+    def broken(K, p, q, *args, **kwargs):
+        m = original(K, p, q, *args, **kwargs)
         if (p, q) == (2, 1) and m.entries:
             key = min(m.entries)
             flipped = dict(m.entries)
@@ -128,13 +129,50 @@ def test_compare_builds_each_differential_once(edge_file, monkeypatch):
     calls = []
     original = koszul.differential_matrix
 
-    def counting(K, p, q):
+    def counting(K, p, q, *bases):
         calls.append((p, q))
-        return original(K, p, q)
+        return original(K, p, q, *bases)
 
     monkeypatch.setattr(koszul, "differential_matrix", counting)
     assert run(["compare", edge_file]) == 0
     assert sorted(calls) == [(p, q) for p in range(3) for q in range(-1, p + 1)]
+
+
+def test_compare_builds_each_basis_once(tmp_path, monkeypatch):
+    # the identity check shares each (p, q) basis of both models between
+    # the two blocks it bounds
+    path = tmp_path / "sphere6.json"
+    path.write_text(json.dumps({"n": 6, "missing_faces": [[1, 2, 3, 4, 5, 6]]}))
+    calls = {"rk": [], "cell": []}
+    for module, name, key in ((koszul, "basis", "rk"), (cells, "cells_of_bidegree", "cell")):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name,
+            lambda K, p, q, original=original, key=key: calls[key].append((p, q)) or original(K, p, q),
+        )
+    assert run(["compare", str(path)]) == 0
+    in_range = {(p, q) for p in range(7) for q in range(p + 1)}
+    for key, seen in calls.items():
+        assert len(seen) == len(set(seen)), key
+        assert in_range <= set(seen), key
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 6, "facets": PROJECTIVE_PLANE_FACETS},
+    {"n": 5, "missing_faces": [[1, 2, 3, 4, 5]]},
+], ids=["rp2", "sphere5"])
+def test_identity_check_leaves_nothing_on_the_complex(doc):
+    # the corpus keeps every complex alive, so the bases and blocks of the
+    # check must not outlive the call as attributes of K
+    K = parse_complex(doc)
+    for name, attr in vars(SimplicialComplex).items():
+        if isinstance(attr, functools.cached_property):
+            getattr(K, name)
+    warmed = set(vars(K))
+    assert cells.phi_mismatches(K) == []
+    assert set(vars(K)) == warmed
+    cli._compare_models(K)
+    assert set(vars(K)) == warmed
 
 
 def _flip_first_entry(m: ExactMatrix) -> ExactMatrix:
@@ -155,9 +193,9 @@ def test_identity_check_covers_all_blocks_after_rk_failure(triangle_file, monkey
     calls = []
     differential_matrix = koszul.differential_matrix
 
-    def broken_block(K, p, q):
+    def broken_block(K, p, q, *bases):
         calls.append((p, q))
-        m = differential_matrix(K, p, q)
+        m = differential_matrix(K, p, q, *bases)
         return _flip_first_entry(m) if (p, q) == (2, 0) and m.entries else m
 
     monkeypatch.setattr(koszul, "summand", broken_summand)
@@ -304,7 +342,8 @@ def test_full_simplex_tables_eliminate_no_entry(tmp_path, monkeypatch):
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name,
-            lambda K, p, q, original=original, key=key: compared[key].append((p, q)) or original(K, p, q),
+            lambda K, p, q, *bases, original=original, key=key: compared[key].append((p, q))
+            or original(K, p, q, *bases),
         )
     assert run(["compare", str(path)]) == 0
     assert eliminated == []

@@ -15,6 +15,7 @@ from coordarr.linalg import ExactMatrix, compose_is_zero
 from reference import (
     RkElement,
     betti,
+    components_by_search,
     differential,
     disjoint_points,
     full_simplex,
@@ -286,6 +287,32 @@ def disjoint_unions_with_ghosts(draw) -> SimplicialComplex:
 def test_component_engine_equals_full_stripes_on_disjoint_unions(K):
     for coeff in ("Z", "Q"):
         assert koszul.cohomology(K, coeff).to_json() == _full_stripe_json(K, coeff)
+
+
+@st.composite
+def graphs_with_ghosts(draw) -> SimplicialComplex:
+    """A random graph on up to 8 vertices as a 1-dimensional complex, some
+    vertices ghosts (no face, no edge)."""
+    n = draw(st.integers(1, 8))
+    ghosts = draw(st.integers(0, (1 << n) - 1))
+    vertices = [1 << i for i in range(n) if not ghosts >> i & 1]
+    pairs = [a | b for a in vertices for b in vertices if a < b]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return SimplicialComplex(n, vertices + edges or [0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_with_ghosts())
+def test_derived_components_equal_the_search(K):
+    # the walk derives each J's components from J minus its top vertex;
+    # it visits every vertex set once and agrees with a fresh search on each
+    visited = []
+    for J, components in koszul._components_by_subset(K):
+        visited.append(J)
+        assert sorted(components) == sorted(components_by_search(K, J)), J
+    assert sorted(visited) == list(range(1 << K.n))
 
 
 def test_torsion_of_two_projective_planes_adds_up():
