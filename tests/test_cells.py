@@ -4,7 +4,6 @@ import json
 import random
 
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,15 +255,14 @@ def _flip_vertex_n_move(boundary_terms, n: int):
     return faulty
 
 
+FAULTS = [None, "top_gamma", "vertex_n"]
+
+
 def _inject(mp: pytest.MonkeyPatch, fault: str | None, K: SimplicialComplex) -> None:
     if fault == "top_gamma":
-        mp.setattr(koszul, "_diff_terms", _flip_top_gamma_removal(_DIFF_TERMS))
+        mp.setattr(koszul, "_diff_terms", _flip_top_gamma_removal(koszul._diff_terms))
     elif fault == "vertex_n":
-        mp.setattr(cells, "_boundary_terms", _flip_vertex_n_move(_BOUNDARY_TERMS, K.n))
-
-
-_DIFF_TERMS, _BOUNDARY_TERMS = koszul._diff_terms, cells._boundary_terms
-FAULTS = [None, "top_gamma", "vertex_n"]
+        mp.setattr(cells, "_boundary_terms", _flip_vertex_n_move(cells._boundary_terms, K.n))
 
 
 @pytest.mark.parametrize("fault", FAULTS)
