@@ -35,20 +35,41 @@ one rule at the tuples a caller asks for (the kernels ask for the support
 of a resolvent's top piece).
 
 Internally each (p, t) block splits as a direct sum over the index sets I
-(the coboundary never mixes the dz_I/z_I coefficients).  ``cohomology``
-eliminates each component once, from the top Čech degree down, with
+(the coboundary never mixes the dz_I/z_I coefficients).  On m cover
+indices, the admissible tuples of the component of I are the relative
+cochains of a pair (Δ, X_I): Δ is the full simplex on the m index
+positions, and X_I is the subcomplex of the tuples whose intersection
+meets I, the union over i in I of the nonempty subsets of star(i), the
+positions of the indices holding i.  Δ is acyclic, so the long exact
+sequence of the pair (Hatcher, Thm 2.16 and §3.1) gives the component's
+H^q as the reduced H~^(q-1)(X_I), which is Q at q = 0 when X_I is empty.
+``cohomology`` computes each component from the smaller side, chosen
+from sizes known before any work: |X_I| is at most the sum of
+2^|star(i)| - 1, and the admissible side holds the other 2^m - 1 - |X_I|
+tuples; a tie goes to the admissible side.  The star side builds X_I
+straight from the stars, as position masks, so it never enumerates the
+tuples of the whole cover: a sparse cover of many indices costs what its
+X_I hold.  The augmentation, the empty simplex mapping with rank 1 onto
+the vertices of a nonempty X_I, supplies the degree shift.  The component
+depends on I only through the family of its nonempty stars (X_I is their
+union of simplices, on either side), so the dimensions are cached per
+call by that family.  The computation never reads the algebra model:
+X_I is a complex on cover positions, and no nerve lemma is used.
+
+Either side eliminates its coboundaries from the top degree down, with
 clearing (Chen–Kerber, "Persistent homology computation with a twist",
 2011; Bauer–Kerber–Reininghaus, "Clear and compress", 2014): the pivot
 columns P of delta_t, a basis of its column space, are deleted from the
 rows of delta_(t-1).  The rank survives because delta_t o delta_(t-1) = 0:
 ker delta_t meets span(e_P) only in 0, so the image of delta_(t-1)
-projects injectively away from P.  Rank and pivots are cached per
-(t, column set), the column set held as a bitmap of tuple positions.  The
-key is sound: every supertuple of an admissible tuple is admissible, so
-the inadmissible rows are zero on a component's columns and the rank of
-delta_t depends on its columns alone; and a column basis of a row-cleared
-delta_t of that same rank is a column basis of the whole delta_t, so the
-cached pivots clear soundly for every index set with those columns.
+projects injectively away from P.  On the admissible side rank and pivots
+are cached per (t, column set), the column set held as a bitmap of tuple
+positions.  The key is sound: every supertuple of an admissible tuple is
+admissible, so the inadmissible rows are zero on a component's columns
+and the rank of delta_t depends on its columns alone; and a column basis
+of a row-cleared delta_t of that same rank is a column basis of the whole
+delta_t, so the cached pivots clear soundly for every index set with
+those columns.
 
 The model has two jobs: ``cohomology`` is the independent oracle for the
 algebra model's tables (which also give the Hodge table), so this module
@@ -197,13 +218,26 @@ class LogCochain:
 # ---------------------------------------------------------------------------
 
 class _CechEngine:
-    """Per-complex cache for the cover with the given indices: tuples,
-    intersections, coboundary structure and per-column-set ranks."""
+    """Per-complex cache for the cover with the given indices: the stars
+    and the component dimensions per star family, and for the admissible
+    side the tuples, intersections, coboundary structure and
+    per-column-set ranks, built only when an index set takes that side.
+
+    ``component`` is the one per-index-set route of ``table``; it picks
+    between ``dimensions`` (admissible tuples) and ``x_dimensions`` (the
+    subcomplex X_I from the stars), which give the same list."""
 
     def __init__(self, K: SimplicialComplex, indices: tuple[int, ...]):
         self.K = K
         self.indices = indices
         self.m = len(self.indices)
+        # per vertex bit v, the star of v: the bitmask of the positions of
+        # the cover indices holding v
+        self._stars = [
+            sum(1 << j for j, index in enumerate(indices) if index >> v & 1) for v in range(K.n)
+        ]
+        # family of nonempty stars -> component dimensions
+        self._by_stars: dict[tuple[int, ...], list[int]] = {}
         self._tuples: dict[int, list[tuple[FaceTuple, int]]] = {}
         self._structure: dict[int, list[list[tuple[int, int]]]] = {}
         self._positions: dict[int, dict[FaceTuple, int]] = {}
@@ -309,6 +343,70 @@ class _CechEngine:
             ranks[t + 1], cleared = cached
         return [admissible[q].bit_count() - ranks[q + 1] - ranks[q] for q in range(self.m)]
 
+    def star_family(self, iset: int) -> tuple[int, ...]:
+        """The distinct nonempty stars of the vertices of the index set,
+        ascending: X_I, and so the component, depends on I through them
+        alone."""
+        stars = self._stars
+        return tuple(sorted({stars[v] for v in range(iset.bit_length()) if iset >> v & 1 and stars[v]}))
+
+    def x_dimensions(self, stars: tuple[int, ...]) -> list[int]:
+        """``dimensions`` from the other side of the pair: dim H~^(q-1) of
+        X_I, the union of the simplices on the given stars, for every
+        q = 0, ..., m-1, from one top-down pass with clearing.
+
+        The simplices of X_I are cover-position masks, the nonempty
+        submasks of the stars; by_size[s] holds those with s elements, and
+        by_size[0] the empty simplex of the augmentation.
+        """
+        simplices = set()
+        for star in stars:
+            sub = star
+            while sub:
+                simplices.add(sub)
+                sub = (sub - 1) & star
+        by_size: list[list[int]] = [[] for _ in range(self.m + 1)]
+        by_size[0].append(0)
+        for simplex in sorted(simplices):
+            by_size[simplex.bit_count()].append(simplex)
+        # ranks[s] = rank of the coboundary from the s-simplices to the
+        # (s+1)-simplices; ranks[0], the augmentation, is 1 when X_I is
+        # nonempty (the empty simplex maps onto the sum of the vertices)
+        ranks = [0] * (self.m + 1)
+        top = max(star.bit_count() for star in stars) if stars else 0
+        cleared: set[int] = set()  # pivot columns of the coboundary above
+        for size in range(top - 1, 0, -1):
+            rows = [r for r in by_size[size + 1] if r not in cleared]
+            cols = by_size[size]
+            found: list[int] = []
+            if rows:
+                ranks[size] = rank_rational(_simplex_coboundary(rows, cols), pivots=found)
+            cleared = {cols[c] for c in found}
+        ranks[0] = 1 if simplices else 0
+        return [
+            len(by_size[q]) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(self.m)
+        ]
+
+    def component(self, iset: int) -> list[int]:
+        """The dimensions of the index-set component, for every Čech degree
+        q = 0, ..., m-1, from the smaller side of the pair (Δ, X_I), cached
+        by the family of stars.
+
+        |X_I| is at most the sum of 2^|star| - 1 over the family, and the
+        admissible side holds the 2^m - 1 tuples outside X_I; a tie goes to
+        the admissible side, which shares its rank cache across index sets.
+        """
+        stars = self.star_family(iset)
+        dims = self._by_stars.get(stars)
+        if dims is None:
+            bound = sum((1 << star.bit_count()) - 1 for star in stars)
+            if 2 * bound < (1 << self.m) - 1:
+                dims = self.x_dimensions(stars)
+            else:
+                dims = self.dimensions(iset)
+            self._by_stars[stars] = dims
+        return dims
+
     def table(self) -> BigradedTable:
         """The component dimensions summed per bidegree; a negative one is
         a wrong rank (``CheckFailed``)."""
@@ -318,7 +416,7 @@ class _CechEngine:
                 # q runs over every Čech degree of the cover, up to m - 1, which
                 # can exceed n: vanishing above the diagonal q = p is a fact
                 # about the cover, so it is computed rather than assumed
-                for q, dim in enumerate(self.dimensions(iset)):
+                for q, dim in enumerate(self.component(iset)):
                     if dim < 0:
                         raise CheckFailed(
                             f"negative Čech group dimension {dim} at (p, q) = ({p}, {q})"
@@ -328,6 +426,23 @@ class _CechEngine:
         return BigradedTable(
             {key: CohomologyBlock(total) for key, total in sorted(totals.items())}, "Q"
         )
+
+
+def _simplex_coboundary(rows: list[int], cols: list[int]) -> ExactMatrix:
+    """The simplicial coboundary between the given simplices, position
+    masks one element larger than the columns, every face of a row among
+    the columns: a row's entry at the face missing its j-th element
+    (ascending) is (-1)^j."""
+    col_pos = {c: i for i, c in enumerate(cols)}
+    entries: dict[tuple[int, int], int] = {}
+    for new_row, simplex in enumerate(rows):
+        rest, sign = simplex, 1
+        while rest:
+            low = rest & -rest
+            entries[(new_row, col_pos[simplex ^ low])] = sign
+            rest ^= low
+            sign = -sign
+    return ExactMatrix(len(rows), len(cols), entries)
 
 
 def _bits(bitmap: int) -> list[int]:

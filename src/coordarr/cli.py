@@ -12,8 +12,11 @@ builds each basis of each model once, and keeps nothing once it returns
 (``corpus`` holds every complex alive).  ``kernel`` and
 ``resolvent`` read the cycles of one bidegree of the cell model and no
 table.  The Čech model runs only as the oracle of ``compare`` and
-``corpus``, and for the kernels' cocycles.  ``resolvent`` builds and
-validates every piece; ``kernel`` and ``verify-kernel`` build the top piece
+``corpus``, and for the kernels' cocycles.  The oracle takes each index
+set's component from the smaller side of the pair (full simplex, X_I) on
+the facet positions, X_I built from the vertex stars, and never reads the
+algebra model.  ``resolvent`` builds and validates every piece;
+``kernel`` and ``verify-kernel`` build the top piece
 only on the flags the pairing can read (one on the boundary of a simplex)
 and check the resolvent identity at each kept flag prefix, and ``kernel``
 writes only those top tuples to its artifact.

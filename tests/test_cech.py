@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import warnings
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordarr import cech, cells, koszul
-from coordarr.complexes import SimplicialComplex, face_key, mask_of
+from coordarr.complexes import SimplicialComplex, elements, face_key, mask_of
 from coordarr.corpus import all_complexes, projective_plane, standard_corpus
 from coordarr.linalg import compose_is_zero, rank_rational
 from coordarr.resolvents import build_resolvent, resolvent_pairing
@@ -114,13 +116,56 @@ def test_clearing_equals_the_reference_on_the_corpus():
         assert cech.cohomology(K).ranks() == _reference_ranks(K), K
 
 
-@pytest.mark.parametrize(
+SPHERES_CYCLES_RP2 = pytest.mark.parametrize(
     "K",
     [simplex_boundary(n) for n in range(3, 9)] + [_cycle(8), _cycle(9), projective_plane()],
     ids=[f"sphere{n}" for n in range(3, 9)] + ["C8", "C9", "rp2"],
 )
+
+
+@SPHERES_CYCLES_RP2
 def test_clearing_equals_the_reference_on_spheres_cycles_and_rp2(K):
     assert cech.cohomology(K).ranks() == _reference_ranks(K)
+
+
+def _assert_sides_agree(engine):
+    """Both routes give the same component dimensions for every index set:
+    the admissible tuples and the subcomplex X_I built from the stars."""
+    K = engine.K
+    for p in range(K.n + 1):
+        for iset in K.k_subsets(p):
+            assert engine.x_dimensions(engine.star_family(iset)) == engine.dimensions(iset), (K, iset)
+
+
+def test_both_sides_agree_on_the_corpus():
+    for K in standard_corpus():
+        _assert_sides_agree(cech._CechEngine(K, K.facets))
+
+
+@SPHERES_CYCLES_RP2
+def test_both_sides_agree_on_spheres_cycles_and_rp2(K):
+    _assert_sides_agree(cech._CechEngine(K, K.facets))
+
+
+def test_both_sides_agree_on_the_face_cover():
+    for K in all_complexes(3):
+        _assert_sides_agree(face_cover_engine(K))
+
+
+def test_the_side_rule_keeps_the_admissible_side_on_sphere_index_sets_of_two_or_more():
+    # on the boundary of the simplex |X_I| grows past half the tuples once I
+    # has two vertices; a single vertex or none takes the star side
+    K = simplex_boundary(8)
+    taken: list = []
+    engine = cech._CechEngine(K, K.facets)
+    dimensions, x_dimensions = engine.dimensions, engine.x_dimensions
+    engine.dimensions = lambda iset: taken.append(("admissible", iset.bit_count())) or dimensions(iset)
+    engine.x_dimensions = lambda stars: taken.append(("x", len(stars))) or x_dimensions(stars)
+    assert engine.table().ranks() == koszul.cohomology(K, "Q").ranks()
+    assert sorted(taken) == [("admissible", card) for card in range(2, 9) for _ in range(comb(8, card))] + [
+        ("x", 0),
+        *[("x", 1)] * 8,
+    ]
 
 
 def test_clearing_equals_the_reference_on_the_face_cover():
@@ -144,36 +189,120 @@ def test_clearing_equals_the_reference_on_random_complexes(K):
     assert cech.cohomology(K).ranks() == _reference_ranks(K)
 
 
-def test_clearing_halves_the_rp2_rows_and_eliminates_each_column_set_once(monkeypatch):
+@settings(max_examples=150, deadline=None)
+@given(small_complexes())
+def test_both_sides_agree_on_random_complexes(K):
+    _assert_sides_agree(cech._CechEngine(K, K.facets))
+
+
+def _rp2_twice():
+    facets = [list(elements(f)) for f in projective_plane().facets]
+    return SimplicialComplex.from_vertex_lists(12, facets + [[v + 6 for v in f] for f in facets])
+
+
+def test_rp2_twice_matches_the_summand_engine_without_the_whole_cover(monkeypatch):
+    # 20 facets: the admissible side would enumerate 2^20 - 1 tuples, the
+    # star side holds at most 12 * 31 simplices per index set
+    K = _rp2_twice()
+    calls: Counter = Counter()
+    for name in ("tuples", "_meets", "structure"):
+        original = getattr(cech._CechEngine, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(cech._CechEngine, name, counted)
+    assert cech.cohomology(K).ranks() == koszul.cohomology(K, "Q").ranks()
+    assert calls == Counter()
+
+
+def test_cycles_match_the_closed_form():
+    # h(0,0) = h(n,2) = 1, and h(p,1) counts, over the p-subsets of the
+    # cycle that form c >= 2 arcs, the c - 1 extra components; a route that
+    # shares nothing with the summand engine
+    for n in range(8, 13):
+        expected = {(0, 0): 1, (n, 2): 1}
+        for p in range(2, n - 1):
+            arcs = [(n * comb(p - 1, c - 1) * comb(n - p - 1, c - 1), c) for c in range(2, p + 1)]
+            assert all(count % c == 0 for count, c in arcs)
+            expected[(p, 1)] = sum((c - 1) * (count // c) for count, c in arcs)
+        assert cech.cohomology(_cycle(n)).ranks() == {k: v for k, v in expected.items() if v}, n
+
+
+def test_clearing_cuts_the_rp2_rows_and_eliminates_each_block_once(monkeypatch):
     K = projective_plane()
-    rows: list[int] = []
+    # one list per X_I eliminated: [size, columns, rows kept, rank] per block
+    groups: list[list[list]] = []
+    x_dimensions = cech._CechEngine.x_dimensions
 
-    def counting_rank(m, **kwargs):
-        rows.append(m.rows)
-        return rank_rational(m, **kwargs)
+    def recording_x(self, stars):
+        groups.append([])
+        return x_dimensions(self, stars)
 
-    eliminated: list = []
-    coboundary = cech._CechEngine._coboundary
+    coboundary = cech._simplex_coboundary
 
-    def recording_coboundary(self, t, row_list, cols):
-        eliminated.append((t, tuple(cols)))
-        return coboundary(self, t, row_list, cols)
+    def recording_coboundary(rows, cols):
+        groups[-1].append([cols[0].bit_count(), tuple(cols), len(rows)])
+        return coboundary(rows, cols)
 
-    monkeypatch.setattr(cech, "rank_rational", counting_rank)
-    monkeypatch.setattr(cech._CechEngine, "_coboundary", recording_coboundary)
+    def recording_rank(m, **kwargs):
+        rank = rank_rational(m, **kwargs)
+        groups[-1][-1].append(rank)
+        return rank
+
+    admissible: list = []
+    dimensions = cech._CechEngine.dimensions
+    monkeypatch.setattr(cech._CechEngine, "x_dimensions", recording_x)
+    monkeypatch.setattr(
+        cech._CechEngine, "dimensions", lambda self, iset: admissible.append(iset) or dimensions(self, iset)
+    )
+    monkeypatch.setattr(cech, "_simplex_coboundary", recording_coboundary)
+    monkeypatch.setattr(cech, "rank_rational", recording_rank)
     assert cech.cohomology(K).ranks() == {(0, 0): 1, (3, 2): 10, (4, 2): 15, (5, 2): 6}
-    assert len(rows) == len(eliminated) == len(set(eliminated))
-    # the same column sets, each eliminated once with every admissible row
-    engine = cech._CechEngine(K, K.facets)
-    full_rows: dict = {}
+    # every star family is at most 6 * 31 < 1023 / 2 simplices: one side
+    assert admissible == []
+
+    # X_I from its definition, the tuples whose intersection meets I, and
+    # the blocks of each distinct one: (size, columns) -> its full rows
+    facets = K.facets
+    distinct = set()
     for p in range(K.n + 1):
         for iset in K.k_subsets(p):
-            for t in range(engine.m - 1):
-                key = (t, tuple(engine.admissible(t + 1, iset)))
-                if key[1] and key not in full_rows:
-                    full_rows[key] = len(engine.admissible(t + 2, iset))
-    assert set(eliminated) == set(full_rows)
-    assert sum(rows) < sum(full_rows.values()) // 2
+            X = frozenset(
+                T for T in range(1, 1 << len(facets))
+                if cech._intersection(facets[j] for j in range(len(facets)) if T >> j & 1) & iset
+            )
+            distinct.add(X)
+    full_rows: dict = {}
+    expected = []
+    for X in distinct:
+        by_size: dict = {}
+        for T in sorted(X):
+            by_size.setdefault(T.bit_count(), []).append(T)
+        blocks = []
+        for size in sorted(by_size, reverse=True):
+            if size + 1 in by_size:
+                blocks.append((size, tuple(by_size[size])))
+                full_rows[(X, size)] = len(by_size[size + 1])
+        expected.append((X, tuple(blocks)))
+
+    # each X_I eliminated once, each of its blocks once, top-down
+    eliminated = Counter(tuple((size, cols) for size, cols, _, _ in group) for group in groups)
+    assert eliminated == Counter(blocks for _, blocks in expected)
+    assert set(eliminated.values()) == {1}
+    # clearing: each block keeps its rows minus the pivots of the block above
+    by_blocks = {blocks: X for X, blocks in expected}
+    kept = total = 0
+    for group in groups:
+        X = by_blocks[tuple((size, cols) for size, cols, _, _ in group)]
+        above = 0
+        for size, _, rows, rank in group:
+            assert rows == full_rows[(X, size)] - above
+            above = rank
+            kept += rows
+            total += full_rows[(X, size)]
+    assert kept < total
 
 
 def test_hodge_table_edge_boundary():

@@ -86,14 +86,15 @@ def test_compare_pass(edge_file):
 
 def test_negative_cech_dimension_fails_the_check(edge_file, tmp_path, monkeypatch, capsys):
     # a wrong rank shows up as a negative component dimension: it must fail
-    # the Čech model, not be printed as a zero group
-    dimensions = cech._CechEngine.dimensions
+    # the Čech model, not be printed as a zero group.  Both sides of the
+    # pair feed the table through ``component``
+    component = cech._CechEngine.component
 
     def one_negative(self, iset):
-        dims = dimensions(self, iset)
+        dims = component(self, iset)
         return [dims[0] - 24] + dims[1:] if iset == 0 else dims
 
-    monkeypatch.setattr(cech._CechEngine, "dimensions", one_negative)
+    monkeypatch.setattr(cech._CechEngine, "component", one_negative)
     with pytest.raises(CheckFailed, match="negative"):
         cech.cohomology(SimplicialComplex.from_vertex_lists(2, [[1], [2]]))
     assert run(["cohomology", edge_file, "--model", "cech"]) == 1
