@@ -36,40 +36,41 @@ of a resolvent's top piece).
 
 Internally each (p, t) block splits as a direct sum over the index sets I
 (the coboundary never mixes the dz_I/z_I coefficients).  On m cover
-indices, the admissible tuples of the component of I are the relative
-cochains of a pair (Δ, X_I): Δ is the full simplex on the m index
-positions, and X_I is the subcomplex of the tuples whose intersection
-meets I, the union over i in I of the nonempty subsets of star(i), the
-positions of the indices holding i.  Δ is acyclic, so the long exact
-sequence of the pair (Hatcher, Thm 2.16 and §3.1) gives the component's
-H^q as the reduced H~^(q-1)(X_I), which is Q at q = 0 when X_I is empty.
-``cohomology`` computes each component from the smaller side, chosen
-from sizes known before any work: |X_I| is at most the sum of
-2^|star(i)| - 1, and the admissible side holds the other 2^m - 1 - |X_I|
-tuples; a tie goes to the admissible side.  The star side builds X_I
-straight from the stars, as position masks, so it never enumerates the
-tuples of the whole cover: a sparse cover of many indices costs what its
-X_I hold.  The augmentation, the empty simplex mapping with rank 1 onto
-the vertices of a nonempty X_I, supplies the degree shift.  The component
+indices a tuple is a position mask, the set of the index positions it
+takes; the masks of each size are listed in the order of their tuples,
+and a mask becomes its tuple only when a cochain is written.  A tuple's
+intersection holds the vertex v exactly when its mask lies inside star(v),
+the positions of the indices holding v.  So the admissible tuples of the
+component of I, the masks inside no star of I, are the relative cochains
+of a pair (Δ, X_I): Δ is the full simplex on the m positions, and X_I the
+union over i in I of the nonempty submasks of star(i).  Δ is acyclic, so
+the long exact sequence of the pair (Hatcher, Thm 2.16 and §3.1) gives the
+component's H^q as the reduced H~^(q-1)(X_I), which is Q at q = 0 when
+X_I is empty.  ``cohomology`` computes each component from the smaller
+family, chosen from sizes known before any work: |X_I| is at most the sum
+of 2^|star(i)| - 1, and the admissible side holds the other 2^m - 1 - |X_I|
+masks; a tie goes to the admissible side.  X_I is built straight from the
+stars, so that side never enumerates the masks of the whole cover: a
+sparse cover of many indices costs what its X_I hold.  The component
 depends on I only through the family of its nonempty stars (X_I is their
 union of simplices, on either side), so the dimensions are cached per
-call by that family.  The computation never reads the algebra model:
-X_I is a complex on cover positions, and no nerve lemma is used.
+call by that family.  The computation never reads the algebra model: X_I
+is a complex on cover positions, and no nerve lemma is used.
 
-Either side eliminates its coboundaries from the top degree down, with
-clearing (Chen–Kerber, "Persistent homology computation with a twist",
-2011; Bauer–Kerber–Reininghaus, "Clear and compress", 2014): the pivot
-columns P of delta_t, a basis of its column space, are deleted from the
-rows of delta_(t-1).  The rank survives because delta_t o delta_(t-1) = 0:
+Both families go through one pass.  The coboundary sends a mask to its
+faces with alternating signs and skips a face outside the family: on the
+admissible side that face is inadmissible, and the skip is the relative
+coboundary; X_I holds every nonempty face of its simplices.  The pass
+eliminates from the top size down, with clearing (Chen–Kerber,
+"Persistent homology computation with a twist", 2011;
+Bauer–Kerber–Reininghaus, "Clear and compress", 2014): the pivot columns
+P of delta_t, a basis of its column space, are deleted from the rows of
+delta_(t-1).  The rank survives because delta_t o delta_(t-1) = 0:
 ker delta_t meets span(e_P) only in 0, so the image of delta_(t-1)
-projects injectively away from P.  On the admissible side rank and pivots
-are cached per (t, column set), the column set held as a bitmap of tuple
-positions.  The key is sound: every supertuple of an admissible tuple is
-admissible, so the inadmissible rows are zero on a component's columns
-and the rank of delta_t depends on its columns alone; and a column basis
-of a row-cleared delta_t of that same rank is a column basis of the whole
-delta_t, so the cached pivots clear soundly for every index set with
-those columns.
+projects injectively away from P.  The pass gives the unreduced
+dimensions of the family; on the X_I side the augmentation, the empty
+simplex mapping with rank 1 onto the vertices of a nonempty X_I, is
+applied afterwards and shifts them to the reduced ones.
 
 The model has two jobs: ``cohomology`` is the independent oracle for the
 algebra model's tables (which also give the Hodge table), so this module
@@ -218,14 +219,15 @@ class LogCochain:
 # ---------------------------------------------------------------------------
 
 class _CechEngine:
-    """Per-complex cache for the cover with the given indices: the stars
-    and the component dimensions per star family, and for the admissible
-    side the tuples, intersections, coboundary structure and
-    per-column-set ranks, built only when an index set takes that side.
+    """Per-complex cache for the cover with the given indices: the stars,
+    the component dimensions per star family, and for the admissible side
+    the masks of each size and their per-vertex admissibility bitmaps,
+    built only when an index set takes that side.
 
     ``component`` is the one per-index-set route of ``table``; it picks
-    between ``dimensions`` (admissible tuples) and ``x_dimensions`` (the
-    subcomplex X_I from the stars), which give the same list."""
+    between ``dimensions`` (admissible masks) and ``x_dimensions`` (the
+    subcomplex X_I from the stars), which run the same pass over their
+    family and give the same list."""
 
     def __init__(self, K: SimplicialComplex, indices: tuple[int, ...]):
         self.K = K
@@ -238,110 +240,53 @@ class _CechEngine:
         ]
         # family of nonempty stars -> component dimensions
         self._by_stars: dict[tuple[int, ...], list[int]] = {}
-        self._tuples: dict[int, list[tuple[FaceTuple, int]]] = {}
-        self._structure: dict[int, list[list[tuple[int, int]]]] = {}
-        self._positions: dict[int, dict[FaceTuple, int]] = {}
-        # (t, column bitmap) -> (rank of delta_t, bitmask of its pivot columns)
-        self._rank_cache: dict[tuple[int, int], tuple[int, int]] = {}
+        self._masks: dict[int, list[int]] = {}
         self._meets_cache: dict[int, list[int]] = {}
 
-    def tuples(self, size: int) -> list[tuple[FaceTuple, int]]:
-        """All increasing tuples of the given size with their intersections."""
-        if size not in self._tuples:
-            self._tuples[size] = [
-                (tup, _intersection(tup)) for tup in combinations(self.indices, size)
-            ]
-            self._positions[size] = {tup: i for i, (tup, _) in enumerate(self._tuples[size])}
-        return self._tuples[size]
-
-    def structure(self, t: int) -> list[list[tuple[int, int]]]:
-        """For every (t+2)-tuple, the signed positions of its sub-tuples:
-        entry ``row -> [(col, sign), ...]`` of the degree-t coboundary
-        before index-set filtering and before the global form-degree sign."""
-        if t not in self._structure:
-            self.tuples(t + 1)
-            pos = self._positions[t + 1]
-            rows = []
-            for tup, _ in self.tuples(t + 2):
-                row = []
-                for j in range(len(tup)):
-                    sub = tup[:j] + tup[j + 1 :]
-                    row.append((pos[sub], -1 if j % 2 else 1))
-                rows.append(row)
-            self._structure[t] = rows
-        return self._structure[t]
-
-    def admissible(self, size: int, iset: int) -> list[int]:
-        """Positions of the tuples of the given size whose intersection
-        misses the index set."""
-        return _bits(self._admissible_bitmap(size, iset))
+    def masks(self, size: int) -> list[int]:
+        """All position masks with the given number of elements, in the
+        order of their index tuples."""
+        if size not in self._masks:
+            bit = [1 << j for j in range(self.m)]
+            self._masks[size] = [sum(map(bit.__getitem__, c)) for c in combinations(range(self.m), size)]
+        return self._masks[size]
 
     def _meets(self, size: int) -> list[int]:
-        """Per vertex bit v, the bitmap of the positions of the tuples of
-        the given size whose intersection holds v."""
+        """Per vertex bit v, the bitmap of the positions in ``masks(size)``
+        of the masks inside star(v): the tuples whose intersection holds v."""
         if size not in self._meets_cache:
-            inters = [inter for _, inter in reversed(self.tuples(size))]
+            masks = self.masks(size)[::-1]
             self._meets_cache[size] = [
-                int("0" + "".join("1" if inter >> v & 1 else "0" for inter in inters), 2)
-                for v in range(self.K.n)
+                int("0" + "".join("0" if mask & outside else "1" for mask in masks), 2)
+                for outside in [~star for star in self._stars]
             ]
         return self._meets_cache[size]
 
-    def _admissible_bitmap(self, size: int, iset: int) -> int:
-        """``admissible`` as a bitmap of positions, from one mask operation
-        per vertex of the index set."""
-        bitmap = (1 << len(self.tuples(size))) - 1
+    def admissible(self, size: int, iset: int) -> list[int]:
+        """The masks of the given size inside no star of the index set, in
+        tuple order, from one bitmap operation per vertex of the set."""
+        masks = self.masks(size)
+        bitmap = (1 << len(masks)) - 1
         meets = self._meets(size)
         for v in range(iset.bit_length()):
             if iset >> v & 1:
                 bitmap &= ~meets[v]
-        return bitmap
-
-    def _coboundary(self, t: int, rows: list[int], cols: list[int]) -> ExactMatrix:
-        """The degree-t coboundary between the given (t+2)-tuple rows and
-        (t+1)-tuple columns, both lists of tuple positions."""
-        col_pos = {c: i for i, c in enumerate(cols)}
-        structure = self.structure(t)
-        entries: dict[tuple[int, int], int] = {}
-        for new_row, r in enumerate(rows):
-            for col, sign in structure[r]:
-                pos = col_pos.get(col)
-                if pos is not None:
-                    entries[(new_row, pos)] = sign
-        return ExactMatrix(len(rows), len(cols), entries)
+        return [masks[i] for i in _bits(bitmap)]
 
     def block(self, iset: int, t: int) -> ExactMatrix:
         """Degree-t coboundary on the index-set component, from the
-        admissible (t+1)-tuples to the admissible (t+2)-tuples; the complex
-        is not augmented, so for t < 0 it is the empty map into degree 0."""
+        admissible (t+1)-tuples to the admissible (t+2)-tuples, before the
+        form-degree sign; the complex is not augmented, so for t < 0 it is
+        the empty map into degree 0."""
         rows = self.admissible(t + 2, iset)
         if t < 0:
             return ExactMatrix(len(rows), 0)
-        return self._coboundary(t, rows, self.admissible(t + 1, iset))
+        return _simplex_coboundary(rows, self.admissible(t + 1, iset))
 
     def dimensions(self, iset: int) -> list[int]:
         """dim of the degree-q cohomology of the index-set component, for
-        every q = 0, ..., m-1, from one top-down pass with clearing."""
-        # admissible[t]: bitmap of the positions of the admissible (t+1)-tuples
-        admissible = [self._admissible_bitmap(size, iset) for size in range(1, self.m + 1)]
-        ranks = [0] * (self.m + 1)  # ranks[t + 1] = rank of delta_t
-        cleared = 0  # pivot columns of delta_(t+1), as (t+2)-tuple positions
-        for t in range(self.m - 2, -1, -1):
-            if not admissible[t]:
-                break  # every smaller tuple is inadmissible as well
-            key = (t, admissible[t])
-            cached = self._rank_cache.get(key)
-            if cached is None:
-                cols = _bits(admissible[t])
-                rows = _bits(admissible[t + 1] & ~cleared)
-                found: list[int] = []
-                rank = rank_rational(self._coboundary(t, rows, cols), pivots=found)
-                pivot_mask = 0
-                for c in found:
-                    pivot_mask |= 1 << cols[c]
-                cached = self._rank_cache[key] = (rank, pivot_mask)
-            ranks[t + 1], cleared = cached
-        return [admissible[q].bit_count() - ranks[q + 1] - ranks[q] for q in range(self.m)]
+        every q = 0, ..., m-1: the pass over the admissible masks."""
+        return _cleared_dimensions([[]] + [self.admissible(size, iset) for size in range(1, self.m + 1)])
 
     def star_family(self, iset: int) -> tuple[int, ...]:
         """The distinct nonempty stars of the vertices of the index set,
@@ -353,11 +298,12 @@ class _CechEngine:
     def x_dimensions(self, stars: tuple[int, ...]) -> list[int]:
         """``dimensions`` from the other side of the pair: dim H~^(q-1) of
         X_I, the union of the simplices on the given stars, for every
-        q = 0, ..., m-1, from one top-down pass with clearing.
+        q = 0, ..., m-1.
 
-        The simplices of X_I are cover-position masks, the nonempty
-        submasks of the stars; by_size[s] holds those with s elements, and
-        by_size[0] the empty simplex of the augmentation.
+        The pass runs over the nonempty submasks of the stars, ascending
+        within each size, and gives the unreduced dimensions of X_I; the
+        augmentation (rank 1 when X_I is nonempty) then takes one class
+        from degree 0 and leaves H~^(-1) = Q only for an empty X_I.
         """
         simplices = set()
         for star in stars:
@@ -365,27 +311,12 @@ class _CechEngine:
             while sub:
                 simplices.add(sub)
                 sub = (sub - 1) & star
-        by_size: list[list[int]] = [[] for _ in range(self.m + 1)]
-        by_size[0].append(0)
+        family: list[list[int]] = [[] for _ in range(self.m + 1)]
         for simplex in sorted(simplices):
-            by_size[simplex.bit_count()].append(simplex)
-        # ranks[s] = rank of the coboundary from the s-simplices to the
-        # (s+1)-simplices; ranks[0], the augmentation, is 1 when X_I is
-        # nonempty (the empty simplex maps onto the sum of the vertices)
-        ranks = [0] * (self.m + 1)
-        top = max(star.bit_count() for star in stars) if stars else 0
-        cleared: set[int] = set()  # pivot columns of the coboundary above
-        for size in range(top - 1, 0, -1):
-            rows = [r for r in by_size[size + 1] if r not in cleared]
-            cols = by_size[size]
-            found: list[int] = []
-            if rows:
-                ranks[size] = rank_rational(_simplex_coboundary(rows, cols), pivots=found)
-            cleared = {cols[c] for c in found}
-        ranks[0] = 1 if simplices else 0
-        return [
-            len(by_size[q]) - ranks[q] - (ranks[q - 1] if q else 0) for q in range(self.m)
-        ]
+            family[simplex.bit_count()].append(simplex)
+        dims = _cleared_dimensions(family)
+        augmentation = 1 if simplices else 0
+        return ([1 - augmentation, dims[0] - augmentation] + dims[1:])[: self.m]
 
     def component(self, iset: int) -> list[int]:
         """The dimensions of the index-set component, for every Čech degree
@@ -393,8 +324,8 @@ class _CechEngine:
         by the family of stars.
 
         |X_I| is at most the sum of 2^|star| - 1 over the family, and the
-        admissible side holds the 2^m - 1 tuples outside X_I; a tie goes to
-        the admissible side, which shares its rank cache across index sets.
+        admissible side holds the 2^m - 1 masks outside X_I; a tie goes to
+        the admissible side.
         """
         stars = self.star_family(iset)
         dims = self._by_stars.get(stars)
@@ -429,20 +360,41 @@ class _CechEngine:
 
 
 def _simplex_coboundary(rows: list[int], cols: list[int]) -> ExactMatrix:
-    """The simplicial coboundary between the given simplices, position
-    masks one element larger than the columns, every face of a row among
-    the columns: a row's entry at the face missing its j-th element
-    (ascending) is (-1)^j."""
+    """The coboundary between the given position masks, the rows one
+    element larger than the columns: a row's entry at the face missing its
+    j-th element (ascending) is (-1)^j, and a face that is not among the
+    columns is skipped."""
     col_pos = {c: i for i, c in enumerate(cols)}
     entries: dict[tuple[int, int], int] = {}
     for new_row, simplex in enumerate(rows):
         rest, sign = simplex, 1
         while rest:
             low = rest & -rest
-            entries[(new_row, col_pos[simplex ^ low])] = sign
+            pos = col_pos.get(simplex ^ low)
+            if pos is not None:
+                entries[(new_row, pos)] = sign
             rest ^= low
             sign = -sign
     return ExactMatrix(len(rows), len(cols), entries)
+
+
+def _cleared_dimensions(family: list[list[int]]) -> list[int]:
+    """The cohomology dimensions of a family of position masks, family[s]
+    holding those with s elements (family[0] is not read): for every
+    s >= 1, |family[s]| - rank delta_s - rank delta_(s-1), delta_s the
+    coboundary from the s-masks to the (s+1)-masks, from one top-down pass
+    with clearing."""
+    ranks = [0] * (len(family) + 1)  # ranks[s] = rank of delta_s
+    cleared: set[int] = set()  # pivot columns of the coboundary above
+    top = max((size for size, masks in enumerate(family) if masks), default=0)
+    for size in range(top - 1, 0, -1):
+        cols = family[size]
+        rows = [r for r in family[size + 1] if r not in cleared]
+        found: list[int] = []
+        if rows and cols:
+            ranks[size] = rank_rational(_simplex_coboundary(rows, cols), pivots=found)
+        cleared = {cols[c] for c in found}
+    return [len(family[s]) - ranks[s] - ranks[s - 1] for s in range(1, len(family))]
 
 
 def _bits(bitmap: int) -> list[int]:
@@ -474,7 +426,6 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
     cocycle basis along a mutual refinement is again a basis.
     """
     engine = _CechEngine(K, K.facets)
-    tuples_here = engine.tuples(q + 1)
     out: list[LogCochain] = []
     for iset in K.k_subsets(p):
         cols = engine.admissible(q + 1, iset)
@@ -482,7 +433,8 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
             continue
         reps = quotient_basis(kernel_basis(engine.block(iset, q)), engine.block(iset, q - 1))
         for vec in reps:
-            out.append(LogCochain(p, q, {tuples_here[cols[i]][0]: {iset: v} for i, v in vec.items()}))
+            values = {tuple(K.facets[j] for j in _bits(cols[i])): {iset: v} for i, v in vec.items()}
+            out.append(LogCochain(p, q, values))
     return out
 
 

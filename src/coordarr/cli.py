@@ -13,13 +13,14 @@ builds each basis of each model once, and keeps nothing once it returns
 ``resolvent`` read the cycles of one bidegree of the cell model and no
 table.  The Čech model runs only as the oracle of ``compare`` and
 ``corpus``, and for the kernels' cocycles.  The oracle takes each index
-set's component from the smaller side of the pair (full simplex, X_I) on
-the facet positions, X_I built from the vertex stars, and never reads the
-algebra model.  ``resolvent`` builds and validates every piece;
-``kernel`` and ``verify-kernel`` build the top piece
-only on the flags the pairing can read (one on the boundary of a simplex)
-and check the resolvent identity at each kept flag prefix, and ``kernel``
-writes only those top tuples to its artifact.
+set's component from the smaller of two families of facet-position masks,
+the admissible ones or X_I built from the vertex stars, through one
+coboundary and one clearing pass, and never reads the algebra model.
+``resolvent`` builds and validates every piece; ``kernel`` and
+``verify-kernel`` build the top piece only on the flags the pairing can
+read (one on the boundary of a simplex) and check the resolvent identity
+at each kept flag prefix, and ``kernel`` writes only those top tuples to
+its artifact.
 
 Exit codes: 0 on success, 1 when a mathematical check fails (model
 disagreement, a differential that does not square to zero, a broken
@@ -58,9 +59,11 @@ def _load(path: str) -> tuple[SimplicialComplex, str]:
 
 def _emit(report: dict, json_path: str | None) -> None:
     if json_path:
-        Path(json_path).write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        try:
+            Path(json_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ComplexError(f"cannot write {json_path}: {exc}") from exc
 
 
 def _report(command: str, source_text: str, artifacts: dict, checks: dict[str, bool]) -> dict:
@@ -222,6 +225,8 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
+    if args.random < 0:
+        raise ComplexError(f"--random must be >= 0, got {args.random}")
     items = corpus.standard_corpus(args.random, args.seed)
     failures = 0
     t0 = time.perf_counter()

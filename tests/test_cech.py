@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import ast
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import warnings
 
@@ -90,10 +92,10 @@ def test_face_and_facet_cover_tables_agree_small():
 
 
 def _reference_ranks(K, engine=None):
-    """The table without clearing and without a rank cache: every component
-    dimension is dim - rank(delta_q) - rank(delta_(q-1)), each coboundary
-    eliminated in full, for every Čech degree q of the cover (the facet
-    cover unless another engine is given)."""
+    """The table without clearing: every component dimension is
+    dim - rank(delta_q) - rank(delta_(q-1)), each coboundary eliminated in
+    full, for every Čech degree q of the cover (the facet cover unless
+    another engine is given)."""
     engine = engine or cech._CechEngine(K, K.facets)
     totals: dict = {}
     for p in range(K.n + 1):
@@ -173,6 +175,65 @@ def test_clearing_equals_the_reference_on_the_face_cover():
         assert face_cover_engine(K).table().ranks() == _reference_ranks(K, face_cover_engine(K)), K
 
 
+
+def _assert_blocks_match_the_reference(K, indices):
+    """Every component block of the engine is (-1)^p times the rows and
+    columns of the whole (p, t) reference matrix that carry its index set,
+    in the same order."""
+    engine = cech._CechEngine(K, indices)
+    for p in range(K.n + 1):
+        sign = -1 if p % 2 else 1
+        for t in range(len(indices)):
+            full = cech_matrix(K, p, t, indices)
+            src, dst = log_basis(K, p, t, indices), log_basis(K, p, t + 1, indices)
+            # the position of each basis element among those of its index set
+            within: list[list[int]] = []
+            for basis in (src, dst):
+                seen: Counter = Counter()
+                within.append([])
+                for _, iset in basis:
+                    within[-1].append(seen[iset])
+                    seen[iset] += 1
+            expected: dict = {iset: {} for iset in K.k_subsets(p)}
+            for (r, c), v in full.entries.items():
+                assert dst[r][1] == src[c][1]
+                expected[dst[r][1]][(within[1][r], within[0][c])] = sign * v
+            for iset, entries in expected.items():
+                block = engine.block(iset, t)
+                shape = (sum(I == iset for _, I in dst), sum(I == iset for _, I in src))
+                assert (block.rows, block.cols) == shape, (K, p, t, iset)
+                assert block.entries == entries, (K, p, t, iset)
+
+
+@pytest.mark.parametrize(
+    "K", [projective_plane(), _cycle(8), simplex_boundary(5)], ids=["rp2", "C8", "sphere5"]
+)
+def test_blocks_match_the_reference_matrix_on_the_facet_cover(K):
+    _assert_blocks_match_the_reference(K, K.facets)
+
+
+def test_blocks_match_the_reference_matrix_on_the_face_cover():
+    for K in all_complexes(3):
+        _assert_blocks_match_the_reference(K, K.faces_sorted)
+
+
+def test_the_oracle_imports_only_complexes_and_linalg():
+    # the oracle must never read the algebra or the cell model; importing
+    # the package loads every model, so read the module's own imports
+    used = set()
+    for node in ast.walk(ast.parse(Path(cech.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            used.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coordarr":
+            parts = node.module.split(".")
+            used.update(parts[1:2] or [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "coordarr":
+                    used.add(parts[1] if len(parts) > 1 else "coordarr")
+    assert used == {"complexes", "linalg"}
+
 @st.composite
 def small_complexes(draw) -> SimplicialComplex:
     """Random complexes on at most 6 vertices, ghost vertices allowed."""
@@ -201,11 +262,11 @@ def _rp2_twice():
 
 
 def test_rp2_twice_matches_the_summand_engine_without_the_whole_cover(monkeypatch):
-    # 20 facets: the admissible side would enumerate 2^20 - 1 tuples, the
+    # 20 facets: the admissible side would enumerate 2^20 - 1 masks, the
     # star side holds at most 12 * 31 simplices per index set
     K = _rp2_twice()
     calls: Counter = Counter()
-    for name in ("tuples", "_meets", "structure"):
+    for name in ("masks", "_meets"):
         original = getattr(cech._CechEngine, name)
 
         def counted(self, *args, _name=name, _original=original):

@@ -758,3 +758,17 @@ print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.span
         "kernels.build", "cells.homology", "cech.representatives", "cech.pullback",
         "resolvents.build", "resolvents.pair", "cli.to_json", "kernels.quadrature",
     } <= set(result["spans"])
+
+
+@pytest.mark.parametrize("command", ["hodge", "compare"])
+@pytest.mark.parametrize("target", ["missing parent", "directory"])
+def test_unwritable_json_path_is_an_input_error(command, target, edge_file, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.json" if target == "missing parent" else tmp_path
+    assert run([command, edge_file, "--json", str(path)]) == 2
+    assert f"input error: cannot write {path}" in capsys.readouterr().err
+
+
+def test_corpus_refuses_a_negative_random_count(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_compare_models", lambda K: pytest.fail("compared a complex"))
+    assert run(["corpus", "--random", "-3"]) == 2
+    assert "input error: --random must be >= 0, got -3" in capsys.readouterr().err
