@@ -206,6 +206,8 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
     zeta = _parse_zeta(args.zeta)
     if len(zeta) != K.n:
         raise ComplexError(f"zeta needs {K.n} coordinates, got {len(zeta)}")
+    if not all(abs(z) < 1.0 for z in zeta):  # also false for nan
+        raise ComplexError("evaluation point must lie strictly inside the unit polydisc")
     try:
         data = kernels.build_kernel(K, args.s)
     except KernelUnavailableError as exc:

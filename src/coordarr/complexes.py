@@ -250,16 +250,18 @@ def parse_complex(document: str | dict) -> SimplicialComplex:
         raise ComplexError(f"'n' must be an integer, got {n!r}")
     if "facets" in document:
         facets = document["facets"]
-        _check_vertex_lists(facets, "facets")
+        _check_vertex_lists(facets, "facets", n)
         return SimplicialComplex.from_vertex_lists(n, facets)
     if "missing_faces" in document:
         missing = document["missing_faces"]
-        _check_vertex_lists(missing, "missing_faces")
+        _check_vertex_lists(missing, "missing_faces", n)
         return SimplicialComplex.from_missing_faces(n, missing)
     raise ComplexError("document supplies neither 'facets' nor 'missing_faces'")
 
 
-def _check_vertex_lists(lists: object, label: str) -> None:
+def _check_vertex_lists(lists: object, label: str, n: int) -> None:
+    """Refuse anything but lists of labels in 1..n, before any mask is
+    built: a label far above n would make a mask of that many bits."""
     if not isinstance(lists, (list, tuple)):
         raise ComplexError(f"'{label}' must be a list of vertex lists")
     for entry in lists:
@@ -267,3 +269,5 @@ def _check_vertex_lists(lists: object, label: str) -> None:
             isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in entry
         ):
             raise ComplexError(f"'{label}' entries must be lists of positive integers")
+        if any(v > n for v in entry):
+            raise ComplexError(f"'{label}' entry {list(entry)} has vertices outside 1..{n}")

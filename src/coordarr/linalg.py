@@ -20,9 +20,12 @@ Comput. 32, 2001):
   residual only: integer row and column operations for the Smith form,
   fraction-free elimination for the rank.
 
-Kernel and quotient bases use a reduced echelon form over ``Fraction``,
-which fixes the representative vectors uniquely.  ``compose_is_zero`` is
-the exact sparse product.
+Kernel and quotient bases share one echelon routine, ``_rref`` on sparse
+``Fraction`` rows with every subtraction made by ``_subtract``; the reduced
+echelon form is unique, and so are the representative vectors.  Invariant
+factors are merged with no elimination at all: ``_divisibility_chain``
+folds them by adjacent gcd/lcm swaps, for the Smith residual and for
+``direct_sum_torsion``.  ``compose_is_zero`` is the exact sparse product.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import groupby
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -91,9 +95,6 @@ class ExactMatrix:
         return cols
 
     # -- algebra ---------------------------------------------------------...
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -249,114 +250,85 @@ def smith_normal_form(m: ExactMatrix) -> SnfResult:
 
     Phase 1 (``_eliminate_units``) takes every ±1 pivot it can find with
     unimodular Schur updates; each contributes an invariant factor 1.  The
-    unit-free residual goes through the classic pivoting reduction: move
-    the smallest-magnitude entry (lowest (row, col) on ties) into pivot
-    position, clear its row and column with integer row and column
-    operations, repeat.  Only the residual diagonal is folded with gcd/lcm
-    swaps into the divisibility chain; the units lead it as 1s.  Both
-    phases pick their pivots by fixed rules, so the run, not just the
-    result, is deterministic.
+    unit-free residual is diagonalized one pivot at a time: take the
+    smallest-magnitude entry (lowest (row, col) on ties), clear its column
+    with row operations and its row with column operations by division with
+    remainder, and retire it once both are clear.  A nonzero remainder is
+    smaller than the pivot and is picked next, so the loop ends.  The
+    residual diagonal goes through ``_divisibility_chain``; the units lead
+    the chain as 1s.  Every pivot is picked by a fixed rule, so the run, not
+    just the result, is deterministic.
     """
     if m.is_rational:
         raise ValueError("Smith normal form needs integer entries; use rank_rational")
     rows, colindex = _working_copy(m)
     units = _eliminate_units(rows, colindex)
 
-    def set_entry(r: int, c: int, v: int) -> None:
+    def add(r: int, c: int, delta: int) -> None:
+        # entry (r, c) += delta, keeping the column index; delta is nonzero
+        row = rows[r]
+        v = row.get(c, 0) + delta
         if v:
-            rows.setdefault(r, {})[c] = v
+            row[c] = v
             colindex.setdefault(c, set()).add(r)
         else:
-            row = rows.get(r)
-            if row and c in row:
-                del row[c]
-                colindex[c].discard(r)
-
-    def row_addmul(dst: int, src: int, q: int) -> None:
-        # row[dst] += q * row[src]
-        for c, v in list(rows.get(src, {}).items()):
-            set_entry(dst, c, rows.get(dst, {}).get(c, 0) + q * v)
-
-    def col_addmul(dst: int, src: int, q: int) -> None:
-        for r in list(colindex.get(src, set())):
-            v = rows[r].get(src, 0)
-            set_entry(r, dst, rows.get(r, {}).get(dst, 0) + q * v)
+            del row[c]
+            colindex[c].discard(r)
 
     diag: list[int] = []
-    while True:
-        pivot = None
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                key = (abs(v), r, c)
-                if best is None or key < best:
-                    best = key
-                    pivot = (r, c, v)
-        if pivot is None:
-            break
-        pr, pc, pv = pivot
-        # clear the pivot column, then the pivot row; a nonzero remainder
-        # re-enters the submatrix and the smaller-pivot rule picks it up
-        progressed = True
-        while progressed:
-            progressed = False
-            pv = rows[pr][pc]
-            for r in list(colindex.get(pc, set())):
-                if r == pr:
-                    continue
-                q = -(rows[r][pc] // pv)
-                row_addmul(r, pr, q)
-                if rows.get(r, {}).get(pc):
-                    # remainder smaller than pivot: swap roles
-                    pr = r
-                    progressed = True
-                    break
-            else:
-                for c in list(rows.get(pr, {}).keys()):
-                    if c == pc:
-                        continue
-                    q = -(rows[pr][c] // pv)
-                    col_addmul(c, pc, q)
-                    if rows.get(pr, {}).get(c):
-                        pc = c
-                        progressed = True
-                        break
-        diag.append(abs(rows[pr][pc]))
-        # retire pivot row and column
-        prow = rows.pop(pr, {})
-        for c in prow:
-            bucket = colindex.get(c)
-            if bucket:
-                bucket.discard(pr)
-        for r in list(colindex.pop(pc, set())):
-            row = rows.get(r)
-            if row:
-                row.pop(pc, None)
-
-    # fold the residual diagonal into the divisibility chain
-    diag.sort()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
-                    changed = True
-    diag = [1] * units + diag + [0] * (min(m.rows, m.cols) - units - len(diag))
+    while rows:
+        _, pr, pc = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
+        prow = rows[pr]
+        pv = prow[pc]
+        for r in [r for r in colindex[pc] if r != pr]:
+            q = rows[r][pc] // pv
+            for c, v in prow.items():
+                add(r, c, -q * v)
+            if not rows[r]:
+                del rows[r]
+        for c in [c for c in prow if c != pc]:
+            q = prow[c] // pv
+            for r in list(colindex[pc]):
+                add(r, c, -q * rows[r][pc])
+        if len(prow) == 1 and len(colindex[pc]) == 1:
+            diag.append(abs(pv))
+            del rows[pr], colindex[pc]
+    diag = [1] * units + _divisibility_chain(diag) + [0] * (min(m.rows, m.cols) - units - len(diag))
     return SnfResult(tuple(diag))
+
+
+def _divisibility_chain(factors: Iterable[int]) -> list[int]:
+    """The invariant factors d_1 | d_2 | ... of the direct sum of the cyclic
+    groups Z/f, f in ``factors`` (all positive).
+
+    Sort, then replace each adjacent pair that breaks divisibility by its
+    (gcd, lcm), stepping back after each replacement, until none does: gcd
+    and lcm are min and max on each prime's exponent, so this sorts every
+    prime's exponents and keeps the product, with no matrix.  Equal factors
+    run as [value, count], so m copies of a meeting k copies of b swap
+    whole: min(m, k) gcds and lcms around the surplus a's or b's.
+    """
+    runs = [[v, len(list(copies))] for v, copies in groupby(sorted(factors))]
+    i = 1
+    while i < len(runs):
+        (a, m), (b, k) = runs[i - 1], runs[i]
+        if a == b:
+            runs[i - 1 : i + 1] = [[a, m + k]]
+        elif b % a:
+            g, n = gcd(a, b), min(m, k)
+            surplus = [[b, k - n]] if k > n else [[a, m - n]] if m > n else []
+            runs[i - 1 : i + 1] = [[g, n], *surplus, [a // g * b, n]]
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return [v for v, count in runs for _ in range(count)]
 
 
 def direct_sum_torsion(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Invariant factors of a direct sum, from the invariant factors of its
-    summands: the torsion of the Smith form of the diagonal matrix of all
-    of them, so (2,) and (3,) give (6,).  One summand is its own answer."""
-    if len(parts) < 2:
-        return parts[0] if parts else ()
-    factors = [d for part in parts for d in part]
-    diagonal = ExactMatrix(len(factors), len(factors), {(i, i): d for i, d in enumerate(factors)})
-    return smith_normal_form(diagonal).torsion
+    summands: ``_divisibility_chain`` of all of them with the 1s dropped, so
+    (2,) and (3,) give (6,) and one summand is its own answer."""
+    return tuple(d for d in _divisibility_chain(d for part in parts for d in part) if d > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,52 +406,41 @@ def rank_rational(m: ExactMatrix, pivots: list[int] | None = None) -> int:
     return rank
 
 
-def _rref(columns: list[dict[int, Scalar]]) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced row echelon form of the matrix with the given columns.
+def _subtract(row: dict, f: Fraction, pivot_row: Mapping) -> None:
+    """``row -= f * pivot_row`` in place, dropping the entries that cancel:
+    the one subtraction of the echelon routine and of its reductions."""
+    for k, v in pivot_row.items():
+        nv = row.get(k, 0) - f * v
+        if nv:
+            row[k] = nv
+        else:
+            row.pop(k, None)
 
-    Returns (rows, pivot_columns); rows are kept as sparse Fraction dicts
-    with a leading 1 in their pivot column.  Column order is processed left
-    to right, which fixes the result uniquely.
+
+def _rref(rows: Iterable[Mapping]) -> tuple[list[dict], list]:
+    """Reduced row echelon form of the matrix with the given sparse rows.
+
+    Column keys only need to sort; columns are processed in increasing key
+    order, the first remaining row holding a column becomes its pivot row,
+    is scaled to a leading 1 and is subtracted from every other row, reduced
+    or not.  Returns (rows, pivot_columns), rows as sparse ``Fraction``
+    dicts in pivot order.  The reduced echelon form of a row space is
+    unique, so neither the row order nor the pivot-row rule shows in it.
     """
-    ncols = len(columns)
-    rows: list[dict[int, Fraction]] = []
-    # gather into row-major form
-    rowmap: dict[int, dict[int, Fraction]] = {}
-    for c, col in enumerate(columns):
-        for r, v in col.items():
-            rowmap.setdefault(r, {})[c] = Fraction(v)
-    work = [rowmap[r] for r in sorted(rowmap)]
-    pivots: list[int] = []
-    reduced: list[dict[int, Fraction]] = []
-    for c in range(ncols):
-        pivot_row = None
-        for row in work:
-            if row.get(c):
-                pivot_row = row
-                break
-        if pivot_row is None:
+    work = [{k: Fraction(v) for k, v in row.items() if v} for row in rows]
+    reduced: list[dict] = []
+    pivots: list = []
+    for c in sorted({k for row in work for k in row}):
+        i = next((i for i, row in enumerate(work) if c in row), None)
+        if i is None:
             continue
-        work.remove(pivot_row)
+        pivot_row = work.pop(i)
         inv = 1 / pivot_row[c]
-        pivot_row = {k: v * inv for k, v in pivot_row.items() if v}
-        for row in work:
+        pivot_row = {k: v * inv for k, v in pivot_row.items()}
+        for row in work + reduced:
             f = row.get(c)
             if f:
-                for k, v in pivot_row.items():
-                    nv = row.get(k, Fraction(0)) - f * v
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
-        for row in reduced:
-            f = row.get(c)
-            if f:
-                for k, v in pivot_row.items():
-                    nv = row.get(k, Fraction(0)) - f * v
-                    if nv:
-                        row[k] = nv
-                    elif k in row:
-                        del row[k]
+                _subtract(row, f, pivot_row)
         reduced.append(pivot_row)
         pivots.append(c)
     return reduced, pivots
@@ -488,11 +449,12 @@ def _rref(columns: list[dict[int, Scalar]]) -> tuple[list[dict[int, Fraction]], 
 def kernel_basis(m: ExactMatrix) -> list[dict[int, int]]:
     """Basis of the rational kernel, as primitive integer column vectors.
 
-    Standard free-variable parametrization of the reduced echelon form;
-    vectors are indexed by column number and returned in free-column order,
-    each scaled to coprime integers with positive entry at the free column.
+    ``_rref`` of the rows of ``m``, then the standard free-variable
+    parametrization; vectors are indexed by column number and returned in
+    free-column order, each scaled to coprime integers with positive entry
+    at the free column.
     """
-    reduced, pivots = _rref(m.columns())
+    reduced, pivots = _rref(_working_copy(m)[0].values())
     pivot_set = set(pivots)
     basis: list[dict[int, int]] = []
     for free in range(m.cols):
@@ -510,49 +472,24 @@ def kernel_basis(m: ExactMatrix) -> list[dict[int, int]]:
 def quotient_basis(vectors: list[dict[int, Scalar]], image: ExactMatrix) -> list[dict[int, int]]:
     """Vectors spanning ``span(vectors) mod column-span(image)``.
 
-    Each input vector is reduced against the echelon form of the image
-    columns; the reductions are then echelonized themselves and the nonzero
-    rows returned as primitive integer vectors.  Reducing then combining
-    keeps every output inside span(vectors) + span(image), so when the
-    inputs are cycles and the image is a boundary matrix the outputs are
-    cycles in canonical echelon position.
+    ``_rref`` of the image columns, taken as rows, is the echelon basis of
+    the column span.  Each input vector is reduced against it with the same
+    ``_subtract``, and the nonzero rows of ``_rref`` of the reductions come
+    back as primitive integer vectors.  Reducing then combining keeps every
+    output inside span(vectors) + span(image), so when the inputs are
+    cycles and the image is a boundary matrix the outputs are cycles in
+    canonical echelon position.
     """
-    # echelon basis of the column span: feed the columns in as rows
-    img_rows, img_pivots = _rref(image.transpose().columns())
-    reduced_cols: list[dict[int, Scalar]] = []
+    img_rows, img_pivots = _rref(image.columns())
+    reduced: list[dict[int, Scalar]] = []
     for vec in vectors:
-        work = {k: Fraction(v) for k, v in vec.items() if v}
+        work = dict(vec)
         for row, pc in zip(img_rows, img_pivots):
             f = work.get(pc)
             if f:
-                for k, v in row.items():
-                    nv = work.get(k, Fraction(0)) - f * v
-                    if nv:
-                        work[k] = nv
-                    elif k in work:
-                        del work[k]
-        if work:
-            reduced_cols.append(work)
-    if not reduced_cols:
-        return []
-    # echelonize the reduced vectors (as rows of a matrix indexed by their
-    # coordinate) to obtain a canonical independent family
-    coords = sorted({k for col in reduced_cols for k in col})
-    coord_pos = {k: i for i, k in enumerate(coords)}
-    as_matrix = ExactMatrix(
-        len(reduced_cols),
-        len(coords),
-        {
-            (r, coord_pos[k]): v
-            for r, col in enumerate(reduced_cols)
-            for k, v in col.items()
-        },
-    )
-    rows, _ = _rref(as_matrix.columns())
-    out: list[dict[int, int]] = []
-    for row in rows:
-        out.append({coords[k]: v for k, v in _primitive(row).items()})
-    return out
+                _subtract(work, f, row)
+        reduced.append(work)
+    return [_primitive(row) for row in _rref(reduced)[0]]
 
 
 # ---------------------------------------------------------------------------

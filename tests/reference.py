@@ -32,6 +32,9 @@ Each keeps its own code rather than calling the engine it checks:
 * the brute-force enumeration of every complex on a few vertices
   (``all_complexes_brute_force``), the order the pruned search of
   ``corpus.all_complexes`` must reproduce;
+* the kernel and quotient bases by dense Gauss–Jordan
+  (``kernel_basis_dense``, ``quotient_basis_dense``), the definitions the
+  sparse echelon routine of ``linalg`` is held against;
 * small constructors and readers: dense matrices, Betti numbers, the
   minimal non-faces and f-vector of a complex, and the named complexes.
 """
@@ -41,6 +44,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -173,6 +177,74 @@ def to_dense(m: ExactMatrix) -> list[list[Scalar]]:
     for (r, c), v in m.entries.items():
         out[r][c] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss–Jordan bases
+# ---------------------------------------------------------------------------
+
+def gauss_jordan(rows: list[list[Scalar]], width: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a dense matrix with ``width`` columns,
+    by textbook Gauss–Jordan over ``Fraction``: its nonzero rows and their
+    pivot columns, left to right."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(width):
+        top = len(pivots)
+        r = next((r for r in range(top, len(a)) if a[r][c]), None)
+        if r is None:
+            continue
+        a[top], a[r] = a[r], a[top]
+        a[top] = [v / a[top][c] for v in a[top]]
+        for i, row in enumerate(a):
+            if i != top and row[c]:
+                a[i] = [x - row[c] * y for x, y in zip(row, a[top])]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def _coprime_integers(vec: list[Fraction]) -> dict[int, int]:
+    """A dense rational vector scaled by a positive number to coprime
+    integers, as a sparse dict."""
+    denom = 1
+    for v in vec:
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    ints = [int(v * denom) for v in vec]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    return {i: v // g for i, v in enumerate(ints) if v}
+
+
+def kernel_basis_dense(m: ExactMatrix) -> list[dict[int, int]]:
+    """The rational kernel of ``m``: one vector per free column of its
+    Gauss–Jordan form, 1 there and minus that column's entries at the
+    pivots, made coprime; what ``linalg.kernel_basis`` must return."""
+    reduced, pivots = gauss_jordan(to_dense(m), m.cols)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * m.cols
+        vec[free] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            vec[pc] = -row[free]
+        basis.append(_coprime_integers(vec))
+    return basis
+
+
+def quotient_basis_dense(vectors: list[dict[int, Scalar]], image: ExactMatrix) -> list[dict[int, int]]:
+    """The reduced echelon basis of span(vectors) + span(image columns)
+    reduced modulo the image: the Gauss–Jordan rows of the stacked image
+    columns and vectors whose pivot is not a pivot of the image columns
+    alone, made coprime; what ``linalg.quotient_basis`` must return."""
+    columns = [[0] * image.rows for _ in range(image.cols)]
+    for (r, c), v in image.entries.items():
+        columns[c][r] = v
+    stacked = columns + [[vec.get(i, 0) for i in range(image.rows)] for vec in vectors]
+    _, image_pivots = gauss_jordan(columns, image.rows)
+    rows, pivots = gauss_jordan(stacked, image.rows)
+    return [_coprime_integers(row) for row, pc in zip(rows, pivots) if pc not in image_pivots]
 
 
 def betti(table: BigradedTable, s: int) -> int:
@@ -443,8 +515,7 @@ def phi_mismatches_by_matrices(K: SimplicialComplex) -> list[tuple[int, int]]:
             for sign, target in cells._boundary_terms(sigma, gamma):
                 entries[(index[target], j)] = sign
         boundary = ExactMatrix(len(dst), len(src), entries)
-        transpose = boundary.transpose()
-        return ExactMatrix(transpose.rows, transpose.cols, {k: -v for k, v in transpose.entries.items()})
+        return ExactMatrix(len(src), len(dst), {(c, r): -v for (r, c), v in boundary.entries.items()})
 
     return [
         (p, q)

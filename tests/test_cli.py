@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import coordarr
-from coordarr import cech, cells, cli, kernels, koszul, linalg, resolvents
+from coordarr import cech, cells, cli, complexes, kernels, koszul, linalg, resolvents
 from coordarr.cli import run
 from coordarr.complexes import SimplicialComplex, card, parse_complex
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS
@@ -772,3 +772,61 @@ def test_corpus_refuses_a_negative_random_count(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_compare_models", lambda K: pytest.fail("compared a complex"))
     assert run(["corpus", "--random", "-3"]) == 2
     assert "input error: --random must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_traced_benchmark_plans_pass_their_checks(tmp_path):
+    # every step of every workload, run under the benchmark's tracer with
+    # the benchmark's own plans and checks: a traced run whose artifacts
+    # the benchmark rejects must fail here, not only after a full run
+    script = f"""
+import contextlib, io, json, sys
+from pathlib import Path
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import checks, tracing, workloads
+from coordarr import cli
+tracing.install(tracing.Recorder())
+reference = json.loads(Path({str(ROOT / "perfbench" / "reference.json")!r}).read_text())
+labels = []
+for name in workloads.WORKLOADS:
+    plan = workloads.plan(name, workloads.DEFAULT_SEED, Path({str(tmp_path)!r}) / name)
+    workloads.write_inputs(plan)
+    for step in plan.steps:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(list(step.argv))
+        labels += checks.step_checks(step, code, reference)
+print(json.dumps(labels))
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    labels = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(labels) > 20
+    assert [label for label, ok in labels if not ok] == []
+
+
+@pytest.mark.parametrize("key", ["facets", "missing_faces"])
+def test_vertex_labels_above_n_are_refused_before_any_mask(key, tmp_path, monkeypatch, capsys):
+    # a label of 10^9 would otherwise build a 10^9-bit mask and hang
+    widths = []
+    mask_of = complexes.mask_of
+
+    def recording(vertices):
+        mask = mask_of(vertices)
+        widths.append(mask.bit_length())
+        return mask
+
+    monkeypatch.setattr(complexes, "mask_of", recording)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n": 3, key: [[1, 2**16]]}))
+    assert run(["hodge", str(path)]) == 2
+    assert "has vertices outside 1..3" in capsys.readouterr().err
+    assert max(widths, default=0) <= 3
+
+
+def test_verify_kernel_refuses_zeta_outside_the_polydisc_before_any_kernel(edge_file, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": 3, "facets": [[1, 2], [2, 3]]}))
+    # the path has no kernel at s = 4: the bad point must be named first
+    assert run(["verify-kernel", str(path), "--s", "4", "--f", "1", "--zeta", "1,0.2,0.3"]) == 2
+    monkeypatch.setattr(kernels, "build_kernel", lambda *args: pytest.fail("built a kernel"))
+    assert run(["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "1.0,0"]) == 2
+    assert capsys.readouterr().err.count("strictly inside the unit polydisc") == 2

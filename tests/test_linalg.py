@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,15 @@ from coordarr.linalg import (
 )
 from coordarr import linalg
 from coordarr.linalg import _eliminate_units, _working_copy
-from reference import betti, from_dense, full_stripe, identity, to_dense
+from reference import (
+    betti,
+    from_dense,
+    full_stripe,
+    identity,
+    kernel_basis_dense,
+    quotient_basis_dense,
+    to_dense,
+)
 
 
 def test_snf_diagonal_2_3():
@@ -43,6 +53,73 @@ def test_direct_sum_torsion_merges_the_invariant_factors():
     # one summand is already a divisibility chain; none is the trivial group
     assert direct_sum_torsion([(2, 6)]) == (2, 6)
     assert direct_sum_torsion([]) == ()
+
+
+def _torsion_of_the_diagonal(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The torsion of the Smith form of the diagonal matrix of every factor:
+    the direct sum by its definition."""
+    factors = [d for part in parts for d in part]
+    diagonal = ExactMatrix(len(factors), len(factors), {(i, i): d for i, d in enumerate(factors)})
+    return smith_normal_form(diagonal).torsion
+
+
+#: the invariant factors of one summand: a divisibility chain of factors > 1
+chains = st.lists(st.integers(2, 12), max_size=3).map(lambda steps: tuple(accumulate(steps, mul)))
+
+
+@given(st.lists(chains, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_direct_sum_torsion_is_the_smith_form_of_the_diagonal(parts):
+    assert direct_sum_torsion(parts) == _torsion_of_the_diagonal(parts)
+
+
+def test_direct_sum_torsion_of_thousands_of_equal_factors():
+    # the shape of the Z/2s meeting in one bidegree of 3·RP², with a few
+    # factors that do break divisibility
+    parts = [(2,)] * 1500 + [(3,), (4,), (2, 6)]
+    assert direct_sum_torsion(parts) == _torsion_of_the_diagonal(parts) == (2,) * 1501 + (6, 12)
+    assert direct_sum_torsion([(2,)] * 3000) == (2,) * 3000
+
+
+def _torsion_by_prime_exponents(factors: list[int]) -> tuple[int, ...]:
+    """The structure theorem directly: split every factor into prime powers,
+    sort each prime's exponents, and multiply them back position by
+    position from the largest factor down."""
+    exponents: dict[int, list[int]] = {}
+    for f, count in Counter(factors).items():
+        for p in range(2, f + 1):
+            e = 0
+            while f % p == 0:
+                f //= p
+                e += 1
+            if e:
+                exponents.setdefault(p, []).extend([e] * count)
+    chain = [1] * len(factors)
+    for p, es in exponents.items():
+        for i, e in enumerate(sorted(es, reverse=True)):
+            chain[-1 - i] *= p**e
+    return tuple(d for d in chain if d > 1)
+
+
+@given(st.lists(st.tuples(st.integers(2, 72), st.integers(1, 1500)), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_direct_sum_torsion_matches_the_prime_exponents(runs):
+    # thousands of copies of a few factors, coprime ones among them
+    factors = [f for f, count in runs for _ in range(count)]
+    assert direct_sum_torsion([(f,) for f in factors]) == _torsion_by_prime_exponents(factors)
+
+
+def test_direct_sum_torsion_runs_no_smith_form(monkeypatch):
+    monkeypatch.setattr(linalg, "smith_normal_form", lambda m: pytest.fail("ran a Smith form"))
+    assert direct_sum_torsion([(2,)] * 3000 + [(3,), (9,)]) == (2,) * 2998 + (6, 18)
+
+
+def test_snf_residual_clears_row_and_column():
+    # no unit entry: every pivot needs remainders in its row or its column
+    assert smith_normal_form(from_dense([[2, 3]])).diag == (1,)
+    assert smith_normal_form(from_dense([[2], [3]])).diag == (1,)
+    assert smith_normal_form(from_dense([[4, 6], [6, 4]])).diag == (2, 10)
+    assert smith_normal_form(from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])).diag == (2, 2, 156)
 
 
 def test_snf_zero_matrix():
@@ -296,6 +373,41 @@ def test_kernel_vectors_are_in_kernel(m):
             if c in vec:
                 image[r] = image.get(r, 0) + v * vec[c]
         assert all(x == 0 for x in image.values())
+
+
+@st.composite
+def matrices_with_empty_sides(draw):
+    """Integer matrices of up to 5 x 5, zero rows or zero columns included."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    values = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    return from_dense([[draw(values) for _ in range(cols)] for _ in range(rows)]) if rows else ExactMatrix(0, cols)
+
+
+@given(matrices_with_empty_sides())
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_is_the_gauss_jordan_one(m):
+    assert kernel_basis(m) == kernel_basis_dense(m)
+
+
+@given(matrices_with_empty_sides(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_quotient_basis_is_the_gauss_jordan_one(image, data):
+    # some vectors are combinations of image columns, so part of them
+    # reduces away
+    columns = image.columns()
+    coeffs = st.integers(-2, 2)
+    vectors = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        vec: dict[int, int] = {}
+        for col in columns:
+            f = data.draw(coeffs)
+            for r, v in col.items():
+                vec[r] = vec.get(r, 0) + f * v
+        if data.draw(st.booleans()):
+            for r in range(image.rows):
+                vec[r] = vec.get(r, 0) + data.draw(coeffs)
+        vectors.append({r: v for r, v in vec.items() if v})
+    assert quotient_basis(vectors, image) == quotient_basis_dense(vectors, image)
 
 
 def test_quotient_basis_reduces_image_away():
