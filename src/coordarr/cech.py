@@ -52,10 +52,13 @@ of 2^|star(i)| - 1, and the admissible side holds the other 2^m - 1 - |X_I|
 masks; a tie goes to the admissible side.  X_I is built straight from the
 stars, so that side never enumerates the masks of the whole cover: a
 sparse cover of many indices costs what its X_I hold.  The component
-depends on I only through the family of its nonempty stars (X_I is their
-union of simplices, on either side), so the dimensions are cached per
-call by that family.  The computation never reads the algebra model: X_I
-is a complex on cover positions, and no nerve lemma is used.
+depends on I only through the number m of cover indices and the family of
+its nonempty stars (X_I is their union of simplices, on either side), so
+the dimensions are cached by (m, family): per call, or across a batch of
+complexes in a dict the caller owns and passes in (``corpus``), since the
+key holds nothing else of the complex.  The computation never reads the
+algebra model: X_I is a complex on cover positions, and no nerve lemma is
+used.
 
 Both families go through one pass.  The coboundary sends a mask to its
 faces with alternating signs and skips a face outside the family: on the
@@ -104,6 +107,9 @@ __all__ = [
 ]
 
 FaceTuple = tuple[int, ...]
+
+#: component dimensions by (m, star family), see ``_CechEngine.component``
+Families = dict[tuple[int, tuple[int, ...]], list[int]]
 
 
 def _intersection(tup: Iterable[int]) -> int:
@@ -220,16 +226,18 @@ class LogCochain:
 
 class _CechEngine:
     """Per-complex cache for the cover with the given indices: the stars,
-    the component dimensions per star family, and for the admissible side
-    the masks of each size and their per-vertex admissibility bitmaps,
-    built only when an index set takes that side.
+    and for the admissible side the masks of each size and their per-vertex
+    admissibility bitmaps, built only when an index set takes that side.
+    The component dimensions are kept by (m, star family) in ``families``,
+    a dict the caller owns and may share between complexes, or a fresh one
+    per engine.
 
     ``component`` is the one per-index-set route of ``table``; it picks
     between ``dimensions`` (admissible masks) and ``x_dimensions`` (the
     subcomplex X_I from the stars), which run the same pass over their
     family and give the same list."""
 
-    def __init__(self, K: SimplicialComplex, indices: tuple[int, ...]):
+    def __init__(self, K: SimplicialComplex, indices: tuple[int, ...], families: Families | None = None):
         self.K = K
         self.indices = indices
         self.m = len(self.indices)
@@ -238,8 +246,8 @@ class _CechEngine:
         self._stars = [
             sum(1 << j for j, index in enumerate(indices) if index >> v & 1) for v in range(K.n)
         ]
-        # family of nonempty stars -> component dimensions
-        self._by_stars: dict[tuple[int, ...], list[int]] = {}
+        # (m, family of nonempty stars) -> component dimensions
+        self._by_stars = {} if families is None else families
         self._masks: dict[int, list[int]] = {}
         self._meets_cache: dict[int, list[int]] = {}
 
@@ -321,21 +329,22 @@ class _CechEngine:
     def component(self, iset: int) -> list[int]:
         """The dimensions of the index-set component, for every Čech degree
         q = 0, ..., m-1, from the smaller side of the pair (Δ, X_I), cached
-        by the family of stars.
+        by m and the family of stars.
 
         |X_I| is at most the sum of 2^|star| - 1 over the family, and the
         admissible side holds the 2^m - 1 masks outside X_I; a tie goes to
         the admissible side.
         """
         stars = self.star_family(iset)
-        dims = self._by_stars.get(stars)
+        key = (self.m, stars)
+        dims = self._by_stars.get(key)
         if dims is None:
             bound = sum((1 << star.bit_count()) - 1 for star in stars)
             if 2 * bound < (1 << self.m) - 1:
                 dims = self.x_dimensions(stars)
             else:
                 dims = self.dimensions(iset)
-            self._by_stars[stars] = dims
+            self._by_stars[key] = dims
         return dims
 
     def table(self) -> BigradedTable:
@@ -402,14 +411,16 @@ def _bits(bitmap: int) -> list[int]:
     return [i for i, b in enumerate(reversed(bin(bitmap))) if b == "1"]
 
 
-def cohomology(K: SimplicialComplex) -> BigradedTable:
+def cohomology(K: SimplicialComplex, families: Families | None = None) -> BigradedTable:
     """Bigraded table of the log Čech complex over the rationals, on the
     facet cover.
 
     Splits each block over the index sets I and sums the component
     dimensions; must agree with the algebra and cell models over Q.
+    ``families``, when given, is the caller's dict of component dimensions
+    by (m, star family), shared by the complexes of a batch.
     """
-    return _CechEngine(K, K.facets).table()
+    return _CechEngine(K, K.facets, families).table()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ connected components, counts the extra H~^0 classes, and eliminates each
 distinct component that is not a face once, merging the torsion that meets
 in one bidegree: ``cohomology --model rk``, ``hodge`` and the message of an
 unavailable kernel report from it, and ``compare`` and ``corpus`` check it.
+``corpus`` hands the engine and the Čech oracle one cache each for the whole
+run, so a component shape or a star family met in many complexes is
+eliminated once per run; every other command caches per call only.
 Their identity check with the cell model compares every block of the full
 stripes, face J included, and eliminates none; it walks each p-stripe once,
 builds each basis of each model once, and keeps nothing once it returns
@@ -90,19 +93,22 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     return OK
 
 
-def _compare_models(K: SimplicialComplex) -> tuple[dict[str, BigradedTable], dict[str, bool]]:
+def _compare_models(
+    K: SimplicialComplex, shapes: koszul.Shapes | None = None, families: cech.Families | None = None
+) -> tuple[dict[str, BigradedTable], dict[str, bool]]:
     """Tables and checks of the model comparison.
 
     The rk table over Z is the one every command reports,
     ``koszul.cohomology``; the Čech table over Q is its oracle.  The cell
     table is the rk table, returned only when ``cells.phi_mismatches``
-    finds every block of the two models identical.
+    finds every block of the two models identical.  ``shapes`` and
+    ``families`` are the caches a batch shares between its complexes.
     """
     tables: dict[str, BigradedTable] = {}
     checks: dict[str, bool] = {}
     for name, compute in (
-        ("rk", lambda: koszul.cohomology(K, "Z")),
-        ("cech", lambda: cech.cohomology(K)),
+        ("rk", lambda: koszul.cohomology(K, "Z", shapes)),
+        ("cech", lambda: cech.cohomology(K, families)),
     ):
         # a differential that fails to square to zero is rejected by the
         # model itself; report it as a failed check, not a crash
@@ -231,12 +237,17 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         raise ComplexError(f"--random must be >= 0, got {args.random}")
     items = corpus.standard_corpus(args.random, args.seed)
     failures = 0
+    # one cache per model for this run only: a complex of the batch reads
+    # what an earlier one eliminated, and no later command sees either
+    shapes: koszul.Shapes = {}
+    families: cech.Families = {}
     t0 = time.perf_counter()
     for i, K in enumerate(items):
-        _, checks = _compare_models(K)
-        if not all(checks.values()):
+        _, checks = _compare_models(K, shapes, families)
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
             failures += 1
-            print(f"FAIL  #{i}: {K!r}")
+            print(f"FAIL  #{i}: {K!r} [{', '.join(failed)}]")
     elapsed = time.perf_counter() - t0
     print(f"{len(items) - failures}/{len(items)} complexes agree across models ({elapsed:.1f}s)")
     return OK if failures == 0 else CHECK_FAILED

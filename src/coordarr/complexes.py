@@ -248,6 +248,9 @@ def parse_complex(document: str | dict) -> SimplicialComplex:
     n = document["n"]
     if not isinstance(n, int) or isinstance(n, bool):
         raise ComplexError(f"'n' must be an integer, got {n!r}")
+    if n < 1:
+        # before the vertex lists, which would be read against 1..n
+        raise ComplexError(f"vertex count must be a positive integer, got {n!r}")
     if "facets" in document:
         facets = document["facets"]
         _check_vertex_lists(facets, "facets", n)

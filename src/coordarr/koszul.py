@@ -36,9 +36,17 @@ the connected components of K_J, found from the 1-skeleton:
   first (Hatcher, Prop. 2.6): #components - 1 at (|J|, 1);
 * a component C that is a face is a full simplex, acyclic: it adds nothing.
   Every other component is eliminated once, through its own summand
-  (``summand(K, C)``), and its groups are cached by the mask of C, since
-  the same C recurs in many J (on the cycle C_n: O(n^2) arcs against 2^n
-  sets J);
+  (``summand(K, C)``), and its groups are cached per call by the mask of
+  C, since the same C recurs in many J (on the cycle C_n: O(n^2) arcs
+  against 2^n sets J).  A caller that runs a batch of complexes
+  (``corpus``) may also pass a dict it owns, keyed by the shape of C: the
+  faces of K inside C with the vertices of C relabelled 0, ..., |C| - 1
+  in increasing order.  That relabelling keeps the mask order of the
+  faces (the layer order of the summand) and the number of bits of gamma
+  below each vertex (the sign of the differential), so two components of
+  one shape have the same summand entry for entry, and the first one
+  eliminated serves the batch.  Without that dict nothing outlives the
+  call and nothing is shared between components of one complex;
 * over Z the invariant factors of all the groups that meet in one
   bidegree are merged by ``direct_sum_torsion``, so Z/2 + Z/3 comes out
   as Z/6: the torsion of the whole stripe.
@@ -208,13 +216,45 @@ def _components_by_subset(K: SimplicialComplex) -> Iterator[tuple[int, tuple[int
                 stack.append((J | 1 << top, components))
 
 
-def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
+#: groups of eliminated components, by (coeff, ``_shape``)
+Shapes = dict[tuple[str, tuple[int, ...]], list[tuple[int, CohomologyBlock]]]
+
+
+def _shape(K: SimplicialComplex, C: int) -> tuple[int, ...]:
+    """The faces of K inside C, in face order, with the vertices of C
+    relabelled 0, ..., |C| - 1 in increasing order.  The summand of C reads
+    K only through these faces, and the relabelling keeps their mask order
+    and the number of bits below each vertex, so two components of one
+    shape have the same summand, matrix for matrix."""
+    relabel = [(1 << v, 1 << i) for i, v in enumerate(v for v in range(C.bit_length()) if C >> v & 1)]
+    return tuple(
+        sum(new for old, new in relabel if sigma & old)
+        for sigma in K.faces_sorted
+        if sigma & C == sigma
+    )
+
+
+def _groups(K: SimplicialComplex, C: int, coeff: str) -> list[tuple[int, CohomologyBlock]]:
+    """The nontrivial groups (q, block) of the summand of C, eliminated."""
+    return [
+        (q, block)
+        for q, block in enumerate(stripe_cohomology(summand(K, C), coeff))
+        if not block.is_trivial()
+    ]
+
+
+def cohomology(K: SimplicialComplex, coeff: str = "Z", shapes: Shapes | None = None) -> BigradedTable:
     """Bigraded cohomology table of the algebra, from the connected
     components of the full subcomplexes K_J of the non-face J (and of J = ∅):
     #components - 1 free classes at (|J|, 1), the unit at (|J|, 0) when K_J
     has no vertex, and the cached groups of each component that is not a
     face.  Each such component's summand is built once and eliminated once;
     the torsion meeting in one bidegree is merged by ``direct_sum_torsion``.
+
+    ``shapes``, when given, is a dict the caller owns and passes to every
+    complex of a batch: a component that misses the per-call cache is then
+    looked up there by ``(coeff, _shape(K, C))`` and eliminated only when
+    no complex of the batch has eliminated its shape yet.
     """
     cache: dict[int, list[tuple[int, CohomologyBlock]]] = {}
     free: dict[tuple[int, int], int] = defaultdict(int)
@@ -228,12 +268,16 @@ def cohomology(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
         for C in components or [0]:
             groups = cache.get(C)
             if groups is None:
-                # a nonempty face is a simplex: acyclic, never eliminated
-                groups = cache[C] = [] if C and K.is_face(C) else [
-                    (q, block)
-                    for q, block in enumerate(stripe_cohomology(summand(K, C), coeff))
-                    if not block.is_trivial()
-                ]
+                if C and K.is_face(C):
+                    groups = []  # a nonempty face is a simplex: acyclic, never eliminated
+                elif shapes is None:
+                    groups = _groups(K, C, coeff)
+                else:
+                    key = (coeff, _shape(K, C))
+                    groups = shapes.get(key)
+                    if groups is None:
+                        groups = shapes[key] = _groups(K, C, coeff)
+                cache[C] = groups
             for q, block in groups:
                 free[(p, q)] += block.free_rank
                 if block.torsion:

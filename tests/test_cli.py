@@ -17,7 +17,7 @@ import coordarr
 from coordarr import cech, cells, cli, complexes, kernels, koszul, linalg, resolvents
 from coordarr.cli import run
 from coordarr.complexes import SimplicialComplex, card, parse_complex
-from coordarr.corpus import PROJECTIVE_PLANE_FACETS
+from coordarr.corpus import PROJECTIVE_PLANE_FACETS, standard_corpus
 from coordarr.linalg import CheckFailed, ExactMatrix
 from coordarr.resolvents import Resolvent
 from reference import full_kernel
@@ -230,6 +230,74 @@ def test_compare_and_corpus_check_the_reported_table(tmp_path, monkeypatch):
         assert run(["compare", str(path), "--json", str(out)]) == 1, name
         assert json.loads(out.read_text())["checks"]["ranks rk=cech"] == "fail", name
     assert run(["corpus", "--random", "0"]) == 1
+
+
+def _drop_last_non_face_summands(monkeypatch) -> None:
+    """The fault of ``test_compare_and_corpus_check_the_reported_table``."""
+    summand = koszul.summand
+    monkeypatch.setattr(koszul, "summand", lambda K, J: iter(()) if _is_last_non_face(K, J) else summand(K, J))
+
+
+def test_corpus_fail_line_names_the_failed_checks(monkeypatch, capsys):
+    # the caches of a corpus run carry one faulty shape into many complexes,
+    # so each FAIL line names the check that points at the faulty model
+    _drop_last_non_face_summands(monkeypatch)
+    assert run(["corpus", "--random", "0"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  #")]
+    assert fails
+    assert all(line.endswith("[ranks rk=cech]") for line in fails), fails
+
+
+def test_corpus_caches_live_for_one_run(monkeypatch):
+    # a fault in the summands fails this run only: the next run eliminates
+    # afresh, and a fault injected after a clean run is not hidden by it
+    original = koszul.summand
+    for faulty, code in ((True, 1), (False, 0), (True, 1)):
+        if faulty:
+            _drop_last_non_face_summands(monkeypatch)
+        else:
+            monkeypatch.setattr(koszul, "summand", original)
+        assert run(["corpus", "--random", "0"]) == code, faulty
+
+
+@pytest.mark.parametrize("seed", [20260810, 1305])
+def test_corpus_caches_give_the_per_call_tables(seed):
+    # in either order of the corpus, a table built on the caches of a run
+    # equals the one built on the per-call caches, byte for byte
+    items = standard_corpus(200, seed)
+    per_call = {
+        coeff: [koszul.cohomology(K, coeff).to_json() for K in items] for coeff in ("Z", "Q")
+    }
+    per_call["cech"] = [cech.cohomology(K).to_json() for K in items]
+    for order in (items, items[::-1]):
+        shapes: koszul.Shapes = {}
+        families: cech.Families = {}
+        shared = {coeff: [koszul.cohomology(K, coeff, shapes).to_json() for K in order] for coeff in ("Z", "Q")}
+        shared["cech"] = [cech.cohomology(K, families).to_json() for K in order]
+        if order is not items:
+            shared = {name: tables[::-1] for name, tables in shared.items()}
+        assert shared == per_call
+
+
+@pytest.mark.parametrize(("name", "commands", "calls"), [
+    ("rp2", ["compare", "hodge"], 33),
+    ("c8", ["compare"], 42),
+])
+def test_single_complex_commands_eliminate_each_component_mask(name, commands, calls, tmp_path, monkeypatch):
+    # outside corpus the engine caches per call by component mask: one
+    # summand per distinct non-face component, the unit J = {} included,
+    # even where components of one shape recur (RP^2 and C_8 are symmetric)
+    cycle = [[i, i % 8 + 1] for i in range(1, 9)]
+    doc = {"rp2": {"n": 6, "facets": PROJECTIVE_PLANE_FACETS}, "c8": {"n": 8, "facets": cycle}}[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    original = koszul.summand
+    for command in commands:
+        seen: list[int] = []
+        monkeypatch.setattr(koszul, "summand", lambda K, J: seen.append(J) or original(K, J))
+        assert run([command, str(path)]) == 0
+        assert len(seen) == len(set(seen)) == calls, command
+        assert 0 in seen
 
 
 def test_hodge_and_kernel_do_not_run_the_cech_table(edge_file, monkeypatch, capsys):
@@ -820,6 +888,14 @@ def test_vertex_labels_above_n_are_refused_before_any_mask(key, tmp_path, monkey
     assert run(["hodge", str(path)]) == 2
     assert "has vertices outside 1..3" in capsys.readouterr().err
     assert max(widths, default=0) <= 3
+
+
+@pytest.mark.parametrize(("key", "n"), [("facets", -2), ("missing_faces", 0)])
+def test_vertex_count_below_one_is_refused_before_the_vertex_lists(key, n, tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": n, key: [[1]]}))
+    assert run(["hodge", str(path)]) == 2
+    assert f"input error: vertex count must be a positive integer, got {n}" in capsys.readouterr().err
 
 
 def test_verify_kernel_refuses_zeta_outside_the_polydisc_before_any_kernel(edge_file, tmp_path, monkeypatch, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordarr import koszul
-from coordarr.complexes import SimplicialComplex, mask_of
+from coordarr.complexes import SimplicialComplex, card, elements, face_key, mask_of
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS, standard_corpus
 from coordarr.linalg import ExactMatrix, compose_is_zero
 from reference import (
@@ -287,6 +287,24 @@ def disjoint_unions_with_ghosts(draw) -> SimplicialComplex:
 def test_component_engine_equals_full_stripes_on_disjoint_unions(K):
     for coeff in ("Z", "Q"):
         assert koszul.cohomology(K, coeff).to_json() == _full_stripe_json(K, coeff)
+
+
+@settings(max_examples=80, deadline=None)
+@given(disjoint_unions_with_ghosts())
+def test_a_component_has_the_summand_of_its_shape(K):
+    # relabelling the vertices of C to 1..|C| in increasing order keeps the
+    # summand of C matrix for matrix, which makes the shape an exact key
+    components = {C for _, found in koszul._components_by_subset(K) for C in found}
+    for C in sorted(C for C in components if not K.is_face(C)):
+        label = {v: i for i, v in enumerate(elements(C), 1)}
+        faces = sorted(
+            (mask_of(label[v] for v in elements(sigma)) for sigma in K.faces if sigma & C == sigma),
+            key=face_key,
+        )
+        assert koszul._shape(K, C) == tuple(faces)
+        shape = SimplicialComplex(card(C), faces)
+        maps = [(m.rows, m.cols, m.entries) for m in koszul.summand(K, C)]
+        assert maps == [(m.rows, m.cols, m.entries) for m in koszul.summand(shape, (1 << card(C)) - 1)], C
 
 
 @st.composite
