@@ -53,7 +53,11 @@ the connected components of K_J, found from the 1-skeleton:
 
 The unit is the summand of C = ∅, eliminated like any other.  Each
 eliminated summand passes ``stripe_cohomology``'s checks: d o d = 0 and no
-negative free rank.
+negative free rank.  The whole table then passes ``_check_euler``, which
+reads no elimination: no free rank is negative, and in every p-stripe the
+alternating sum of the free ranks over q is the one the f-vector of K
+predicts.  A lost or misplaced summand fails it unless its classes cancel
+in that sum.
 
 The components of each J are derived from those of J minus its top vertex
 (``_components_by_subset``, a depth-first walk over the vertex sets), not
@@ -75,11 +79,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from typing import ClassVar, Iterator
 
 from .complexes import SimplicialComplex, card
 from .linalg import (
     BigradedTable,
+    CheckFailed,
     CohomologyBlock,
     ExactMatrix,
     direct_sum_torsion,
@@ -250,6 +256,7 @@ def cohomology(K: SimplicialComplex, coeff: str = "Z", shapes: Shapes | None = N
     has no vertex, and the cached groups of each component that is not a
     face.  Each such component's summand is built once and eliminated once;
     the torsion meeting in one bidegree is merged by ``direct_sum_torsion``.
+    The free ranks must pass ``_check_euler`` (``CheckFailed`` otherwise).
 
     ``shapes``, when given, is a dict the caller owns and passes to every
     complex of a batch: a component that misses the per-call cache is then
@@ -282,11 +289,32 @@ def cohomology(K: SimplicialComplex, coeff: str = "Z", shapes: Shapes | None = N
                 free[(p, q)] += block.free_rank
                 if block.torsion:
                     torsion[(p, q)].append(block.torsion)
+    _check_euler(K, free)
     blocks = {
         key: CohomologyBlock(free[key], direct_sum_torsion(torsion[key]))
         for key in free.keys() | torsion.keys()
     }
     return BigradedTable(blocks, coeff)
+
+
+def _check_euler(K: SimplicialComplex, free: dict[tuple[int, int], int]) -> None:
+    """Raise ``CheckFailed`` on a negative free rank, or on a p-stripe
+    whose free ranks do not have the Euler characteristic the f-vector
+    gives: the summand of J contributes -χ̃(K_J), the sum of (-1)^|σ| over
+    the faces σ ⊆ J, so stripe p sums (-1)^k f_k C(n - k, p - k) over k,
+    f_k the number of faces of size k, ∅ included.  No elimination is read.
+    """
+    f = [0] * (K.n + 1)
+    for sigma in K.faces:
+        f[card(sigma)] += 1
+    chi = [sum((-1) ** k * f[k] * comb(K.n - k, p - k) for k in range(p + 1)) for p in range(K.n + 1)]
+    for (p, q), rank in free.items():
+        if rank < 0:
+            raise CheckFailed(f"negative free rank {rank} at ({p}, {q})")
+        chi[p] -= (-1) ** q * rank
+    if any(chi):
+        wrong = [p for p, rest in enumerate(chi) if rest]
+        raise CheckFailed(f"free ranks break the Euler characteristic of the stripes p = {wrong}")
 
 
 @dataclass

@@ -216,32 +216,65 @@ def _is_last_non_face(K: SimplicialComplex, J: int) -> bool:
     return bool(non_faces) and J == non_faces[-1]
 
 
-def test_compare_and_corpus_check_the_reported_table(tmp_path, monkeypatch):
-    # compare and corpus read the table hodge reports from, so a summand
-    # the engine loses (here: the component that is the last non-face of
-    # its size) shows up as a rank the Čech oracle does not have
-    summand = koszul.summand
-    monkeypatch.setattr(koszul, "summand", lambda K, J: iter(()) if _is_last_non_face(K, J) else summand(K, J))
+def _rp2_and_c8_files(tmp_path) -> list[tuple[str, Path]]:
     cycle = [[i, i % 8 + 1] for i in range(1, 9)]
+    files = []
     for name, doc in (("rp2", {"n": 6, "facets": PROJECTIVE_PLANE_FACETS}), ("c8", {"n": 8, "facets": cycle})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
+        files.append((name, path))
+    return files
+
+
+def _shift_last_non_face_summands(monkeypatch) -> None:
+    """Move every group of the component that is the last non-face of its
+    size from q to q + 2: two empty maps in front of its summand.  The
+    alternating sums of the free ranks stay, so the Euler check passes."""
+    summand = koszul.summand
+    monkeypatch.setattr(
+        koszul, "summand",
+        lambda K, J: iter([ExactMatrix(0, 0), ExactMatrix(0, 0), *summand(K, J)])
+        if _is_last_non_face(K, J) else summand(K, J),
+    )
+
+
+def test_compare_and_corpus_check_the_reported_table(tmp_path, monkeypatch):
+    # compare and corpus read the table hodge reports from, so a summand
+    # the engine misplaces (here: the component that is the last non-face
+    # of its size) shows up as a rank the Čech oracle does not have
+    _shift_last_non_face_summands(monkeypatch)
+    for name, path in _rp2_and_c8_files(tmp_path):
         out = tmp_path / f"{name}-compare.json"
         assert run(["compare", str(path), "--json", str(out)]) == 1, name
-        assert json.loads(out.read_text())["checks"]["ranks rk=cech"] == "fail", name
+        checks = json.loads(out.read_text())["checks"]
+        assert checks["rk model consistent"] == "pass", name
+        assert checks["ranks rk=cech"] == "fail", name
     assert run(["corpus", "--random", "0"]) == 1
 
 
 def _drop_last_non_face_summands(monkeypatch) -> None:
-    """The fault of ``test_compare_and_corpus_check_the_reported_table``."""
+    """Lose the summand of the component that is the last non-face of its
+    size."""
     summand = koszul.summand
     monkeypatch.setattr(koszul, "summand", lambda K, J: iter(()) if _is_last_non_face(K, J) else summand(K, J))
+
+
+def test_a_dropped_summand_fails_the_euler_check(tmp_path, monkeypatch, capsys):
+    # a lost summand breaks the alternating sum of its stripe, so hodge
+    # exits 1 with no oracle, and compare fails the rk model itself
+    _drop_last_non_face_summands(monkeypatch)
+    for name, path in _rp2_and_c8_files(tmp_path):
+        assert run(["hodge", str(path)]) == 1, name
+        assert "Euler characteristic" in capsys.readouterr().err, name
+        out = tmp_path / f"{name}-compare.json"
+        assert run(["compare", str(path), "--json", str(out)]) == 1, name
+        assert json.loads(out.read_text())["checks"]["rk model consistent"] == "fail", name
 
 
 def test_corpus_fail_line_names_the_failed_checks(monkeypatch, capsys):
     # the caches of a corpus run carry one faulty shape into many complexes,
     # so each FAIL line names the check that points at the faulty model
-    _drop_last_non_face_summands(monkeypatch)
+    _shift_last_non_face_summands(monkeypatch)
     assert run(["corpus", "--random", "0"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  #")]
     assert fails
