@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Every bigraded table comes from one engine, ``koszul.cohomology``, which
-splits the full subcomplex K_J of each non-face vertex set J into its
-connected components, counts the extra H~^0 classes, and eliminates each
-distinct component that is not a face once, merging the torsion that meets
-in one bidegree: ``cohomology --model rk``, ``hodge`` and the message of an
+meets each connected vertex set C of the 1-skeleton once, eliminates each
+C that is not a face, and places its groups with the binomial count of
+the vertex sets J of which C is a component; it adds the extra H~^0
+classes and the unit by counts alone, merges the torsion that meets in one
+bidegree, and checks every p-stripe against the Euler characteristic of
+the f-vector: ``cohomology --model rk``, ``hodge`` and the message of an
 unavailable kernel report from it, and ``compare`` and ``corpus`` check it.
 ``corpus`` hands the engine and the Čech oracle one cache each for the whole
 run, so a component shape or a star family met in many complexes is
-eliminated once per run; every other command caches per call only.
+eliminated once per run; the engine keeps no cache within a call, and the
+oracle caches per call.
 Their identity check with the cell model compares every block of the full
 stripes, face J included, and eliminates none; it walks each p-stripe once,
 builds each basis of each model once, and keeps nothing once it returns

@@ -25,43 +25,36 @@ monomials u_(J - sigma) v_sigma are indexed by the faces sigma of the full
 subcomplex K_J: up to signs it is the augmented cochain complex of K_J, and
 its (p, q) group is the reduced cohomology H~^(q-1)(K_J) (Hochster, 1977;
 Buchstaber–Panov, *Toric Topology*, Thm 3.2.9).  ``cohomology``, the one
-engine behind every bigraded table and ``hodge_table``, reads that group off
-the connected components of K_J, found from the 1-skeleton:
+engine behind every bigraded table and ``hodge_table``, sums those groups
+over the connected vertex sets C of the 1-skeleton, each met once by
+``_connected_sets`` (on the cycle C_n, n(n - 1) + 1 sets against 2^n sets
+J).  A nonempty C is a component of K_J exactly when C ⊆ J and J - C holds
+no neighbour of C: for C(n - |N[C]|, p - |C|) sets J of size p, N[C] the
+closed neighbourhood of C.  A ghost vertex ({v} not a face) lies in no C.
 
-* a ghost vertex ({v} not a face) spans nothing, so it lies in no
-  component; a J of ghosts only (J = ∅ included) has K_J = {∅}, whose
-  H~^(-1) is the unit Z in bidegree (|J|, 0);
-* the reduced cohomology of a disjoint union is the direct sum over its
-  components, plus one free class in H~^0 for each component after the
-  first (Hatcher, Prop. 2.6): #components - 1 at (|J|, 1);
-* a component C that is a face is a full simplex, acyclic: it adds nothing.
-  Every other component is eliminated once, through its own summand
-  (``summand(K, C)``), and its groups are cached per call by the mask of
-  C, since the same C recurs in many J (on the cycle C_n: O(n^2) arcs
-  against 2^n sets J).  A caller that runs a batch of complexes
-  (``corpus``) may also pass a dict it owns, keyed by the shape of C: the
-  faces of K inside C with the vertices of C relabelled 0, ..., |C| - 1
-  in increasing order.  That relabelling keeps the mask order of the
-  faces (the layer order of the summand) and the number of bits of gamma
-  below each vertex (the sign of the differential), so two components of
-  one shape have the same summand entry for entry, and the first one
-  eliminated serves the batch.  Without that dict nothing outlives the
-  call and nothing is shared between components of one complex;
-* over Z the invariant factors of all the groups that meet in one
-  bidegree are merged by ``direct_sum_torsion``, so Z/2 + Z/3 comes out
-  as Z/6: the torsion of the whole stripe.
+* a C that is a face is a full simplex, acyclic: it adds nothing.  Every
+  other C is eliminated once, through its own summand (``summand(K, C)``),
+  and its groups go to (|C| + s, q), C(n - |N[C]|, s) times;
+* a disjoint union has one more free class in H~^0 per component after
+  the first (Hatcher, Prop. 2.6).  At (p, 1) these sum to the count above
+  over every C, faces included, minus one per J of size p with a vertex:
+  C(n, p) - C(g, p), g the number of ghosts;
+* a J of ghosts only (∅ included) has K_J = {∅}, whose H~^(-1) is the unit
+  Z at (|J|, 0): the summand of C = ∅ goes to (s, 0), C(g, s) times;
+* over Z the invariant factors of the groups that meet in one bidegree are
+  merged by ``direct_sum_torsion`` from (factors, count) parts, so
+  Z/2 + Z/3 comes out as Z/6: the torsion of the whole stripe.
 
-The unit is the summand of C = ∅, eliminated like any other.  Each
-eliminated summand passes ``stripe_cohomology``'s checks: d o d = 0 and no
-negative free rank.  The whole table then passes ``_check_euler``, which
-reads no elimination: no free rank is negative, and in every p-stripe the
-alternating sum of the free ranks over q is the one the f-vector of K
-predicts.  A lost or misplaced summand fails it unless its classes cancel
-in that sum.
+A caller that runs a batch of complexes (``corpus``) may pass a dict it
+owns, keyed by the shape of C (``_shape``): two components of one shape
+have the same summand entry for entry, so the first one eliminated serves
+the batch.  Without that dict nothing is cached.
 
-The components of each J are derived from those of J minus its top vertex
-(``_components_by_subset``, a depth-first walk over the vertex sets), not
-searched afresh.
+Each eliminated summand passes ``stripe_cohomology``'s checks: d o d = 0
+and no negative free rank.  The table then passes ``_check_euler``, which
+reads no elimination: in every p-stripe the alternating sum of the free
+ranks over q is the one the f-vector of K predicts, so a lost or wrong
+count of free classes fails unless it cancels in that sum.
 
 ``basis`` and ``differential_matrix`` keep the full (p, q) blocks, every J
 included, ordered by (sigma mask, gamma mask); the basis comes out in that
@@ -82,7 +75,7 @@ from functools import cached_property
 from math import comb
 from typing import ClassVar, Iterator
 
-from .complexes import SimplicialComplex, card
+from .complexes import SimplicialComplex, card, elements
 from .linalg import (
     BigradedTable,
     CheckFailed,
@@ -186,40 +179,40 @@ def summand(K: SimplicialComplex, J: int) -> Iterator[ExactMatrix]:
         yield out
 
 
-def _components_by_subset(K: SimplicialComplex) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every vertex set J of [n], with the vertex masks of the connected
-    components of the 1-skeleton of K restricted to J; a ghost vertex lies
-    in no component.
-
-    J comes after J minus its top vertex v, whose components it derives:
-    v joins every component it has a neighbor in, or stands alone; a ghost
-    v changes nothing.  The walk is depth first, so it holds the children
-    of at most n sets at a time.
-    """
+def _neighbors(K: SimplicialComplex) -> list[int]:
+    """The mask of the neighbours of each vertex in the 1-skeleton of K."""
     neighbors = [0] * K.n
     for face in K.faces:
         if card(face) == 2:
             low = face & -face
             neighbors[low.bit_length() - 1] |= face ^ low
             neighbors[(face ^ low).bit_length() - 1] |= low
-    support = K.vertex_support
-    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        J, components = stack.pop()
-        yield J, components
-        for top in range(J.bit_length(), K.n):
-            if support >> top & 1:
-                joined = 1 << top
-                apart = []
-                for C in components:
-                    if C & neighbors[top]:
-                        joined |= C
-                    else:
-                        apart.append(C)
-                apart.append(joined)
-                stack.append((J | 1 << top, tuple(apart)))
-            else:
-                stack.append((J | 1 << top, components))
+    return neighbors
+
+
+def _connected_sets(K: SimplicialComplex, neighbors: list[int]) -> Iterator[tuple[int, int]]:
+    """Every nonempty vertex set C that is connected in the 1-skeleton of K,
+    once each, with its closed neighbourhood N[C]; a ghost vertex lies in
+    no C.
+
+    C grows from its lowest vertex v by include/exclude decisions on its
+    frontier, the undecided vertices of N[C] - C above v: each frontier
+    vertex in turn is added to a child, then excluded from the children
+    after it (Wernicke, IEEE/ACM TCBB 3, 2006).  A set is reached only
+    along the decisions its own vertices dictate, so it comes out once.
+    """
+    for v in elements(K.vertex_support):
+        above = ((1 << K.n) - 1) >> v << v  # the vertices above v
+        stack = [(1 << v - 1, 1 << v - 1 | neighbors[v - 1], 0)]
+        while stack:
+            C, closed, excluded = stack.pop()
+            yield C, closed
+            frontier = closed & above & ~C & ~excluded
+            while frontier:
+                bit = frontier & -frontier
+                frontier ^= bit
+                stack.append((C | bit, closed | neighbors[bit.bit_length() - 1], excluded))
+                excluded |= bit
 
 
 #: groups of eliminated components, by (coeff, ``_shape``)
@@ -230,7 +223,8 @@ def _shape(K: SimplicialComplex, C: int) -> tuple[int, ...]:
     """The faces of K inside C, in face order, with the vertices of C
     relabelled 0, ..., |C| - 1 in increasing order.  The summand of C reads
     K only through these faces, and the relabelling keeps their mask order
-    and the number of bits below each vertex, so two components of one
+    (the layer order of the summand) and the number of bits of gamma below
+    each vertex (the sign of the differential), so two components of one
     shape have the same summand, matrix for matrix."""
     relabel = [(1 << v, 1 << i) for i, v in enumerate(v for v in range(C.bit_length()) if C >> v & 1)]
     return tuple(
@@ -240,58 +234,56 @@ def _shape(K: SimplicialComplex, C: int) -> tuple[int, ...]:
     )
 
 
-def _groups(K: SimplicialComplex, C: int, coeff: str) -> list[tuple[int, CohomologyBlock]]:
-    """The nontrivial groups (q, block) of the summand of C, eliminated."""
-    return [
-        (q, block)
-        for q, block in enumerate(stripe_cohomology(summand(K, C), coeff))
-        if not block.is_trivial()
-    ]
+def _groups(K: SimplicialComplex, C: int, coeff: str, shapes: Shapes | None) -> list[tuple[int, CohomologyBlock]]:
+    """The nontrivial groups (q, block) of the summand of C: read from
+    ``shapes`` under ``(coeff, _shape(K, C))`` when a complex of the batch
+    has eliminated that shape, else eliminated (and kept there)."""
+    if shapes is not None:
+        key = (coeff, _shape(K, C))
+        if key not in shapes:
+            shapes[key] = _groups(K, C, coeff, None)
+        return shapes[key]
+    return [(q, block) for q, block in enumerate(stripe_cohomology(summand(K, C), coeff)) if not block.is_trivial()]
 
 
 def cohomology(K: SimplicialComplex, coeff: str = "Z", shapes: Shapes | None = None) -> BigradedTable:
-    """Bigraded cohomology table of the algebra, from the connected
-    components of the full subcomplexes K_J of the non-face J (and of J = ∅):
-    #components - 1 free classes at (|J|, 1), the unit at (|J|, 0) when K_J
-    has no vertex, and the cached groups of each component that is not a
-    face.  Each such component's summand is built once and eliminated once;
-    the torsion meeting in one bidegree is merged by ``direct_sum_torsion``.
-    The free ranks must pass ``_check_euler`` (``CheckFailed`` otherwise).
+    """Bigraded cohomology table of the algebra, summed over the connected
+    vertex sets C with the binomial multiplicities of the module docstring:
+    the groups of each C that is not a face, eliminated once, the extra
+    H~^0 classes at (p, 1), and the unit.  The torsion meeting in one
+    bidegree is merged by ``direct_sum_torsion``; the free ranks must pass
+    ``_check_euler`` (``CheckFailed`` otherwise).
 
     ``shapes``, when given, is a dict the caller owns and passes to every
-    complex of a batch: a component that misses the per-call cache is then
-    looked up there by ``(coeff, _shape(K, C))`` and eliminated only when
-    no complex of the batch has eliminated its shape yet.
+    complex of a batch: a summand is then looked up there by
+    ``(coeff, _shape(K, C))`` and eliminated only when no complex of the
+    batch has eliminated its shape yet.
     """
-    cache: dict[int, list[tuple[int, CohomologyBlock]]] = {}
+    n, ghosts = K.n, K.n - card(K.vertex_support)
+    neighbors = _neighbors(K)
+    summands = [(0, ghosts)]  # (C, n - |N[C]|) of the unit and of each C that is not a face
+    spread: dict[tuple[int, int], int] = defaultdict(int)  # connected sets by (|C|, n - |N[C]|)
+    for C, closed in _connected_sets(K, neighbors):
+        spread[(card(C), n - card(closed))] += 1
+        if not K.is_face(C):
+            summands.append((C, n - card(closed)))
     free: dict[tuple[int, int], int] = defaultdict(int)
-    torsion: dict[tuple[int, int], list[tuple[int, ...]]] = defaultdict(list)
-    for J, components in _components_by_subset(K):
-        if J and K.is_face(J):
-            continue
-        p = J.bit_count()
-        if len(components) > 1:
-            free[(p, 1)] += len(components) - 1
-        for C in components or [0]:
-            groups = cache.get(C)
-            if groups is None:
-                if C and K.is_face(C):
-                    groups = []  # a nonempty face is a simplex: acyclic, never eliminated
-                elif shapes is None:
-                    groups = _groups(K, C, coeff)
-                else:
-                    key = (coeff, _shape(K, C))
-                    groups = shapes.get(key)
-                    if groups is None:
-                        groups = shapes[key] = _groups(K, C, coeff)
-                cache[C] = groups
+    torsion: dict[tuple[int, int], list[tuple[tuple[int, ...], int]]] = defaultdict(list)
+    for C, outside in summands:
+        groups = _groups(K, C, coeff, shapes)
+        for s in range(outside + 1):
             for q, block in groups:
-                free[(p, q)] += block.free_rank
+                free[(card(C) + s, q)] += comb(outside, s) * block.free_rank
                 if block.torsion:
-                    torsion[(p, q)].append(block.torsion)
+                    torsion[(card(C) + s, q)].append((block.torsion, comb(outside, s)))
+    for (size, outside), count in spread.items():
+        for s in range(outside + 1):
+            free[(size + s, 1)] += count * comb(outside, s)
+    for p in range(1, n + 1):
+        free[(p, 1)] -= comb(n, p) - comb(ghosts, p)
     _check_euler(K, free)
     blocks = {
-        key: CohomologyBlock(free[key], direct_sum_torsion(torsion[key]))
+        key: CohomologyBlock(free[key], direct_sum_torsion(torsion[key]) if key in torsion else ())
         for key in free.keys() | torsion.keys()
     }
     return BigradedTable(blocks, coeff)

@@ -24,8 +24,9 @@ Kernel and quotient bases share one echelon routine, ``_rref`` on sparse
 ``Fraction`` rows with every subtraction made by ``_subtract``; the reduced
 echelon form is unique, and so are the representative vectors.  Invariant
 factors are merged with no elimination at all: ``_divisibility_chain``
-folds them by adjacent gcd/lcm swaps, for the Smith residual and for
-``direct_sum_torsion``.  ``compose_is_zero`` is the exact sparse product.
+folds runs (factor, count) by adjacent gcd/lcm swaps, for the Smith
+residual and for ``direct_sum_torsion``, so a factor met millions of times
+is one run.  ``compose_is_zero`` is the exact sparse product.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -293,22 +295,24 @@ def smith_normal_form(m: ExactMatrix) -> SnfResult:
         if len(prow) == 1 and len(colindex[pc]) == 1:
             diag.append(abs(pv))
             del rows[pr], colindex[pc]
-    diag = [1] * units + _divisibility_chain(diag) + [0] * (min(m.rows, m.cols) - units - len(diag))
+    chain = [d for d, count in _divisibility_chain((d, 1) for d in diag) for _ in range(count)]
+    diag = [1] * units + chain + [0] * (min(m.rows, m.cols) - units - len(diag))
     return SnfResult(tuple(diag))
 
 
-def _divisibility_chain(factors: Iterable[int]) -> list[int]:
+def _divisibility_chain(runs: Iterable[tuple[int, int]]) -> list[list[int]]:
     """The invariant factors d_1 | d_2 | ... of the direct sum of the cyclic
-    groups Z/f, f in ``factors`` (all positive).
+    groups Z/f, ``count`` copies for each (f, count) in ``runs`` (f and
+    count positive), as runs [d, count] in increasing d.
 
     Sort, then replace each adjacent pair that breaks divisibility by its
     (gcd, lcm), stepping back after each replacement, until none does: gcd
     and lcm are min and max on each prime's exponent, so this sorts every
     prime's exponents and keeps the product, with no matrix.  Equal factors
-    run as [value, count], so m copies of a meeting k copies of b swap
-    whole: min(m, k) gcds and lcms around the surplus a's or b's.
+    stay runs, so m copies of a meeting k copies of b swap whole: min(m, k)
+    gcds and lcms around the surplus a's or b's, and no run is expanded.
     """
-    runs = [[v, len(list(copies))] for v, copies in groupby(sorted(factors))]
+    runs = [[v, sum(count for _, count in copies)] for v, copies in groupby(sorted(runs), key=itemgetter(0))]
     i = 1
     while i < len(runs):
         (a, m), (b, k) = runs[i - 1], runs[i]
@@ -321,14 +325,18 @@ def _divisibility_chain(factors: Iterable[int]) -> list[int]:
             i = max(i - 1, 1)
         else:
             i += 1
-    return [v for v, count in runs for _ in range(count)]
+    return runs
 
 
-def direct_sum_torsion(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Invariant factors of a direct sum, from the invariant factors of its
-    summands: ``_divisibility_chain`` of all of them with the 1s dropped, so
-    (2,) and (3,) give (6,) and one summand is its own answer."""
-    return tuple(d for d in _divisibility_chain(d for part in parts for d in part) if d > 1)
+def direct_sum_torsion(parts: Iterable[tuple[tuple[int, ...], int]]) -> tuple[int, ...]:
+    """Invariant factors of a direct sum, from counted parts (factors,
+    count): ``count`` copies of a summand with invariant factors
+    ``factors``.  ``_divisibility_chain`` folds the runs (d, count) of all
+    of them, and only the runs of the result above 1 are expanded, so
+    (2,) and (3,) give (6,), one summand is its own answer, and a count in
+    the millions costs one run."""
+    runs = _divisibility_chain((d, count) for factors, count in parts for d in factors)
+    return tuple(d for d, count in runs if d > 1 for _ in range(count))
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_corpus_caches_live_for_one_run(monkeypatch):
 @pytest.mark.parametrize("seed", [20260810, 1305])
 def test_corpus_caches_give_the_per_call_tables(seed):
     # in either order of the corpus, a table built on the caches of a run
-    # equals the one built on the per-call caches, byte for byte
+    # equals the one built with no shared cache, byte for byte
     items = standard_corpus(200, seed)
     per_call = {
         coeff: [koszul.cohomology(K, coeff).to_json() for K in items] for coeff in ("Z", "Q")
@@ -317,9 +317,9 @@ def test_corpus_caches_give_the_per_call_tables(seed):
     ("c8", ["compare"], 42),
 ])
 def test_single_complex_commands_eliminate_each_component_mask(name, commands, calls, tmp_path, monkeypatch):
-    # outside corpus the engine caches per call by component mask: one
-    # summand per distinct non-face component, the unit J = {} included,
-    # even where components of one shape recur (RP^2 and C_8 are symmetric)
+    # outside corpus the engine meets each connected set once: one summand
+    # per distinct non-face component, the unit J = {} included, even where
+    # components of one shape recur (RP^2 and C_8 are symmetric)
     cycle = [[i, i % 8 + 1] for i in range(1, 9)]
     doc = {"rp2": {"n": 6, "facets": PROJECTIVE_PLANE_FACETS}, "c8": {"n": 8, "facets": cycle}}[name]
     path = tmp_path / f"{name}.json"

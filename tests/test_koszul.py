@@ -294,8 +294,7 @@ def test_component_engine_equals_full_stripes_on_disjoint_unions(K):
 def test_a_component_has_the_summand_of_its_shape(K):
     # relabelling the vertices of C to 1..|C| in increasing order keeps the
     # summand of C matrix for matrix, which makes the shape an exact key
-    components = {C for _, found in koszul._components_by_subset(K) for C in found}
-    for C in sorted(C for C in components if not K.is_face(C)):
+    for C in sorted(C for C, _ in koszul._connected_sets(K, koszul._neighbors(K)) if not K.is_face(C)):
         label = {v: i for i, v in enumerate(elements(C), 1)}
         faces = sorted(
             (mask_of(label[v] for v in elements(sigma)) for sigma in K.faces if sigma & C == sigma),
@@ -323,14 +322,28 @@ def graphs_with_ghosts(draw) -> SimplicialComplex:
 
 @settings(max_examples=100, deadline=None)
 @given(graphs_with_ghosts())
-def test_derived_components_equal_the_search(K):
-    # the walk derives each J's components from J minus its top vertex;
-    # it visits every vertex set once and agrees with a fresh search on each
-    visited = []
-    for J, components in koszul._components_by_subset(K):
-        visited.append(J)
-        assert sorted(components) == sorted(components_by_search(K, J)), J
-    assert sorted(visited) == list(range(1 << K.n))
+def test_connected_sets_are_the_connected_sets_of_the_search(K):
+    # the enumerator grows each connected set from its lowest vertex; it
+    # yields exactly the nonempty sets a fresh search finds connected, once,
+    # each with the vertices it holds or touches by an edge
+    edges = [e for e in K.faces if card(e) == 2]
+    found = list(koszul._connected_sets(K, koszul._neighbors(K)))
+    assert len(found) == len({C for C, _ in found})
+    assert sorted(C for C, _ in found) == [J for J in range(1, 1 << K.n) if components_by_search(K, J) == [J]]
+    for C, closed in found:
+        touched = C
+        for e in edges:
+            if e & C:
+                touched |= e
+        assert closed == touched, C
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 24])
+def test_the_cycle_has_one_connected_set_per_arc(n):
+    # the arcs of C_n, n starts times n - 1 lengths, and the whole cycle:
+    # n(n - 1) + 1 sets, where a walk over J would visit 2^n
+    found = [C for C, _ in koszul._connected_sets(_cycle(n), koszul._neighbors(_cycle(n)))]
+    assert len(found) == len(set(found)) == n * (n - 1) + 1
 
 
 def test_torsion_of_two_projective_planes_adds_up():
@@ -341,6 +354,13 @@ def test_torsion_of_two_projective_planes_adds_up():
     K = SimplicialComplex.from_vertex_lists(12, PROJECTIVE_PLANE_FACETS + shifted)
     expected = {(6 + k, 3): (2,) * (2 * comb(6, k)) for k in range(6)}
     expected[(12, 3)] = (2, 2)
+    assert koszul.cohomology(K, "Z").torsions() == expected
+    # m copies: each J of size p that holds a whole plane has one Z/2 per
+    # whole plane, m C(6(m - 1), p - 6) in all; here m = 3
+    m = 3
+    planes = [[v + 6 * i for v in facet] for i in range(m) for facet in PROJECTIVE_PLANE_FACETS]
+    K = SimplicialComplex.from_vertex_lists(6 * m, planes)
+    expected = {(p, 3): (2,) * (m * comb(6 * m - 6, p - 6)) for p in range(6, 6 * m + 1)}
     assert koszul.cohomology(K, "Z").torsions() == expected
 
 
@@ -382,7 +402,7 @@ def test_each_component_of_the_cycle_is_eliminated_once(monkeypatch):
     assert set(calls) == {0, (1 << n) - 1} | arcs
 
 
-@pytest.mark.parametrize("n", range(8, 15))
+@pytest.mark.parametrize("n", [*range(8, 15), 20, 24])
 def test_cycle_hodge_numbers_match_the_closed_form(n):
     # h(p, 1) sums (c - 1) over the p-subsets of the cycle that form c
     # arcs, and there are (n / c) C(p - 1, c - 1) C(n - p - 1, c - 1) of them

@@ -46,13 +46,19 @@ def test_snf_diagonal_2_3():
 
 def test_direct_sum_torsion_merges_the_invariant_factors():
     # Z/2 + Z/3 is Z/6, not Z/2 + Z/3 written as a chain
-    assert direct_sum_torsion([(2,), (3,)]) == (6,)
-    assert direct_sum_torsion([(4,), (2,)]) == (2, 4)
-    assert direct_sum_torsion([(2, 2), (3,), (9,)]) == (6, 18)
-    assert direct_sum_torsion([(2,), (2,)]) == (2, 2)
+    assert direct_sum_torsion([((2,), 1), ((3,), 1)]) == (6,)
+    assert direct_sum_torsion([((4,), 1), ((2,), 1)]) == (2, 4)
+    assert direct_sum_torsion([((2, 2), 1), ((3,), 1), ((9,), 1)]) == (6, 18)
+    assert direct_sum_torsion([((2,), 1), ((2,), 1)]) == (2, 2)
     # one summand is already a divisibility chain; none is the trivial group
-    assert direct_sum_torsion([(2, 6)]) == (2, 6)
+    assert direct_sum_torsion([((2, 6), 1)]) == (2, 6)
     assert direct_sum_torsion([]) == ()
+
+
+def test_direct_sum_torsion_counts_copies_without_expanding_them():
+    # a million copies of Z/2 next to one Z/3: the fold sees two runs, and
+    # one Z/2 joins the Z/3 as Z/6
+    assert direct_sum_torsion([((2,), 10**6), ((3,), 1)]) == (2,) * (10**6 - 1) + (6,)
 
 
 def _torsion_of_the_diagonal(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -70,15 +76,15 @@ chains = st.lists(st.integers(2, 12), max_size=3).map(lambda steps: tuple(accumu
 @given(st.lists(chains, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_direct_sum_torsion_is_the_smith_form_of_the_diagonal(parts):
-    assert direct_sum_torsion(parts) == _torsion_of_the_diagonal(parts)
+    assert direct_sum_torsion([(part, 1) for part in parts]) == _torsion_of_the_diagonal(parts)
 
 
 def test_direct_sum_torsion_of_thousands_of_equal_factors():
     # the shape of the Z/2s meeting in one bidegree of 3·RP², with a few
     # factors that do break divisibility
     parts = [(2,)] * 1500 + [(3,), (4,), (2, 6)]
-    assert direct_sum_torsion(parts) == _torsion_of_the_diagonal(parts) == (2,) * 1501 + (6, 12)
-    assert direct_sum_torsion([(2,)] * 3000) == (2,) * 3000
+    assert direct_sum_torsion([(part, 1) for part in parts]) == _torsion_of_the_diagonal(parts) == (2,) * 1501 + (6, 12)
+    assert direct_sum_torsion([((2,), 1)] * 3000) == (2,) * 3000
 
 
 def _torsion_by_prime_exponents(factors: list[int]) -> tuple[int, ...]:
@@ -106,12 +112,12 @@ def _torsion_by_prime_exponents(factors: list[int]) -> tuple[int, ...]:
 def test_direct_sum_torsion_matches_the_prime_exponents(runs):
     # thousands of copies of a few factors, coprime ones among them
     factors = [f for f, count in runs for _ in range(count)]
-    assert direct_sum_torsion([(f,) for f in factors]) == _torsion_by_prime_exponents(factors)
+    assert direct_sum_torsion([((f,), 1) for f in factors]) == _torsion_by_prime_exponents(factors)
 
 
 def test_direct_sum_torsion_runs_no_smith_form(monkeypatch):
     monkeypatch.setattr(linalg, "smith_normal_form", lambda m: pytest.fail("ran a Smith form"))
-    assert direct_sum_torsion([(2,)] * 3000 + [(3,), (9,)]) == (2,) * 2998 + (6, 18)
+    assert direct_sum_torsion([((2,), 1)] * 3000 + [((3,), 1), ((9,), 1)]) == (2,) * 2998 + (6, 18)
 
 
 def test_snf_residual_clears_row_and_column():
