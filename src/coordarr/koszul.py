@@ -261,7 +261,7 @@ def cohomology(K: SimplicialComplex, coeff: str = "Z", shapes: Shapes | None = N
     """
     n, ghosts = K.n, K.n - card(K.vertex_support)
     neighbors = _neighbors(K)
-    summands = [(0, ghosts)]  # (C, n - |N[C]|) of the unit and of each C that is not a face
+    summands = [(0, ghosts)]  # (C, how many vertices J - C may hold): the unit, then each non-face C
     spread: dict[tuple[int, int], int] = defaultdict(int)  # connected sets by (|C|, n - |N[C]|)
     for C, closed in _connected_sets(K, neighbors):
         spread[(card(C), n - card(closed))] += 1

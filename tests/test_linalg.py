@@ -55,7 +55,7 @@ def test_direct_sum_torsion_merges_the_invariant_factors():
     assert direct_sum_torsion([]) == ()
 
 
-def test_direct_sum_torsion_counts_copies_without_expanding_them():
+def test_direct_sum_torsion_of_a_million_counted_copies():
     # a million copies of Z/2 next to one Z/3: the fold sees two runs, and
     # one Z/2 joins the Z/3 as Z/6
     assert direct_sum_torsion([((2,), 10**6), ((3,), 1)]) == (2,) * (10**6 - 1) + (6,)
