@@ -8,19 +8,20 @@ composable maps into its groups, eliminating each map once, and
 Everything is arbitrary precision and deterministic, with no floating
 point anywhere.
 
-``smith_normal_form`` and ``rank_rational`` share one sparse elimination
+``smith_normal_form`` and ``rank_rational`` share one sparse unit-pivot
 core on row dicts plus a column index (Dumas–Saunders–Villard, "On
 efficient sparse integer matrix Smith normal form computations", J. Symb.
-Comput. 32, 2001):
+Comput. 32, 2001), ``_eliminate_units``: it takes every ±1 pivot,
+shortest row first (lowest row index on ties), with unimodular Schur
+updates and no row scaling, so it is valid over Z and over Q alike.  Two
+finishers take the unit-free residual, which on the package's matrices is
+rare and tiny:
 
-* phase 1 takes every ±1 pivot, shortest row first (lowest row index on
-  ties), with unimodular Schur updates and no row scaling, so it is valid
-  over Z and over Q alike;
-* phase 2 runs the expensive smallest-magnitude pivoting on the unit-free
-  residual only: integer row and column operations for the Smith form,
-  fraction-free elimination for the rank.
+* over Z, ``smith_normal_form`` diagonalizes it by smallest-magnitude
+  integer row and column operations, which the torsion needs;
+* over Q, ``rank_rational`` hands its rows to ``_rref``.
 
-Kernel and quotient bases share one echelon routine, ``_rref`` on sparse
+Kernel and quotient bases use the same echelon routine, ``_rref`` on sparse
 ``Fraction`` rows with every subtraction made by ``_subtract``; the reduced
 echelon form is unique, and so are the representative vectors.  Invariant
 factors are merged with no elimination at all: ``_divisibility_chain``
@@ -142,7 +143,7 @@ def compose_is_zero(outer: ExactMatrix, inner: ExactMatrix) -> bool:
 # the elimination core
 # ---------------------------------------------------------------------------
 
-Rows = dict[int, dict[int, int]]
+Rows = dict[int, dict[int, Scalar]]
 ColumnIndex = dict[int, set[int]]
 
 
@@ -355,63 +356,23 @@ def _primitive(vec: Mapping[int, Scalar]) -> dict[int, int]:
 def rank_rational(m: ExactMatrix, pivots: list[int] | None = None) -> int:
     """Rank over the rationals.
 
-    Rows are scaled to integers, phase 1 (``_eliminate_units``) takes every
-    ±1 pivot, and the unit-free residual goes through fraction-free
-    elimination: pivot on the smallest magnitude (lowest (row, col) on
-    ties), replace each other row of the pivot column by
-    ``pv * row - rv * prow`` and strip its content gcd, which keeps
-    coefficient growth tame.
+    ``_eliminate_units`` takes every ±1 pivot, and ``_rref`` finishes the
+    unit-free residual rows; the rank is the number of pivots of both.  The
+    Schur updates of the unit phase are exact on ``Fraction`` entries too,
+    so rational input needs no scaling.
 
-    When ``pivots`` is a list, the pivot column of every elimination step,
-    from both phases, is appended to it.  Both phases use row operations
-    only, so these ``rank`` distinct columns are a basis of the column
-    space of ``m``.
+    When ``pivots`` is a list, the unit pivot columns P and then the
+    ``_rref`` pivot columns Q are appended to it.  Both phases use row
+    operations only, so with S the residual (the Schur complement),
+    rank M[:, P ∪ Q] = |P| + rank S[:, Q] = |P| + |Q| = rank M: these
+    distinct columns are a basis of the column space of ``m``.
     """
     rows, colindex = _working_copy(m)
-    if m.is_rational:
-        # scale each row to primitive integers; the support, and so the
-        # column index, stays the same
-        for r, row in rows.items():
-            rows[r] = _primitive(row)
     rank = _eliminate_units(rows, colindex, pivots)
-    while rows:
-        best = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                key = (abs(v), r, c)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            break
-        _, pr, pc = best
-        pv = rows[pr][pc]
-        rank += 1
-        if pivots is not None:
-            pivots.append(pc)
-        targets = [r for r in colindex.get(pc, set()) if r != pr]
-        prow = rows[pr]
-        for r in targets:
-            rv = rows[r][pc]
-            row = rows[r]
-            # row <- pv * row - rv * prow, then strip the content gcd
-            for c in row:
-                row[c] *= pv
-            for c, v in prow.items():
-                nv = row.get(c, 0) - rv * v
-                if nv:
-                    row[c] = nv
-                    colindex.setdefault(c, set()).add(r)
-                elif c in row:
-                    del row[c]
-                    colindex[c].discard(r)
-            g = gcd(*row.values())
-            if g > 1:
-                for c in row:
-                    row[c] //= g
-        for c in list(prow):
-            colindex[c].discard(pr)
-        del rows[pr]
-    return rank
+    residual_pivots = _rref(rows.values())[1]
+    if pivots is not None:
+        pivots.extend(residual_pivots)
+    return rank + len(residual_pivots)
 
 
 def _subtract(row: dict, f: Fraction, pivot_row: Mapping) -> None:

@@ -315,7 +315,7 @@ def test_rank_matches_fraction_gauss_past_unit_pivots():
         scales = [Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7))) for _ in range(m.rows)]
         scaled = ExactMatrix(m.rows, m.cols, {(r, c): v * scales[r] for (r, c), v in m.entries.items()})
         assert rank_rational(scaled) == rank, seed
-    # the residual elimination (phase 2) must have been exercised
+    # the elimination of the unit-free residual must have been exercised
     assert with_residual >= 15
 
 
@@ -357,7 +357,7 @@ def test_rank_pivots_are_a_column_basis(m):
 
 
 def test_rank_pivots_include_the_residual_phase():
-    # no unit entry: every pivot comes from the fraction-free phase
+    # no unit entry: every pivot comes from the residual's echelon form
     assert len(_check_pivots(from_dense([[2, 4, 6], [6, 3, 9], [4, 8, 12]]))) == 2
     residual_pivots = 0
     for seed in range(20):
