@@ -87,9 +87,6 @@ class PolyFunction:
                 if coeff:
                     self.terms[tuple(expo)] = coeff
 
-    def max_axis_degree(self) -> int:
-        return max((max(e) for e in self.terms), default=0)
-
     def __call__(self, z: Sequence[complex]) -> complex:
         """Value at one point."""
         total = 0j
@@ -312,19 +309,22 @@ def _pullback_can_be_nonzero(
     return keep
 
 
-def _axis_sums(zeta_j: complex, max_power: int, circle: list[complex]) -> list[complex]:
-    """S(m) = average over the grid nodes w of  w^(m+1) / (w - zeta_j),
-    m = 0..min(max_power, N - 1); the per-axis factors of the separated
-    rule.  Every node has w^N = 1, so S(m) = S(m mod N) and a caller reads
-    exponent e at ``e % N``.  The terms nearly cancel, so real and
-    imaginary parts are summed with ``math.fsum``, whose rounding error
-    does not grow with N."""
-    terms = [w / (w - zeta_j) for w in circle]
-    out = []
-    for _ in range(min(max_power, len(circle) - 1) + 1):
-        total = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
-        out.append(total / len(circle))
-        terms = [term * w for term, w in zip(terms, circle)]
+def _axis_sums(zeta_j: complex, residues: Iterable[int], circle: list[complex]) -> dict[int, complex]:
+    """S(e) = average over the grid nodes w of  w^(e+1) / (w - zeta_j), for
+    each e in ``residues``; the per-axis factors of the separated rule.
+    Every node has w^N = 1, so S(e) = S(e mod N): a caller passes the
+    residues mod N of the exponents it uses and reads exponent e at
+    ``e % N``.  The power w_k^(e+1) is the node k*(e+1) mod N itself, so no
+    rounding accumulates along e, and the cost is N per residue.  The terms
+    nearly cancel, so real and imaginary parts are summed with
+    ``math.fsum``, whose rounding error does not grow with N."""
+    nodes = len(circle)
+    gaps = [w - zeta_j for w in circle]
+    out = {}
+    for e in residues:
+        step = e + 1
+        terms = [circle[k * step % nodes] / gap for k, gap in enumerate(gaps)]
+        out[e] = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)) / nodes
     return out
 
 
@@ -358,9 +358,8 @@ def evaluate_representation(
 
     if not f.terms:
         return 0j
-    max_power = f.max_axis_degree()
     circle = spec.circle()
-    axis = [_axis_sums(zeta[j], max_power, circle) for j in range(n)]
+    axis = [_axis_sums(zeta[j], {expo[j] % spec.nodes for expo in f.terms}, circle) for j in range(n)]
     quad = 0j
     for expo, coeff in sorted(f.terms.items()):
         term = coeff

@@ -292,7 +292,7 @@ def test_monomial_reproduction_matches_direct_evaluation():
 
 def test_exponents_beyond_the_grid_wrap_around():
     # every node has w^N = 1, so z^(e + kN) integrates like z^e and the
-    # axis sums stop at N - 1 whatever the exponent
+    # axis sums are taken at the residues mod N only, whatever the exponent
     data = kn.build_kernel(edge_boundary(), 3)
     spec = kn.QuadratureSpec(8)
     zeta = [0.3 - 0.1j, -0.2 + 0.25j]
@@ -302,11 +302,24 @@ def test_exponents_beyond_the_grid_wrap_around():
         data, low, zeta, spec
     )
     circle = spec.circle()
-    sums = kn._axis_sums(zeta[0], 10**5, circle)
-    assert len(sums) == 8
-    for e in (3, 8, 8 * 1000 + 3):
+    exponents = (3, 8, 8 * 1000 + 3)
+    sums = kn._axis_sums(zeta[0], {e % 8 for e in exponents}, circle)
+    assert sorted(sums) == [0, 3]
+    for e in exponents:
         direct = sum(w ** (e + 1) / (w - zeta[0]) for w in circle) / 8
         assert abs(sums[e % 8] - direct) < 1e-9
+
+
+def test_high_degree_on_a_fine_grid_costs_one_pass_per_residue():
+    # f = z1^(N-1) + 1 uses two residues per axis, so N = 2^14 nodes is two
+    # passes over the grid per axis, not N - 1 of them
+    nodes = 2**14
+    data = kn.build_kernel(edge_boundary(), 3)
+    spec = kn.QuadratureSpec(nodes)
+    f = kn.PolyFunction(2, {(nodes - 1, 0): 1, (0, 0): 1})
+    (row,) = kn.verify_reproduction(data, f, [[0.3, 0.1]], spec)
+    assert row["N"] == nodes
+    assert row["abs_error"] < 1e-14
 
 
 def test_reproduction_linear_in_f():
