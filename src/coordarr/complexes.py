@@ -164,9 +164,13 @@ class SimplicialComplex:
     @classmethod
     def from_missing_faces(cls, n: int, missing: Iterable[Iterable[int]]) -> "SimplicialComplex":
         """Complex whose faces are exactly the subsets containing no listed
-        missing face."""
+        missing face.
+
+        The faces are closed downwards, so a face is maximal exactly when
+        no one-vertex extension of it is a face."""
         if n > MAX_VERTICES:
             raise ComplexError(f"vertex count {n} exceeds the {MAX_VERTICES}-bit mask limit")
+        missing = [tuple(f) for f in missing]
         bad = [mask_of(f) for f in missing]
         full = (1 << n) - 1
         for b, f in zip(bad, missing):
@@ -174,8 +178,9 @@ class SimplicialComplex:
                 raise ComplexError(f"missing face {list(f)} has vertices outside 1..{n}")
             if b == 0:
                 raise ComplexError("the empty set cannot be a missing face")
-        faces = [s for s in subsets_of(full) if not any(s & b == b for b in bad)]
-        maximal = [f for f in faces if not any(f != g and f & g == f for g in faces)]
+        faces = {s for s in subsets_of(full) if not any(s & b == b for b in bad)}
+        vertices = [1 << k for k in range(n)]
+        maximal = [f for f in faces if not any(not f & v and f | v in faces for v in vertices)]
         return cls(n, maximal)
 
     # -- derived face data ---------------------------------------------------

@@ -64,9 +64,7 @@ def all_complexes(n: int) -> list[SimplicialComplex]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for family in sorted(families):
-            members = [m for m in range(1, end) if family >> (m - 1) & 1]
-            maximal = [m for m in members if not any(m != g and m & g == m for g in members)]
-            out.append(SimplicialComplex(n, maximal or [0]))
+            out.append(SimplicialComplex(n, [m for m in range(1, end) if family >> (m - 1) & 1]))
     return out
 
 

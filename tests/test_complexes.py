@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from coordarr.complexes import (
     mask_of,
     parse_complex,
     pos_in,
+    subsets_of,
 )
 from coordarr.corpus import all_complexes
 from reference import all_complexes_brute_force, complex_to_json, minimal_non_faces
@@ -109,6 +111,40 @@ def test_errors():
         parse_complex({"n": 2, "missing_faces": [[1, True]]})
     with pytest.raises(ComplexError):
         parse_complex({"n": 2, "facets": [[False]]})
+
+
+def test_missing_faces_from_a_generator_are_checked():
+    # a one-shot iterable is read once, so the checks see every face
+    with pytest.raises(ComplexError):
+        SimplicialComplex.from_missing_faces(3, (f for f in [[1, 7]]))
+    with pytest.raises(ComplexError):
+        SimplicialComplex.from_missing_faces(3, (f for f in [[]]))
+    K = SimplicialComplex.from_missing_faces(3, (f for f in [[1, 2]]))
+    assert [elements(f) for f in K.facets] == [(1, 3), (2, 3)]
+
+
+@pytest.mark.filterwarnings("ignore::coordarr.complexes.CodimensionOneWarning")
+def test_missing_faces_give_the_maximal_antichain_of_the_faces():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        missing = [rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(0, 4))]
+        bad = [mask_of(f) for f in missing]
+        faces = [s for s in subsets_of((1 << n) - 1) if not any(s & b == b for b in bad)]
+        maximal = {f for f in faces if not any(f != g and f & g == f for g in faces)}
+        assert set(SimplicialComplex.from_missing_faces(n, missing).facets) == maximal, missing
+
+
+def test_missing_path_on_twenty_vertices():
+    # the faces are the independent sets of the path 1 - 2 - ... - 20, the
+    # facets its maximal independent sets
+    n = 20
+    K = SimplicialComplex.from_missing_faces(n, [[i, i + 1] for i in range(1, n)])
+    assert len(K.facets) == 265
+    for f in K.facets:
+        assert not f & f >> 1
+        # every vertex outside f has a neighbour in f
+        assert all(f & 1 << k or f & (0b101 << k >> 1) for k in range(n))
 
 
 def test_json_round_trip():
