@@ -53,12 +53,18 @@ masks; a tie goes to the admissible side.  X_I is built straight from the
 stars, so that side never enumerates the masks of the whole cover: a
 sparse cover of many indices costs what its X_I hold.  The component
 depends on I only through the number m of cover indices and the family of
-its nonempty stars (X_I is their union of simplices, on either side), so
-the dimensions are cached by (m, family): per call, or across a batch of
-complexes in a dict the caller owns and passes in (``corpus``), since the
-key holds nothing else of the complex.  The computation never reads the
-algebra model: X_I is a complex on cover positions, and no nerve lemma is
-used.
+its nonempty stars (X_I is their union of simplices, on either side), and
+its dimensions do not change when the m positions are permuted: the side
+rule reads only the star sizes, and H~ of X_I does not see the labels of
+its vertices.  So the dimensions are cached by the family up to a
+permutation of the positions, keyed by the sorted position signatures
+(per position, the stars that hold it); on the boundary of the n-simplex
+the 2^n index sets fall into n + 1 such classes.  The exact key
+(m, family) is looked up first and the signatures are computed only when
+it misses.  The cache lives per call, or across a batch of complexes in a
+dict the caller owns and passes in (``corpus``), since neither key holds
+anything else of the complex.  The computation never reads the algebra
+model: X_I is a complex on cover positions, and no nerve lemma is used.
 
 Both families go through one pass.  The coboundary sends a mask to its
 faces with alternating signs and skips a face outside the family: on the
@@ -108,8 +114,10 @@ __all__ = [
 
 FaceTuple = tuple[int, ...]
 
-#: component dimensions by (m, star family), see ``_CechEngine.component``
-Families = dict[tuple[int, tuple[int, ...]], list[int]]
+#: component dimensions by the exact key (m, star family) and by the sorted
+#: position signatures of the family, a tuple of ints that never equals an
+#: exact key; see ``_CechEngine.component``
+Families = dict[tuple, list[int]]
 
 
 def _intersection(tup: Iterable[int]) -> int:
@@ -228,7 +236,7 @@ class _CechEngine:
     """Per-complex cache for the cover with the given indices: the stars,
     and for the admissible side the masks of each size and their per-vertex
     admissibility bitmaps, built only when an index set takes that side.
-    The component dimensions are kept by (m, star family) in ``families``,
+    The component dimensions are kept in ``families`` (see ``component``),
     a dict the caller owns and may share between complexes, or a fresh one
     per engine.
 
@@ -246,7 +254,7 @@ class _CechEngine:
         self._stars = [
             sum(1 << j for j, index in enumerate(indices) if index >> v & 1) for v in range(K.n)
         ]
-        # (m, family of nonempty stars) -> component dimensions
+        # (m, family of nonempty stars) and position signatures -> dimensions
         self._by_stars = {} if families is None else families
         self._masks: dict[int, list[int]] = {}
         self._meets_cache: dict[int, list[int]] = {}
@@ -329,21 +337,27 @@ class _CechEngine:
     def component(self, iset: int) -> list[int]:
         """The dimensions of the index-set component, for every Čech degree
         q = 0, ..., m-1, from the smaller side of the pair (Δ, X_I), cached
-        by m and the family of stars.
+        by the star family up to a permutation of the m positions.
 
-        |X_I| is at most the sum of 2^|star| - 1 over the family, and the
-        admissible side holds the 2^m - 1 masks outside X_I; a tie goes to
-        the admissible side.
+        The exact key (m, family) is looked up first; only when it misses
+        are the position signatures computed, and a result computed on the
+        actual family is stored under both keys.  |X_I| is at most the sum of 2^|star| - 1 over the
+        family, and the admissible side holds the 2^m - 1 masks outside
+        X_I; a tie goes to the admissible side.
         """
         stars = self.star_family(iset)
         key = (self.m, stars)
         dims = self._by_stars.get(key)
         if dims is None:
-            bound = sum((1 << star.bit_count()) - 1 for star in stars)
-            if 2 * bound < (1 << self.m) - 1:
-                dims = self.x_dimensions(stars)
-            else:
-                dims = self.dimensions(iset)
+            signatures = _position_signatures(self.m, stars)
+            dims = self._by_stars.get(signatures)
+            if dims is None:
+                bound = sum((1 << star.bit_count()) - 1 for star in stars)
+                if 2 * bound < (1 << self.m) - 1:
+                    dims = self.x_dimensions(stars)
+                else:
+                    dims = self.dimensions(iset)
+                self._by_stars[signatures] = dims
             self._by_stars[key] = dims
         return dims
 
@@ -366,6 +380,28 @@ class _CechEngine:
         return BigradedTable(
             {key: CohomologyBlock(total) for key, total in sorted(totals.items())}, "Q"
         )
+
+
+def _position_signatures(m: int, stars: tuple[int, ...]) -> tuple[int, ...]:
+    """The family up to a permutation of the m positions: per position j,
+    the bitmask of the k with j in stars[k], sorted; a position in no star
+    has signature 0.
+
+    Two families with equal signatures differ by a position permutation
+    that maps the k-th star of one onto the k-th star of the other, so
+    their X_I are isomorphic, their stars have the same sizes, and their
+    components have the same dimensions."""
+    signatures = [0] * m
+    bit = 1  # 1 << k for stars[k]
+    for star in stars:
+        rest = star
+        while rest:
+            low = rest & -rest
+            signatures[low.bit_length() - 1] |= bit
+            rest ^= low
+        bit <<= 1
+    signatures.sort()
+    return tuple(signatures)
 
 
 def _simplex_coboundary(rows: list[int], cols: list[int]) -> ExactMatrix:
@@ -418,7 +454,7 @@ def cohomology(K: SimplicialComplex, families: Families | None = None) -> Bigrad
     Splits each block over the index sets I and sums the component
     dimensions; must agree with the algebra and cell models over Q.
     ``families``, when given, is the caller's dict of component dimensions
-    by (m, star family), shared by the complexes of a batch.
+    by star family, shared by the complexes of a batch.
     """
     return _CechEngine(K, K.facets, families).table()
 
