@@ -166,8 +166,13 @@ class SimplicialComplex:
         """Complex whose faces are exactly the subsets containing no listed
         missing face.
 
-        The faces are closed downwards, so a face is maximal exactly when
-        no one-vertex extension of it is a face."""
+        The faces grow from the empty one by adding vertices in increasing
+        order, so each face is met once, from itself minus its top vertex.
+        That smaller face contains no missing face, so the extension is a
+        face unless it contains a missing face whose top vertex is the
+        added one, and only those are tested.  The faces are closed
+        downwards, so a face is maximal exactly when no one-vertex
+        extension of it is a face."""
         if n > MAX_VERTICES:
             raise ComplexError(f"vertex count {n} exceeds the {MAX_VERTICES}-bit mask limit")
         missing = [tuple(f) for f in missing]
@@ -178,7 +183,18 @@ class SimplicialComplex:
                 raise ComplexError(f"missing face {list(f)} has vertices outside 1..{n}")
             if b == 0:
                 raise ComplexError("the empty set cannot be a missing face")
-        faces = {s for s in subsets_of(full) if not any(s & b == b for b in bad)}
+        by_top: list[list[int]] = [[] for _ in range(n)]
+        for b in bad:
+            by_top[b.bit_length() - 1].append(b)
+        faces = set()
+        stack = [0]
+        while stack:
+            face = stack.pop()
+            faces.add(face)
+            for k in range(face.bit_length(), n):
+                grown = face | 1 << k
+                if not any(grown & b == b for b in by_top[k]):
+                    stack.append(grown)
         vertices = [1 << k for k in range(n)]
         maximal = [f for f in faces if not any(not f & v and f | v in faces for v in vertices)]
         return cls(n, maximal)

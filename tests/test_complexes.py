@@ -147,6 +147,28 @@ def test_missing_path_on_twenty_vertices():
         assert all(f & 1 << k or f & (0b101 << k >> 1) for k in range(n))
 
 
+def test_missing_path_on_twenty_four_vertices():
+    # the independent sets of the path on n vertices number the Fibonacci
+    # F(n + 2); the faces grow one vertex at a time, so the 2^24 subsets
+    # are never filtered
+    n = 24
+    K = SimplicialComplex.from_missing_faces(n, [[i, i + 1] for i in range(1, n)])
+    assert len(K.faces) == 121_393
+    assert all(not f & f >> 1 for f in K.faces)
+
+
+@pytest.mark.filterwarnings("ignore::coordarr.complexes.CodimensionOneWarning")
+def test_missing_faces_give_the_faces_of_the_subset_filter():
+    # the faces of the definition: every subset of [n] holding no missing face
+    rng = random.Random(23)
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        missing = [rng.sample(range(1, n + 1), rng.randint(1, min(n, 4))) for _ in range(rng.randint(0, 6))]
+        bad = [mask_of(f) for f in missing]
+        faces = {s for s in subsets_of((1 << n) - 1) if not any(s & b == b for b in bad)}
+        assert SimplicialComplex.from_missing_faces(n, missing).faces == faces, (n, missing)
+
+
 def test_json_round_trip():
     K = parse_complex({"n": 3, "facets": [[1, 2], [3]]})
     doc = complex_to_json(K)
