@@ -9,9 +9,11 @@ bidegree, and checks every p-stripe against the Euler characteristic of
 the f-vector: ``cohomology --model rk``, ``hodge`` and the message of an
 unavailable kernel report from it, and ``compare`` and ``corpus`` check it.
 ``corpus`` hands the engine and the Čech oracle one cache each for the whole
-run, so a component shape or a star family met in many complexes is
-eliminated once per run; the engine keeps no cache within a call, and the
-oracle caches per call.
+run, so a component shape, or a star family up to a permutation of the
+facet positions, met in many complexes is eliminated once per run; the
+engine keeps no cache within a call, and the oracle caches per call, so it
+eliminates one index set per class of star families (n + 1 of the 2^n on
+the boundary of the n-simplex).
 Their identity check with the cell model compares every block of the full
 stripes, face J included, and eliminates none; it walks each p-stripe once,
 builds each basis of each model once, and keeps nothing once it returns
@@ -42,6 +44,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -70,6 +73,23 @@ def _emit(report: dict, json_path: str | None) -> None:
             Path(json_path).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ComplexError(f"cannot write {json_path}: {exc}") from exc
+
+
+def _print_last(*lines: str) -> None:
+    """Print the lines of a command whose checks and artifact are done.
+
+    A reader may close stdout early (``| head -1``): the rest of the output
+    is then dropped, and stdout is pointed at the null device so that the
+    interpreter's final flush does not fail either; the exit code stays the
+    one the checks gave."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _report(command: str, source_text: str, artifacts: dict, checks: dict[str, bool]) -> dict:
@@ -172,11 +192,13 @@ def cmd_resolvent(args: argparse.Namespace) -> int:
         )
     # build_resolvent validates: a broken identity raises CheckFailed (exit 1)
     resolvent = build_resolvent(K, generators[args.index])
-    print(f"resolvent of length {resolvent.q} for generator {args.index} "
-          f"of bidegree ({args.p},{args.q}); identities hold")
     payload = resolvent.to_json()
-    print(json.dumps(payload, sort_keys=True, indent=2))
     _emit(_report("resolvent", text, payload, {"identities": True}), args.json)
+    _print_last(
+        f"resolvent of length {resolvent.q} for generator {args.index} "
+        f"of bidegree ({args.p},{args.q}); identities hold",
+        json.dumps(payload, sort_keys=True, indent=2),
+    )
     return OK
 
 
@@ -188,11 +210,13 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         print(f"FAIL  {exc}")
         return CHECK_FAILED
     ok = data.check_normalized()
-    print(f"kernel for total degree {args.s}: scale ({data.scale})*(2pii)^{-data.n}, "
-          f"{len(data.top_piece.values)} top tuples; normalization {'exact' if ok else 'FAIL'}")
     payload = data.to_json()
-    print(json.dumps(payload, sort_keys=True, indent=2))
     _emit(_report("kernel", text, payload, {"normalized": ok}), args.json)
+    _print_last(
+        f"kernel for total degree {args.s}: scale ({data.scale})*(2pii)^{-data.n}, "
+        f"{len(data.top_piece.values)} top tuples; normalization {'exact' if ok else 'FAIL'}",
+        json.dumps(payload, sort_keys=True, indent=2),
+    )
     return OK if ok else CHECK_FAILED
 
 

@@ -27,15 +27,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(ROOT / "src")
 
 
+def _env() -> dict[str, str]:
+    """The environment of a fresh interpreter that finds this checkout's
+    ``coordarr``."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+
 def _python(*args: str) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that finds this checkout's ``coordarr``."""
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env())
 
 
 @pytest.fixture()
@@ -723,6 +723,44 @@ def test_console_entry_point(edge_file):
     proc = _python("-m", "coordarr.cli", "cohomology", edge_file)
     assert proc.returncode == 0
     assert "H^{2,1} = Z" in proc.stdout
+
+
+def test_package_entry_point_is_the_cli(edge_file):
+    proc = _python("-m", "coordarr", "hodge", edge_file)
+    reference = _python("-m", "coordarr.cli", "hodge", edge_file)
+    assert (proc.returncode, proc.stdout) == (reference.returncode, reference.stdout)
+    assert proc.returncode == 0 and proc.stdout.startswith("# Hodge numbers")
+
+
+def _closing_stdout_after(lines: int, *args: str) -> tuple[int, str]:
+    """Run a command in a fresh interpreter whose reader takes the given
+    number of stdout lines and then closes the pipe; returns the exit code
+    and stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coordarr", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env()
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(), err
+
+
+@pytest.mark.parametrize(("command", "lines"), [
+    (["resolvent", "--p", "6", "--q", "5"], 1),  # a payload far larger than the pipe
+    (["kernel", "--s", "11"], 0),  # closed before the first line is written
+], ids=["resolvent", "kernel"])
+def test_a_closed_stdout_keeps_the_artifact_and_the_exit_code(command, lines, tmp_path):
+    # `coordarr resolvent ... --json r.json | head -1`: the artifact is
+    # written before the payload is printed, and the exit code is the one
+    # the checks give, with no traceback
+    sphere = _sphere_file(tmp_path, 6)
+    closed, normal = tmp_path / "closed.json", tmp_path / "normal.json"
+    code, err = _closing_stdout_after(lines, command[0], sphere, *command[1:], "--json", str(closed))
+    assert (code, err) == (0, "")
+    assert run([command[0], sphere, *command[1:], "--json", str(normal)]) == 0
+    assert closed.read_bytes() == normal.read_bytes()
 
 
 def test_cli_import_does_not_load_scipy():
