@@ -186,7 +186,7 @@ class SimplicialComplex:
         by_top: list[list[int]] = [[] for _ in range(n)]
         for b in bad:
             by_top[b.bit_length() - 1].append(b)
-        faces = set()
+        faces: set[int] = set()
         stack = [0]
         while stack:
             face = stack.pop()
