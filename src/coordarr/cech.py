@@ -24,8 +24,8 @@ canonically isomorphic Čech cohomology for any coefficient presheaf.
 Tables and representatives are therefore computed on the small facet
 cover, and representatives are pulled back to the face cover, where
 resolvents of cycles live, along r: face -> first containing facet.
-``_CechEngine`` takes its tuple of cover indices, so the test suite also
-runs it on the face cover and checks that the two tables agree on small
+``_table`` takes its tuple of cover indices, so the test suite also runs
+it on the face cover and checks that the two tables agree on small
 complexes.
 
 The pullback is evaluated on demand: its value at a face tuple T is the
@@ -37,34 +37,29 @@ of a resolvent's top piece).
 Internally each (p, t) block splits as a direct sum over the index sets I
 (the coboundary never mixes the dz_I/z_I coefficients).  On m cover
 indices a tuple is a position mask, the set of the index positions it
-takes; the masks of each size are listed in the order of their tuples,
-and a mask becomes its tuple only when a cochain is written.  A tuple's
-intersection holds the vertex v exactly when its mask lies inside star(v),
-the positions of the indices holding v.  So the admissible tuples of the
-component of I, the masks inside no star of I, are the relative cochains
-of a pair (Δ, X_I): Δ is the full simplex on the m positions, and X_I the
-union over i in I of the nonempty submasks of star(i).  Δ is acyclic, so
-the long exact sequence of the pair (Hatcher, Thm 2.16 and §3.1) gives the
-component's H^q as the reduced H~^(q-1)(X_I), which is Q at q = 0 when
-X_I is empty.  ``cohomology`` computes each component from the smaller
-family, chosen from sizes known before any work: |X_I| is at most the sum
-of 2^|star(i)| - 1, and the admissible side holds the other 2^m - 1 - |X_I|
-masks; a tie goes to the admissible side.  X_I is built straight from the
-stars, so that side never enumerates the masks of the whole cover: a
-sparse cover of many indices costs what its X_I hold.  The component
-depends on I only through the number m of cover indices and the family of
-its nonempty stars (X_I is their union of simplices, on either side), and
-its dimensions do not change when the m positions are permuted: the side
-rule reads only the star sizes, and H~ of X_I does not see the labels of
-its vertices.  So the dimensions are cached by the family up to a
-permutation of the positions, keyed by the sorted position signatures
-(per position, the stars that hold it); on the boundary of the n-simplex
-the 2^n index sets fall into n + 1 such classes.  The exact key
-(m, family) is looked up first and the signatures are computed only when
-it misses.  The cache lives per call, or across a batch of complexes in a
-dict the caller owns and passes in (``corpus``), since neither key holds
-anything else of the complex.  The computation never reads the algebra
-model: X_I is a complex on cover positions, and no nerve lemma is used.
+takes; the masks of each size are listed in the order of their tuples
+(``k_subsets(m, size)``), and a mask becomes its tuple only when a
+cochain is written.  A tuple's intersection holds the vertex v exactly
+when its mask lies inside star(v), the positions of the indices holding
+v.  So the admissible tuples of the component of I, the masks inside no
+star of I, are the relative cochains of a pair (Δ, X_I): Δ is the full
+simplex on the m positions, and X_I the set of the nonempty submasks of
+the stars of I.  Δ is acyclic, so the long exact sequence of the pair
+(Hatcher, Thm 2.16 and §3.1) gives the component's H^q as the reduced
+H~^(q-1)(X_I), which is Q at q = 0 when X_I is empty.
+
+Everything below is a function of m and the star family of I, the
+distinct nonempty stars of its vertices.  X_I is built once, straight
+from the family, so the X side never enumerates the masks of the whole
+cover; its size picks the side with fewer masks: the X side when
+2|X_I| < 2^m - 1, else the admissible side (even against odd, never a
+tie).  The dimensions do not change when the m positions are permuted,
+since H~ of X_I does not see the labels of its vertices.  So
+``_component`` caches them by the sorted position signatures of the
+family (per position, the stars that hold it); on the boundary of the
+n-simplex the 2^n index sets fall into n + 1 such classes.  The cache
+lives per call, or across a batch in a dict the caller owns (``corpus``),
+since the key holds nothing else of the complex.  No nerve lemma is used.
 
 Both families go through one pass.  The coboundary sends a mask to its
 faces with alternating signs and skips a face outside the family: on the
@@ -76,55 +71,41 @@ Bauer–Kerber–Reininghaus, "Clear and compress", 2014): the pivot columns
 P of delta_t, a basis of its column space, are deleted from the rows of
 delta_(t-1).  The rank survives because delta_t o delta_(t-1) = 0:
 ker delta_t meets span(e_P) only in 0, so the image of delta_(t-1)
-projects injectively away from P.  The pass gives the unreduced
-dimensions of the family; on the X_I side the augmentation, the empty
-simplex mapping with rank 1 onto the vertices of a nonempty X_I, is
-applied afterwards and shifts them to the reduced ones.
+projects injectively away from P.  On the X_I side the augmentation
+(rank 1 onto the vertices of a nonempty X_I) then shifts the unreduced
+dimensions to the reduced ones.
 
 The model has two jobs: ``cohomology`` is the independent oracle for the
 algebra model's tables (which also give the Hodge table), so this module
 never imports that model; and ``representative_cocycles`` gives the
 cocycles the kernels are built from, on the facet cover, for them to be
-pulled back where they pair.
+pulled back where they pair.  Each cocycle is read back from its
+cochain and checked there: closed, and not exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .complexes import SimplicialComplex, card, elements, face_key
+from .complexes import SimplicialComplex, card, elements, face_key, intersection, k_subsets
 from .linalg import (
     BigradedTable,
     CheckFailed,
     CohomologyBlock,
     ExactMatrix,
+    compose_is_zero,
     kernel_basis,
     quotient_basis,
     rank_rational,
 )
 
-__all__ = [
-    "LogCochain",
-    "cohomology",
-    "representative_cocycles",
-    "pullback_to_faces",
-]
+__all__ = ["LogCochain", "cohomology", "representative_cocycles", "pullback_to_faces"]
 
 FaceTuple = tuple[int, ...]
 
-#: component dimensions by the exact key (m, star family) and by the sorted
-#: position signatures of the family, a tuple of ints that never equals an
-#: exact key; see ``_CechEngine.component``
-Families = dict[tuple, list[int]]
-
-
-def _intersection(tup: Iterable[int]) -> int:
-    inter = -1
-    for m in tup:
-        inter &= m
-    return inter
+#: component dimensions by the position signatures of a star family (``_component``)
+Families = dict[tuple[int, ...], list[int]]
 
 
 def canonical_tuple(tup: Sequence[int]) -> tuple[FaceTuple, int] | None:
@@ -180,7 +161,7 @@ class LogCochain:
             for tup, form in values.items():
                 if len(tup) != t + 1:
                     raise ValueError("tuple length does not match the Čech degree")
-                inter = _intersection(tup)
+                inter = intersection(tup)
                 kept: Form = {}
                 for mask, coeff in form.items():
                     if card(mask) != p:
@@ -229,157 +210,100 @@ class LogCochain:
 
 
 # ---------------------------------------------------------------------------
-# blocks of the complex
+# components of the complex
 # ---------------------------------------------------------------------------
 
-class _CechEngine:
-    """Per-complex cache for the cover with the given indices: the stars,
-    and for the admissible side the masks of each size and their per-vertex
-    admissibility bitmaps, built only when an index set takes that side.
-    The component dimensions are kept in ``families`` (see ``component``),
-    a dict the caller owns and may share between complexes, or a fresh one
-    per engine.
+def _stars(K: SimplicialComplex, indices: Sequence[int]) -> list[int]:
+    """Per vertex bit v, the star of v: the bitmask of the positions of the
+    cover indices holding v."""
+    return [sum(1 << j for j, index in enumerate(indices) if index >> v & 1) for v in range(K.n)]
 
-    ``component`` is the one per-index-set route of ``table``; it picks
-    between ``dimensions`` (admissible masks) and ``x_dimensions`` (the
-    subcomplex X_I from the stars), which run the same pass over their
-    family and give the same list."""
 
-    def __init__(self, K: SimplicialComplex, indices: tuple[int, ...], families: Families | None = None):
-        self.K = K
-        self.indices = indices
-        self.m = len(self.indices)
-        # per vertex bit v, the star of v: the bitmask of the positions of
-        # the cover indices holding v
-        self._stars = [
-            sum(1 << j for j, index in enumerate(indices) if index >> v & 1) for v in range(K.n)
-        ]
-        # (m, family of nonempty stars) and position signatures -> dimensions
-        self._by_stars = {} if families is None else families
-        self._masks: dict[int, list[int]] = {}
-        self._meets_cache: dict[int, list[int]] = {}
+def _star_family(stars: list[int], iset: int) -> tuple[int, ...]:
+    """The distinct nonempty stars of the vertices of the index set,
+    ascending: all of I that X_I, and so the component, depends on."""
+    return tuple(sorted({stars[v] for v in range(iset.bit_length()) if iset >> v & 1 and stars[v]}))
 
-    def masks(self, size: int) -> list[int]:
-        """All position masks with the given number of elements, in the
-        order of their index tuples."""
-        if size not in self._masks:
-            bit = [1 << j for j in range(self.m)]
-            self._masks[size] = [sum(map(bit.__getitem__, c)) for c in combinations(range(self.m), size)]
-        return self._masks[size]
 
-    def _meets(self, size: int) -> list[int]:
-        """Per vertex bit v, the bitmap of the positions in ``masks(size)``
-        of the masks inside star(v): the tuples whose intersection holds v."""
-        if size not in self._meets_cache:
-            masks = self.masks(size)[::-1]
-            self._meets_cache[size] = [
-                int("0" + "".join("0" if mask & outside else "1" for mask in masks), 2)
-                for outside in [~star for star in self._stars]
-            ]
-        return self._meets_cache[size]
+def _x_set(family: tuple[int, ...]) -> set[int]:
+    """X_I: the nonempty submasks of the stars of the family."""
+    X: set[int] = set()
+    for star in family:
+        sub = star
+        while sub:
+            X.add(sub)
+            sub = (sub - 1) & star
+    return X
 
-    def admissible(self, size: int, iset: int) -> list[int]:
-        """The masks of the given size inside no star of the index set, in
-        tuple order, from one bitmap operation per vertex of the set."""
-        masks = self.masks(size)
-        bitmap = (1 << len(masks)) - 1
-        meets = self._meets(size)
-        for v in range(iset.bit_length()):
-            if iset >> v & 1:
-                bitmap &= ~meets[v]
-        return [masks[i] for i in _bits(bitmap)]
 
-    def block(self, iset: int, t: int) -> ExactMatrix:
-        """Degree-t coboundary on the index-set component, from the
-        admissible (t+1)-tuples to the admissible (t+2)-tuples, before the
-        form-degree sign; the complex is not augmented, so for t < 0 it is
-        the empty map into degree 0."""
-        rows = self.admissible(t + 2, iset)
-        if t < 0:
-            return ExactMatrix(len(rows), 0)
-        return _simplex_coboundary(rows, self.admissible(t + 1, iset))
+def _admissible(m: int, X: set[int], size: int) -> list[int]:
+    """The masks of the given size outside X_I, in the order of their
+    tuples: the tuples whose intersection misses the index set."""
+    return [mask for mask in k_subsets(m, size) if mask not in X]
 
-    def dimensions(self, iset: int) -> list[int]:
-        """dim of the degree-q cohomology of the index-set component, for
-        every q = 0, ..., m-1: the pass over the admissible masks."""
-        return _cleared_dimensions([[]] + [self.admissible(size, iset) for size in range(1, self.m + 1)])
 
-    def star_family(self, iset: int) -> tuple[int, ...]:
-        """The distinct nonempty stars of the vertices of the index set,
-        ascending: X_I, and so the component, depends on I through them
-        alone."""
-        stars = self._stars
-        return tuple(sorted({stars[v] for v in range(iset.bit_length()) if iset >> v & 1 and stars[v]}))
+def _block(m: int, X: set[int], t: int) -> ExactMatrix:
+    """Degree-t coboundary on the component, from the admissible
+    (t+1)-tuples to the admissible (t+2)-tuples, before the form-degree
+    sign; the complex is not augmented, so for t < 0 it is the empty map
+    into degree 0."""
+    rows = _admissible(m, X, t + 2)
+    if t < 0:
+        return ExactMatrix(len(rows), 0)
+    return _simplex_coboundary(rows, _admissible(m, X, t + 1))
 
-    def x_dimensions(self, stars: tuple[int, ...]) -> list[int]:
-        """``dimensions`` from the other side of the pair: dim H~^(q-1) of
-        X_I, the union of the simplices on the given stars, for every
-        q = 0, ..., m-1.
 
-        The pass runs over the nonempty submasks of the stars, ascending
-        within each size, and gives the unreduced dimensions of X_I; the
-        augmentation (rank 1 when X_I is nonempty) then takes one class
-        from degree 0 and leaves H~^(-1) = Q only for an empty X_I.
-        """
-        simplices = set()
-        for star in stars:
-            sub = star
-            while sub:
-                simplices.add(sub)
-                sub = (sub - 1) & star
-        family: list[list[int]] = [[] for _ in range(self.m + 1)]
-        for simplex in sorted(simplices):
-            family[simplex.bit_count()].append(simplex)
-        dims = _cleared_dimensions(family)
-        augmentation = 1 if simplices else 0
-        return ([1 - augmentation, dims[0] - augmentation] + dims[1:])[: self.m]
+def _admissible_dimensions(m: int, X: set[int]) -> list[int]:
+    """dim of the degree-q cohomology of the component, for every
+    q = 0, ..., m-1: the pass over the admissible masks."""
+    return _cleared_dimensions([[]] + [_admissible(m, X, size) for size in range(1, m + 1)])
 
-    def component(self, iset: int) -> list[int]:
-        """The dimensions of the index-set component, for every Čech degree
-        q = 0, ..., m-1, from the smaller side of the pair (Δ, X_I), cached
-        by the star family up to a permutation of the m positions.
 
-        The exact key (m, family) is looked up first; only when it misses
-        are the position signatures computed, and a result computed on the
-        actual family is stored under both keys.  |X_I| is at most the sum of 2^|star| - 1 over the
-        family, and the admissible side holds the 2^m - 1 masks outside
-        X_I; a tie goes to the admissible side.
-        """
-        stars = self.star_family(iset)
-        key = (self.m, stars)
-        dims = self._by_stars.get(key)
-        if dims is None:
-            signatures = _position_signatures(self.m, stars)
-            dims = self._by_stars.get(signatures)
-            if dims is None:
-                bound = sum((1 << star.bit_count()) - 1 for star in stars)
-                if 2 * bound < (1 << self.m) - 1:
-                    dims = self.x_dimensions(stars)
-                else:
-                    dims = self.dimensions(iset)
-                self._by_stars[signatures] = dims
-            self._by_stars[key] = dims
-        return dims
+def _x_dimensions(m: int, X: set[int]) -> list[int]:
+    """``_admissible_dimensions`` from the other side of the pair:
+    dim H~^(q-1) of X_I, for every q = 0, ..., m-1; the augmentation leaves
+    H~^(-1) = Q only for an empty X_I."""
+    family: list[list[int]] = [[] for _ in range(m + 1)]
+    for simplex in sorted(X):
+        family[simplex.bit_count()].append(simplex)
+    dims = _cleared_dimensions(family)
+    augmentation = 1 if X else 0
+    return ([1 - augmentation, dims[0] - augmentation] + dims[1:])[:m]
 
-    def table(self) -> BigradedTable:
-        """The component dimensions summed per bidegree; a negative one is
-        a wrong rank (``CheckFailed``)."""
-        totals: dict[tuple[int, int], int] = {}
-        for p in range(self.K.n + 1):
-            for iset in self.K.k_subsets(p):
-                # q runs over every Čech degree of the cover, up to m - 1, which
-                # can exceed n: vanishing above the diagonal q = p is a fact
-                # about the cover, so it is computed rather than assumed
-                for q, dim in enumerate(self.component(iset)):
-                    if dim < 0:
-                        raise CheckFailed(
-                            f"negative Čech group dimension {dim} at (p, q) = ({p}, {q})"
-                        )
-                    if dim:
-                        totals[(p, q)] = totals.get((p, q), 0) + dim
-        return BigradedTable(
-            {key: CohomologyBlock(total) for key, total in sorted(totals.items())}, "Q"
-        )
+
+def _component(m: int, family: tuple[int, ...], families: Families) -> list[int]:
+    """The dimensions of the component of a star family on m cover
+    positions, for every Čech degree q = 0, ..., m-1, from the smaller
+    side of the pair (Δ, X_I), kept in ``families`` under the position
+    signatures of the family.  The side with fewer masks is the X side
+    iff 2|X_I| < 2^m - 1, which never ties (even against odd)."""
+    key = _position_signatures(m, family)
+    dims = families.get(key)
+    if dims is None:
+        X = _x_set(family)
+        dims = _x_dimensions(m, X) if 2 * len(X) < (1 << m) - 1 else _admissible_dimensions(m, X)
+        families[key] = dims
+    return dims
+
+
+def _table(K: SimplicialComplex, indices: Sequence[int], families: Families) -> BigradedTable:
+    """The component dimensions of the cover with the given indices, summed
+    per bidegree over the index sets; a negative one is a wrong rank
+    (``CheckFailed``)."""
+    m = len(indices)
+    stars = _stars(K, indices)
+    totals: dict[tuple[int, int], int] = {}
+    for p in range(K.n + 1):
+        for iset in K.k_subsets(p):
+            # q runs over every Čech degree of the cover, up to m - 1, which
+            # can exceed n: vanishing above the diagonal q = p is a fact
+            # about the cover, so it is computed rather than assumed
+            for q, dim in enumerate(_component(m, _star_family(stars, iset), families)):
+                if dim < 0:
+                    raise CheckFailed(f"negative Čech group dimension {dim} at (p, q) = ({p}, {q})")
+                if dim:
+                    totals[(p, q)] = totals.get((p, q), 0) + dim
+    return BigradedTable({key: CohomologyBlock(total) for key, total in sorted(totals.items())}, "Q")
 
 
 def _position_signatures(m: int, stars: tuple[int, ...]) -> tuple[int, ...]:
@@ -389,8 +313,8 @@ def _position_signatures(m: int, stars: tuple[int, ...]) -> tuple[int, ...]:
 
     Two families with equal signatures differ by a position permutation
     that maps the k-th star of one onto the k-th star of the other, so
-    their X_I are isomorphic, their stars have the same sizes, and their
-    components have the same dimensions."""
+    their X_I are isomorphic, of the same size, and their components have
+    the same dimensions."""
     signatures = [0] * m
     bit = 1  # 1 << k for stars[k]
     for star in stars:
@@ -442,11 +366,6 @@ def _cleared_dimensions(family: list[list[int]]) -> list[int]:
     return [len(family[s]) - ranks[s] - ranks[s - 1] for s in range(1, len(family))]
 
 
-def _bits(bitmap: int) -> list[int]:
-    """Positions of the set bits, ascending."""
-    return [i for i, b in enumerate(reversed(bin(bitmap))) if b == "1"]
-
-
 def cohomology(K: SimplicialComplex, families: Families | None = None) -> BigradedTable:
     """Bigraded table of the log Čech complex over the rationals, on the
     facet cover.
@@ -456,7 +375,7 @@ def cohomology(K: SimplicialComplex, families: Families | None = None) -> Bigrad
     ``families``, when given, is the caller's dict of component dimensions
     by star family, shared by the complexes of a batch.
     """
-    return _CechEngine(K, K.facets, families).table()
+    return _table(K, K.facets, {} if families is None else families)
 
 
 # ---------------------------------------------------------------------------
@@ -468,20 +387,41 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
     cohomology.
 
     The kernel-mod-image bases are extracted per index set on the facet
-    cover.  They stay there: a caller pulls them back to the face cover
-    through ``pullback_to_faces`` at the tuples it reads; the pullback of a
-    cocycle basis along a mutual refinement is again a basis.
+    cover, and checked once written as cochains.  They stay there: a
+    caller pulls them back to the face cover through ``pullback_to_faces``
+    at the tuples it reads; the pullback of a cocycle basis along a mutual
+    refinement is again a basis.
     """
-    engine = _CechEngine(K, K.facets)
+    m = len(K.facets)
+    stars = _stars(K, K.facets)
+    position = {facet: j for j, facet in enumerate(K.facets)}
     out: list[LogCochain] = []
     for iset in K.k_subsets(p):
-        cols = engine.admissible(q + 1, iset)
+        X = _x_set(_star_family(stars, iset))
+        cols = _admissible(m, X, q + 1)
         if not cols:
             continue
-        reps = quotient_basis(kernel_basis(engine.block(iset, q)), engine.block(iset, q - 1))
-        for vec in reps:
-            values = {tuple(K.facets[j] for j in _bits(cols[i])): {iset: v} for i, v in vec.items()}
-            out.append(LogCochain(p, q, values))
+        block, below = _block(m, X, q), _block(m, X, q - 1)
+        cocycles = [
+            LogCochain(p, q, {tuple(K.facets[j - 1] for j in elements(cols[i])): {iset: v} for i, v in vec.items()})
+            for vec in quotient_basis(kernel_basis(block), below)
+        ]
+        # read the stored values back into columns appended to the image
+        # below, and check them by routes other than the _rref that gave
+        # them: the coboundary kills them, and they raise the rank of the
+        # image by their number, so no combination of them is exact
+        row = {mask: i for i, mask in enumerate(cols)}
+        entries = dict(below.entries)
+        for c, w in enumerate(cocycles, below.cols):
+            for tup, form in w.values.items():
+                entries[(row[sum(1 << position[facet] for facet in tup)], c)] = form.get(iset, 0)
+        stacked = ExactMatrix(len(cols), below.cols + len(cocycles), entries)
+        where = f"of bidegree ({p}, {q}) at I = {list(elements(iset))}"
+        if not compose_is_zero(block, stacked):
+            raise CheckFailed(f"a representative cocycle {where} is not closed")
+        if rank_rational(stacked) != rank_rational(below) + len(cocycles):
+            raise CheckFailed(f"the representative cocycles {where} are not independent modulo coboundaries")
+        out.extend(cocycles)
     return out
 
 

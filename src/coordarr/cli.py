@@ -10,9 +10,9 @@ the f-vector: ``cohomology --model rk``, ``hodge`` and the message of an
 unavailable kernel report from it, and ``compare`` and ``corpus`` check it.
 ``corpus`` hands the engine and the Čech oracle one cache each for the whole
 run, so a component shape, or a star family up to a permutation of the
-facet positions, met in many complexes is eliminated once per run; the
-engine keeps no cache within a call, and the oracle caches per call, so it
-eliminates one index set per class of star families (n + 1 of the 2^n on
+facet positions, met in many complexes is eliminated once per run.  Within
+one call the engine keeps no cache, and the oracle one dict keyed by that
+class alone, so it eliminates one index set per class (n + 1 of the 2^n on
 the boundary of the n-simplex).
 Their identity check with the cell model compares every block of the full
 stripes, face J included, and eliminates none; it walks each p-stripe once,
@@ -35,7 +35,10 @@ disagreement, a differential that does not square to zero, a broken
 resolvent identity, reproduction outside tolerance, no kernel in the
 requested degree), 2 on unreadable or malformed input.  The --json artifact is
 byte-identical across identical invocations; wall-clock timing therefore
-goes to stdout only, never into the artifact.
+goes to stdout only, never into the artifact.  Every command writes its
+artifact before it prints anything, and prints through ``_print_last``, so
+a reader that closes stdout early changes neither the artifact nor the
+exit code.
 """
 
 from __future__ import annotations
@@ -110,25 +113,28 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         if coeff != "Q":
             raise ComplexError("the Čech model is rational; use --coeff q")
         table = cech.cohomology(K)
-    print(f"# bigraded cohomology ({args.model}, coefficients {coeff})")
-    print(table if table.blocks else "(trivial)")
     _emit(_report(f"cohomology {args.model}", text, table.to_json(), {}), args.json)
+    _print_last(
+        f"# bigraded cohomology ({args.model}, coefficients {coeff})", str(table) if table.blocks else "(trivial)"
+    )
     return OK
 
 
 def _compare_models(
     K: SimplicialComplex, shapes: koszul.Shapes | None = None, families: cech.Families | None = None
-) -> tuple[dict[str, BigradedTable], dict[str, bool]]:
-    """Tables and checks of the model comparison.
+) -> tuple[dict[str, BigradedTable], dict[str, bool], list[str]]:
+    """Tables, checks and FAIL lines of the model comparison.
 
     The rk table over Z is the one every command reports,
     ``koszul.cohomology``; the Čech table over Q is its oracle.  The cell
     table is the rk table, returned only when ``cells.phi_mismatches``
     finds every block of the two models identical.  ``shapes`` and
-    ``families`` are the caches a batch shares between its complexes.
+    ``families`` are the caches a batch shares between its complexes.  The
+    FAIL lines are returned for the caller to print once its work is done.
     """
     tables: dict[str, BigradedTable] = {}
     checks: dict[str, bool] = {}
+    lines: list[str] = []
     for name, compute in (
         ("rk", lambda: koszul.cohomology(K, "Z", shapes)),
         ("cech", lambda: cech.cohomology(K, families)),
@@ -140,45 +146,43 @@ def _compare_models(
             checks[f"{name} model consistent"] = True
         except CheckFailed as exc:
             checks[f"{name} model consistent"] = False
-            print(f"FAIL  {name} model: {exc}")
+            lines.append(f"FAIL  {name} model: {exc}")
     mismatches = cells.phi_mismatches(K)
     checks["differentials rk=cell"] = not mismatches
     if mismatches:
-        print(f"FAIL  cell coboundary differs from the rk differential at (p, q) = {mismatches}")
+        lines.append(f"FAIL  cell coboundary differs from the rk differential at (p, q) = {mismatches}")
     elif "rk" in tables:
         tables["cell"] = tables["rk"]
     if "rk" in tables and "cech" in tables:
         checks["ranks rk=cech"] = tables["rk"].ranks() == tables["cech"].ranks()
-    return tables, checks
+    return tables, checks, lines
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     K, text = _load(args.path)
     t0 = time.perf_counter()
-    tables, checks = _compare_models(K)
+    tables, checks, lines = _compare_models(K)
     elapsed = time.perf_counter() - t0
-    for name, ok in checks.items():
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    if not checks.get("ranks rk=cech", True):
-        print("rk:  ", tables["rk"].ranks(), tables["rk"].torsions())
-        print("cech:", tables["cech"].ranks())
-    print(f"({elapsed:.3f}s)")
     artifacts = {name: table.to_json() for name, table in tables.items()}
     _emit(_report("compare", text, artifacts, checks), args.json)
+    lines += [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks.items()]
+    if not checks.get("ranks rk=cech", True):
+        lines.append(f"rk:   {tables['rk'].ranks()} {tables['rk'].torsions()}")
+        lines.append(f"cech: {tables['cech'].ranks()}")
+    _print_last(*lines, f"({elapsed:.3f}s)")
     return OK if all(checks.values()) else CHECK_FAILED
 
 
 def cmd_hodge(args: argparse.Namespace) -> int:
     K, text = _load(args.path)
     table = koszul.hodge_table(K)
-    print("# Hodge numbers h(p, q)")
-    for (p, q), r in sorted(table.h.items()):
-        print(f"h({p},{q}) = {r}")
-    print("# filtration ranks F(k, s) (nonzero)")
-    for (k, s), r in sorted(table.F.items()):
-        if r:
-            print(f"F({k},{s}) = {r}")
     _emit(_report("hodge", text, table.to_json(), {}), args.json)
+    _print_last(
+        "# Hodge numbers h(p, q)",
+        *(f"h({p},{q}) = {r}" for (p, q), r in sorted(table.h.items())),
+        "# filtration ranks F(k, s) (nonzero)",
+        *(f"F({k},{s}) = {r}" for (k, s), r in sorted(table.F.items()) if r),
+    )
     return OK
 
 
@@ -207,7 +211,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     try:
         data = kernels.build_kernel(K, args.s)
     except KernelUnavailableError as exc:
-        print(f"FAIL  {exc}")
+        _print_last(f"FAIL  {exc}")
         return CHECK_FAILED
     ok = data.check_normalized()
     payload = data.to_json()
@@ -244,7 +248,7 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
     try:
         data = kernels.build_kernel(K, args.s)
     except KernelUnavailableError as exc:
-        print(f"FAIL  {exc}")
+        _print_last(f"FAIL  {exc}")
         return CHECK_FAILED
     try:
         report = kernels.verify_reproduction(data, f, [zeta], spec)
@@ -252,10 +256,10 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
         raise ComplexError(str(exc)) from exc
     error = report[0]["abs_error"]
     ok = error <= args.tolerance
-    print(f"{'PASS' if ok else 'FAIL'}  |computed - f(zeta)| = {error:.3e} "
-          f"(tolerance {args.tolerance:g}, N = {args.nodes})")
     artifacts = {"report": report, "tolerance": args.tolerance}
     _emit(_report("verify-kernel", text, artifacts, {"reproduction": ok}), args.json)
+    _print_last(f"{'PASS' if ok else 'FAIL'}  |computed - f(zeta)| = {error:.3e} "
+                f"(tolerance {args.tolerance:g}, N = {args.nodes})")
     return OK if ok else CHECK_FAILED
 
 
@@ -263,6 +267,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if args.random < 0:
         raise ComplexError(f"--random must be >= 0, got {args.random}")
     items = corpus.standard_corpus(args.random, args.seed)
+    lines: list[str] = []
     failures = 0
     # one cache per model for this run only: a complex of the batch reads
     # what an earlier one eliminated, and no later command sees either
@@ -270,13 +275,14 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     families: cech.Families = {}
     t0 = time.perf_counter()
     for i, K in enumerate(items):
-        _, checks = _compare_models(K, shapes, families)
+        _, checks, fail_lines = _compare_models(K, shapes, families)
+        lines += fail_lines
         failed = [name for name, ok in checks.items() if not ok]
         if failed:
             failures += 1
-            print(f"FAIL  #{i}: {K!r} [{', '.join(failed)}]")
+            lines.append(f"FAIL  #{i}: {K!r} [{', '.join(failed)}]")
     elapsed = time.perf_counter() - t0
-    print(f"{len(items) - failures}/{len(items)} complexes agree across models ({elapsed:.1f}s)")
+    _print_last(*lines, f"{len(items) - failures}/{len(items)} complexes agree across models ({elapsed:.1f}s)")
     return OK if failures == 0 else CHECK_FAILED
 
 

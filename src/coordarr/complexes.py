@@ -79,6 +79,15 @@ def card(mask: int) -> int:
     return mask.bit_count()
 
 
+def intersection(masks: Iterable[int]) -> int:
+    """The common vertices of the masks: a cover tuple's intersection is
+    that of its indices (all bits set for no mask)."""
+    inter = -1
+    for mask in masks:
+        inter &= mask
+    return inter
+
+
 def face_key(mask: int) -> tuple[int, int]:
     """Total order on faces: by cardinality, then by bitmask value.
 
@@ -94,14 +103,18 @@ def pos_in(mask: int, v: int) -> int:
     return (mask & ((1 << (v - 1)) - 1)).bit_count() + 1
 
 
-@lru_cache(maxsize=64)  # room for every k of every n up to 9
-def _k_subsets(n: int, k: int) -> tuple[int, ...]:
+# room for every k of every n up to 9; n counts the vertices of a complex,
+# or the facets of the cover whose position masks the Čech oracle lists
+@lru_cache(maxsize=64)
+def k_subsets(n: int, k: int) -> tuple[int, ...]:
+    """The masks of the k-subsets of {1, ..., n}, in the lexicographic
+    order of their sorted elements."""
     return tuple(mask_of(c) for c in combinations(range(1, n + 1), k))
 
 
 @lru_cache(maxsize=64)
 def _k_subsets_by_mask(n: int, k: int) -> tuple[int, ...]:
-    return tuple(sorted(_k_subsets(n, k)))
+    return tuple(sorted(k_subsets(n, k)))
 
 
 def subsets_of(mask: int) -> Iterator[int]:
@@ -237,7 +250,7 @@ class SimplicialComplex:
     def k_subsets(self, k: int) -> tuple[int, ...]:
         """All k-element subsets of [n] as masks, in lexicographic order of
         their sorted vertex lists; shared by every complex on n vertices."""
-        return _k_subsets(self.n, k)
+        return k_subsets(self.n, k)
 
     def k_subsets_by_mask(self, k: int) -> tuple[int, ...]:
         """The k-element subsets of [n] in increasing mask order, so that

@@ -50,7 +50,7 @@ from typing import Callable, Container
 
 from .cells import Cell, CellChain, boundary_chain
 from .cech import LogCochain
-from .complexes import SimplicialComplex, card, elements, pos_in
+from .complexes import SimplicialComplex, card, elements, intersection, pos_in
 from .linalg import CheckFailed
 
 __all__ = [
@@ -114,9 +114,7 @@ class UChain:
         """Support condition: disk directions of every atom lie inside the
         intersection of the tuple's cover indices."""
         for tup, chain in self.values.items():
-            inter = -1
-            for m in tup:
-                inter &= m
+            inter = intersection(tup)
             for sigma, _gamma in chain.terms:
                 if sigma & ~inter:
                     return False

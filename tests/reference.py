@@ -55,6 +55,7 @@ from coordarr.complexes import (
     card,
     elements,
     face_key,
+    intersection,
     mask_of,
     pos_in,
     subsets_of,
@@ -552,10 +553,10 @@ def homology_table(K: SimplicialComplex, coeff: str = "Z") -> BigradedTable:
 # the Čech model, block by block
 # ---------------------------------------------------------------------------
 
-def face_cover_engine(K: SimplicialComplex) -> cech._CechEngine:
-    """The Čech engine on the defining cover: every face indexes a cover
+def face_cover_table(K: SimplicialComplex) -> BigradedTable:
+    """The Čech table on the defining cover: every face indexes a cover
     element, the empty one included (its element is the algebraic torus)."""
-    return cech._CechEngine(K, K.faces_sorted)
+    return cech._table(K, K.faces_sorted, {})
 
 
 def log_basis(
@@ -567,7 +568,7 @@ def log_basis(
     isets = K.k_subsets(p)
     out = []
     for tup in combinations(indices, t + 1):
-        inter = cech._intersection(tup)
+        inter = intersection(tup)
         for iset in isets:
             if iset & inter == 0:
                 out.append((tup, iset))

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordarr import cech, cells, koszul
-from coordarr.complexes import SimplicialComplex, elements, face_key, mask_of
+from coordarr.complexes import SimplicialComplex, elements, face_key, intersection, mask_of
 from coordarr.corpus import all_complexes, projective_plane, standard_corpus
 from coordarr.linalg import compose_is_zero, rank_rational
 from coordarr.resolvents import build_resolvent, resolvent_pairing
@@ -23,7 +23,7 @@ from reference import (
     cech_matrix,
     cochain_coboundary,
     disjoint_points,
-    face_cover_engine,
+    face_cover_table,
     filtration_ranks_direct,
     full_simplex,
     full_pullback,
@@ -90,22 +90,30 @@ def test_cohomology_tables_match_other_models():
 def test_face_and_facet_cover_tables_agree_small():
     complexes = all_complexes(3) + [edge_boundary(), simplex_boundary(3)]
     for K in complexes:
-        assert face_cover_engine(K).table().ranks() == cech.cohomology(K).ranks()
+        assert face_cover_table(K).ranks() == cech.cohomology(K).ranks()
 
 
-def _reference_ranks(K, engine=None):
+def _x_sets(K, indices):
+    """X_I for every index set I of the cover with the given indices, with
+    the index sets grouped by size."""
+    stars = cech._stars(K, indices)
+    return [[(iset, cech._x_set(cech._star_family(stars, iset))) for iset in K.k_subsets(p)] for p in range(K.n + 1)]
+
+
+def _reference_ranks(K, indices=None):
     """The table without clearing: every component dimension is
     dim - rank(delta_q) - rank(delta_(q-1)), each coboundary eliminated in
     full, for every Čech degree q of the cover (the facet cover unless
-    another engine is given)."""
-    engine = engine or cech._CechEngine(K, K.facets)
+    other indices are given)."""
+    indices = K.facets if indices is None else indices
+    m = len(indices)
     totals: dict = {}
-    for p in range(K.n + 1):
-        for iset in K.k_subsets(p):
+    for p, sets in enumerate(_x_sets(K, indices)):
+        for _, X in sets:
             # ranks[q + 1] = rank of delta_q, for q = -1, ..., m - 1
-            ranks = [rank_rational(engine.block(iset, q)) for q in range(-1, engine.m)]
-            for q in range(engine.m):
-                dim = len(engine.admissible(q + 1, iset)) - ranks[q + 1] - ranks[q]
+            ranks = [rank_rational(cech._block(m, X, q)) for q in range(-1, m)]
+            for q in range(m):
+                dim = len(cech._admissible(m, X, q + 1)) - ranks[q + 1] - ranks[q]
                 if dim:
                     totals[(p, q)] = totals.get((p, q), 0) + dim
     return dict(sorted(totals.items()))
@@ -132,42 +140,52 @@ def test_clearing_equals_the_reference_on_spheres_cycles_and_rp2(K):
     assert cech.cohomology(K).ranks() == _reference_ranks(K)
 
 
-def _assert_sides_agree(engine):
-    """Both routes give the same component dimensions for every index set:
-    the admissible tuples and the subcomplex X_I built from the stars."""
-    K = engine.K
-    for p in range(K.n + 1):
-        for iset in K.k_subsets(p):
-            assert engine.x_dimensions(engine.star_family(iset)) == engine.dimensions(iset), (K, iset)
+def _assert_sides_agree(K, indices):
+    """Both routes give the same component dimensions for every index set
+    of the cover with the given indices: the admissible tuples and the
+    subcomplex X_I built from the stars."""
+    m = len(indices)
+    for sets in _x_sets(K, indices):
+        for iset, X in sets:
+            assert cech._x_dimensions(m, X) == cech._admissible_dimensions(m, X), (K, iset)
 
 
 def test_both_sides_agree_on_the_corpus():
     for K in standard_corpus():
-        _assert_sides_agree(cech._CechEngine(K, K.facets))
+        _assert_sides_agree(K, K.facets)
 
 
 @SPHERES_CYCLES_RP2
 def test_both_sides_agree_on_spheres_cycles_and_rp2(K):
-    _assert_sides_agree(cech._CechEngine(K, K.facets))
+    _assert_sides_agree(K, K.facets)
 
 
 def test_both_sides_agree_on_the_face_cover():
     for K in all_complexes(3):
-        _assert_sides_agree(face_cover_engine(K))
+        _assert_sides_agree(K, K.faces_sorted)
 
 
-def test_the_side_rule_keeps_the_admissible_side_on_sphere_index_sets_of_two_or_more():
+def _sphere_index_size(m, X):
+    """|I| for the X_I of an index set on the boundary of the simplex: the
+    stars of I are the complements of single positions, so X_I holds the
+    m - 1 masks of exactly |I| of them."""
+    full = (1 << m) - 1
+    return sum((full ^ 1 << j) in X for j in range(m))
+
+
+def test_the_side_rule_keeps_the_admissible_side_on_sphere_index_sets_of_two_or_more(monkeypatch):
     # on the boundary of the simplex |X_I| grows past half the tuples once I
     # has two vertices; a single vertex or none takes the star side.  The
     # index sets of one size are one class up to relabelling the facet
     # positions, so each size is eliminated once
     K = simplex_boundary(8)
     taken: list = []
-    engine = cech._CechEngine(K, K.facets)
-    dimensions, x_dimensions = engine.dimensions, engine.x_dimensions
-    engine.dimensions = lambda iset: taken.append(("admissible", iset.bit_count())) or dimensions(iset)
-    engine.x_dimensions = lambda stars: taken.append(("x", len(stars))) or x_dimensions(stars)
-    assert engine.table().ranks() == koszul.cohomology(K, "Q").ranks()
+    for side, name in (("admissible", "_admissible_dimensions"), ("x", "_x_dimensions")):
+        original = getattr(cech, name)
+        monkeypatch.setattr(
+            cech, name, lambda m, X, _o=original, _side=side: taken.append((_side, _sphere_index_size(m, X))) or _o(m, X)
+        )
+    assert cech.cohomology(K).ranks() == koszul.cohomology(K, "Q").ranks()
     assert sorted(taken) == [("admissible", card) for card in range(2, 9)] + [("x", 0), ("x", 1)]
 
 
@@ -178,26 +196,37 @@ def test_the_sphere_eliminates_one_index_set_per_cardinality(n, monkeypatch):
     # complements of single positions, one per vertex of I, so every I of
     # one size has the same family up to a permutation of the positions
     sizes: list[int] = []
-    for name, size in (("dimensions", int.bit_count), ("x_dimensions", len)):
-        original = getattr(cech._CechEngine, name)
-        monkeypatch.setattr(
-            cech._CechEngine, name, lambda self, arg, _o=original, _size=size: sizes.append(_size(arg)) or _o(self, arg)
-        )
+    for name in ("_admissible_dimensions", "_x_dimensions"):
+        original = getattr(cech, name)
+        monkeypatch.setattr(cech, name, lambda m, X, _o=original: sizes.append(_sphere_index_size(m, X)) or _o(m, X))
     assert cech.cohomology(simplex_boundary(n)).ranks() == {(0, 0): 1, (n, n - 1): 1}
     assert sorted(sizes) == list(range(n + 1))
 
 
+@pytest.mark.parametrize(
+    ("K", "classes"),
+    [(simplex_boundary(n), n + 1) for n in (3, 6, 9)] + [(projective_plane(), 18), (_cycle(8), 103)],
+    ids=["sphere3", "sphere6", "sphere9", "rp2", "C8"],
+)
+def test_the_cache_holds_one_entry_per_class(K, classes):
+    # one key per class of star families up to a permutation of the facet
+    # positions, and nothing else
+    families: cech.Families = {}
+    cech.cohomology(K, families)
+    assert len(families) == classes
+
+
 def test_clearing_equals_the_reference_on_the_face_cover():
     for K in all_complexes(3):
-        assert face_cover_engine(K).table().ranks() == _reference_ranks(K, face_cover_engine(K)), K
+        assert face_cover_table(K).ranks() == _reference_ranks(K, K.faces_sorted), K
 
 
 
 def _assert_blocks_match_the_reference(K, indices):
-    """Every component block of the engine is (-1)^p times the rows and
+    """Every component block ``_block`` is (-1)^p times the rows and
     columns of the whole (p, t) reference matrix that carry its index set,
     in the same order."""
-    engine = cech._CechEngine(K, indices)
+    x_sets = _x_sets(K, indices)
     for p in range(K.n + 1):
         sign = -1 if p % 2 else 1
         for t in range(len(indices)):
@@ -215,8 +244,9 @@ def _assert_blocks_match_the_reference(K, indices):
             for (r, c), v in full.entries.items():
                 assert dst[r][1] == src[c][1]
                 expected[dst[r][1]][(within[1][r], within[0][c])] = sign * v
-            for iset, entries in expected.items():
-                block = engine.block(iset, t)
+            for iset, X in x_sets[p]:
+                entries = expected[iset]
+                block = cech._block(len(indices), X, t)
                 shape = (sum(I == iset for _, I in dst), sum(I == iset for _, I in src))
                 assert (block.rows, block.cols) == shape, (K, p, t, iset)
                 assert block.entries == entries, (K, p, t, iset)
@@ -270,7 +300,7 @@ def test_clearing_equals_the_reference_on_random_complexes(K):
 @settings(max_examples=150, deadline=None)
 @given(small_complexes())
 def test_both_sides_agree_on_random_complexes(K):
-    _assert_sides_agree(cech._CechEngine(K, K.facets))
+    _assert_sides_agree(K, K.facets)
 
 
 def _rp2_twice():
@@ -283,14 +313,14 @@ def test_rp2_twice_matches_the_summand_engine_without_the_whole_cover(monkeypatc
     # star side holds at most 12 * 31 simplices per index set
     K = _rp2_twice()
     calls: Counter = Counter()
-    for name in ("masks", "_meets"):
-        original = getattr(cech._CechEngine, name)
+    for name in ("k_subsets", "_admissible"):
+        original = getattr(cech, name)
 
-        def counted(self, *args, _name=name, _original=original):
+        def counted(*args, _name=name, _original=original):
             calls[_name] += 1
-            return _original(self, *args)
+            return _original(*args)
 
-        monkeypatch.setattr(cech._CechEngine, name, counted)
+        monkeypatch.setattr(cech, name, counted)
     assert cech.cohomology(K).ranks() == koszul.cohomology(K, "Q").ranks()
     assert calls == Counter()
 
@@ -345,14 +375,14 @@ def test_clearing_cuts_the_rp2_rows_and_eliminates_each_block_once(monkeypatch):
     K = projective_plane()
     # one list per X_I eliminated: [size, columns, rows kept, rank] per block
     groups: list[list[list]] = []
-    # the X eliminated, built from the stars it was eliminated from
+    # the X eliminated, as the side received it
     eliminated: list[frozenset] = []
-    x_dimensions = cech._CechEngine.x_dimensions
+    x_dimensions = cech._x_dimensions
 
-    def recording_x(self, stars):
-        eliminated.append(frozenset(T for star in stars for T in range(1, star + 1) if T & star == T))
+    def recording_x(m, X):
+        eliminated.append(frozenset(X))
         groups.append([])
-        return x_dimensions(self, stars)
+        return x_dimensions(m, X)
 
     coboundary = cech._simplex_coboundary
 
@@ -366,11 +396,9 @@ def test_clearing_cuts_the_rp2_rows_and_eliminates_each_block_once(monkeypatch):
         return rank
 
     admissible: list = []
-    dimensions = cech._CechEngine.dimensions
-    monkeypatch.setattr(cech._CechEngine, "x_dimensions", recording_x)
-    monkeypatch.setattr(
-        cech._CechEngine, "dimensions", lambda self, iset: admissible.append(iset) or dimensions(self, iset)
-    )
+    dimensions = cech._admissible_dimensions
+    monkeypatch.setattr(cech, "_x_dimensions", recording_x)
+    monkeypatch.setattr(cech, "_admissible_dimensions", lambda m, X: admissible.append(X) or dimensions(m, X))
     monkeypatch.setattr(cech, "_simplex_coboundary", recording_coboundary)
     monkeypatch.setattr(cech, "rank_rational", recording_rank)
     assert cech.cohomology(K).ranks() == {(0, 0): 1, (3, 2): 10, (4, 2): 15, (5, 2): 6}
@@ -384,7 +412,7 @@ def test_clearing_cuts_the_rp2_rows_and_eliminates_each_block_once(monkeypatch):
         for iset in K.k_subsets(p):
             X = frozenset(
                 T for T in range(1, 1 << len(facets))
-                if cech._intersection(facets[j] for j in range(len(facets)) if T >> j & 1) & iset
+                if intersection(facets[j] for j in range(len(facets)) if T >> j & 1) & iset
             )
             distinct.add(X)
     # each X eliminated once, and each is some X_I; every X_I is one of them

@@ -87,14 +87,15 @@ def test_compare_pass(edge_file):
 def test_negative_cech_dimension_fails_the_check(edge_file, tmp_path, monkeypatch, capsys):
     # a wrong rank shows up as a negative component dimension: it must fail
     # the Čech model, not be printed as a zero group.  Both sides of the
-    # pair feed the table through ``component``
-    component = cech._CechEngine.component
+    # pair feed the table through ``_component``; the empty family is that
+    # of I = {} alone on the edge's boundary
+    component = cech._component
 
-    def one_negative(self, iset):
-        dims = component(self, iset)
-        return [dims[0] - 24] + dims[1:] if iset == 0 else dims
+    def one_negative(m, family, families):
+        dims = component(m, family, families)
+        return [dims[0] - 24] + dims[1:] if family == () else dims
 
-    monkeypatch.setattr(cech._CechEngine, "component", one_negative)
+    monkeypatch.setattr(cech, "_component", one_negative)
     with pytest.raises(CheckFailed, match="negative"):
         cech.cohomology(SimplicialComplex.from_vertex_lists(2, [[1], [2]]))
     assert run(["cohomology", edge_file, "--model", "cech"]) == 1
@@ -600,6 +601,38 @@ def test_kernel_recursion_sign_fault_exits_1(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def _cycle_file(tmp_path, n: int) -> str:
+    path = tmp_path / f"cycle{n}.json"
+    path.write_text(json.dumps({"n": n, "facets": [[i, i % n + 1] for i in range(1, n + 1)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(("fault", "message"), [
+    ("flip", "is not closed"),  # one stored value negated
+    ("clear", "not independent modulo coboundaries"),  # the zero cochain, closed and exact
+])
+def test_a_corrupted_kernel_cocycle_exits_1(fault, message, tmp_path, monkeypatch, capsys):
+    # the facet cocycle of C6 at (6, 2) has 4 values and the kept top tuple
+    # reads 1 of them: a fault in another is seen only when the stored
+    # values are read back and checked
+    class Corrupted(cech.LogCochain):
+        def __init__(self, p, t, values=None):
+            super().__init__(p, t, values)
+            if fault == "clear":
+                self.values.clear()
+            elif self.values:
+                tup = min(self.values)
+                self.values[tup] = {iset: -c for iset, c in self.values[tup].items()}
+
+    cycle = _cycle_file(tmp_path, 6)
+    assert run(["kernel", cycle, "--s", "8"]) == 0
+    monkeypatch.setattr(cech, "LogCochain", Corrupted)
+    out = tmp_path / "kernel.json"
+    assert run(["kernel", cycle, "--s", "8", "--json", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_kernel_serialized_once_for_stdout_and_artifact(edge_file, tmp_path, monkeypatch, capsys):
     calls = []
     original = kernels.KernelData.to_json
@@ -750,17 +783,36 @@ def _closing_stdout_after(lines: int, *args: str) -> tuple[int, str]:
 @pytest.mark.parametrize(("command", "lines"), [
     (["resolvent", "--p", "6", "--q", "5"], 1),  # a payload far larger than the pipe
     (["kernel", "--s", "11"], 0),  # closed before the first line is written
-], ids=["resolvent", "kernel"])
+    (["hodge"], 0),
+    (["cohomology", "--model", "cech"], 0),
+    (["compare"], 0),
+    (["verify-kernel", "--s", "11", "--f", "1+z1*z2", "--zeta", "0.1,0.2,0.3,0.1,0.2,0.3"], 0),
+    (["corpus", "--random", "0"], 0),  # no input file and no artifact
+], ids=["resolvent", "kernel", "hodge", "cohomology", "compare", "verify-kernel", "corpus"])
 def test_a_closed_stdout_keeps_the_artifact_and_the_exit_code(command, lines, tmp_path):
     # `coordarr resolvent ... --json r.json | head -1`: the artifact is
     # written before the payload is printed, and the exit code is the one
     # the checks give, with no traceback
-    sphere = _sphere_file(tmp_path, 6)
+    name, *options = command
+    argv = command if name == "corpus" else [name, _sphere_file(tmp_path, 6), *options]
     closed, normal = tmp_path / "closed.json", tmp_path / "normal.json"
-    code, err = _closing_stdout_after(lines, command[0], sphere, *command[1:], "--json", str(closed))
+    json_to = (lambda path: []) if name == "corpus" else (lambda path: ["--json", str(path)])
+    code, err = _closing_stdout_after(lines, *argv, *json_to(closed))
     assert (code, err) == (0, "")
-    assert run([command[0], sphere, *command[1:], "--json", str(normal)]) == 0
-    assert closed.read_bytes() == normal.read_bytes()
+    assert run(argv + json_to(normal)) == 0
+    assert name == "corpus" or closed.read_bytes() == normal.read_bytes()
+
+
+def test_an_unbuffered_closed_stdout_keeps_the_hodge_artifact(tmp_path, monkeypatch):
+    # `PYTHONUNBUFFERED=1 coordarr hodge ... --json o.json | head -1`: each
+    # line reaches the pipe as it is printed, so the reader closes it
+    # before the rest is written
+    monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    sphere = _sphere_file(tmp_path, 6)
+    code, err = _closing_stdout_after(1, "hodge", sphere, "--json", str(tmp_path / "closed.json"))
+    assert (code, err) == (0, "")
+    assert run(["hodge", sphere, "--json", str(tmp_path / "normal.json")]) == 0
+    assert (tmp_path / "closed.json").read_bytes() == (tmp_path / "normal.json").read_bytes()
 
 
 def test_cli_import_does_not_load_scipy():

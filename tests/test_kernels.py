@@ -128,15 +128,19 @@ def test_build_kernel_boundary_simplex_length_two():
 
 
 def test_build_kernel_runs_no_rank_or_smith_elimination(monkeypatch):
-    # the cycle list of the one bidegree is the existence test: no rank and
-    # no Smith form is computed on the way to a kernel
+    # the cycle list of the one bidegree is the existence test: no Smith
+    # form is computed on the way to a kernel, and the only ranks are the
+    # two of the cocycle check at the one index set of size n
     def forbidden(m):
         raise AssertionError("build_kernel ran an elimination")
 
+    ranks: list = []
+    checked_rank = cech.rank_rational
     monkeypatch.setattr(linalg, "rank_rational", forbidden)
     monkeypatch.setattr(linalg, "smith_normal_form", forbidden)
-    monkeypatch.setattr(cech, "rank_rational", forbidden)
+    monkeypatch.setattr(cech, "rank_rational", lambda m: ranks.append(m) or checked_rank(m))
     assert kn.build_kernel(simplex_boundary(5), 9).check_normalized()
+    assert len(ranks) == 2
 
 
 def test_unavailable_message_reports_the_degree_row():
