@@ -21,15 +21,16 @@ dual cocells anticommutes with the differentials, with the negated one it
 commutes on the nose, making the relabeling an isomorphism of differential
 bigraded modules.  Blockwise this says that the coboundary matrices equal
 the algebra model's differential matrices; ``phi_mismatches`` compares the
-two on every block, face J included, without eliminating any, which is the
-working check on both sign conventions (a flipped sign shows up even when
-every rank survives it).  It walks each p-stripe once: each model's (p, q)
-basis is built once and shared by the two blocks it bounds, and
-``coboundary_matrix`` has ``boundary_matrix`` write the boundary terms
-straight into coboundary position, row and column swapped and sign flipped,
-so no transposed copy is made.  Both term formulas walk the set bits of a
-mask lowest first (``x & -x``); the sign comes from the number of bits
-below, with no vertex list.
+two on every block, face J included, entry by entry and without
+eliminating any, which is the working check on both sign conventions (a
+flipped sign shows up even when every rank survives it).  It builds no
+basis and no matrix: each block is one dict of (source, target) entries,
+filled from the algebra model's terms and emptied again by the cell
+model's, so a missing, extra or different entry names the block.  Both
+term formulas walk the set bits of a mask lowest first (``x & -x``); the
+sign comes from the number of bits below, with no vertex list.
+``boundary_matrix`` and ``coboundary_matrix`` build the blocks as
+matrices, the former for ``homology``.
 
 ``homology(K, p, q)`` gives the cycle generators of the one bidegree a
 resolvent or a kernel starts from, from the two boundary maps at (p, q)
@@ -39,6 +40,7 @@ alone.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import koszul
 from .complexes import SimplicialComplex, card, elements
@@ -90,47 +92,25 @@ def _boundary_terms(sigma: int, gamma: int) -> list[tuple[int, Cell]]:
     return out
 
 
-def boundary_matrix(
-    K: SimplicialComplex,
-    p: int,
-    q: int,
-    src: list[Cell] | None = None,
-    dst: list[Cell] | None = None,
-    dual: bool = False,
-) -> ExactMatrix:
-    """Boundary from bidegree (p, q) chains to (p, q-1) chains.
-
-    ``src`` and ``dst`` are the cells of (p, q) and (p, q-1) when the caller
-    already holds them.  With ``dual`` the same terms are written as the
-    coboundary from (p, q-1) cochains to (p, q) cochains, row and column
-    swapped and sign flipped, in the same pass: the negated transpose
-    without a transposed copy.
-    """
-    if src is None:
-        src = cells_of_bidegree(K, p, q)
-    if dst is None:
-        dst = cells_of_bidegree(K, p, q - 1)
-    index = {c: i for i, c in enumerate(dst)}
-    # every target indexes dst and every sign is ±1: fill the entries in place
-    out = ExactMatrix(len(src), len(dst)) if dual else ExactMatrix(len(dst), len(src))
+def boundary_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
+    """Boundary from bidegree (p, q) chains to (p, q-1) chains."""
+    src = cells_of_bidegree(K, p, q)
+    index = {c: i for i, c in enumerate(cells_of_bidegree(K, p, q - 1))}
+    # every target indexes the (p, q-1) cells and every sign is ±1: fill the
+    # entries in place
+    out = ExactMatrix(len(index), len(src))
     entries = out.entries
     for j, (sigma, gamma) in enumerate(src):
         for sign, target in _boundary_terms(sigma, gamma):
-            if dual:
-                entries[(j, index[target])] = -sign
-            else:
-                entries[(index[target], j)] = sign
+            entries[(index[target], j)] = sign
     return out
 
 
-def coboundary_matrix(
-    K: SimplicialComplex, p: int, q: int, src: list[Cell] | None = None, dst: list[Cell] | None = None
-) -> ExactMatrix:
+def coboundary_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
     """Coboundary from (p, q) cochains to (p, q+1) cochains: minus the
-    transpose of the (p, q+1) boundary (see the module docstring), written
-    by ``boundary_matrix`` in its own pass.  ``src`` and ``dst`` are the
-    cells of (p, q) and (p, q+1) when the caller already holds them."""
-    return boundary_matrix(K, p, q + 1, dst, src, dual=True)
+    transpose of the (p, q+1) boundary (see the module docstring)."""
+    d = boundary_matrix(K, p, q + 1)
+    return ExactMatrix(d.cols, d.rows, {(c, r): -v for (r, c), v in d.entries.items()})
 
 
 class CellChain:
@@ -184,29 +164,52 @@ def boundary_chain(chain: CellChain) -> CellChain:
 
 def phi_mismatches(K: SimplicialComplex) -> list[tuple[int, int]]:
     """The bidegrees (p, q), p in 0..n and q in -1..p, where the algebra
-    model's differential (``koszul.differential_matrix``, the summands of
-    face J included) differs from the cell coboundary, signs included.
+    model's differential (``koszul._diff_terms``, the summands of face J
+    included) differs from the cell coboundary, signs included.
 
-    Each p-stripe is walked once, q upwards.  Each model's (p, q) basis is
-    built once and shared by the two blocks it bounds.  Each block of each
-    model is built once from that model's own term formula, the cell block
-    written straight into coboundary position (``coboundary_matrix``), and
-    the two are compared entry by entry, not eliminated.  Nothing outlives
-    the call.  With no mismatch, the relabeling of each monomial
-    u_gamma v_sigma as the dual cocell of (sigma, gamma) commutes with the
-    differentials, and the cell cohomology is the algebra model's table by
-    construction.
+    Each block is compared entry by entry (``_block_differs``), not
+    eliminated, and from each model's own term formula; no basis or matrix
+    is built and nothing outlives the call.  With no mismatch, the
+    relabeling of each monomial u_gamma v_sigma as the dual cocell of
+    (sigma, gamma) commutes with the differentials, and the cell cohomology
+    is the algebra model's table by construction.
     """
-    out = []
-    for p in range(K.n + 1):
-        monomials, cocells = koszul.basis(K, p, -1), cells_of_bidegree(K, p, -1)
-        for q in range(-1, p + 1):
-            monomials_above, cocells_above = koszul.basis(K, p, q + 1), cells_of_bidegree(K, p, q + 1)
-            d_rk = koszul.differential_matrix(K, p, q, monomials, monomials_above)
-            if d_rk != coboundary_matrix(K, p, q, cocells, cocells_above):
-                out.append((p, q))
-            monomials, cocells = monomials_above, cocells_above
-    return out
+    faces_of_size: list[list[int]] = [[] for _ in range(K.n + 1)]
+    for sigma in K.faces_sorted:
+        faces_of_size[card(sigma)].append(sigma)
+    bits = [1 << v for v in range(K.n)]
+    outside = {sigma: [bit for bit in bits if not bit & sigma] for sigma in K.faces}
+    return [
+        (p, q)
+        for p in range(K.n + 1)
+        for q in range(-1, p + 1)
+        if _block_differs(K, p, q, faces_of_size, outside)
+    ]
+
+
+def _block_differs(
+    K: SimplicialComplex, p: int, q: int, faces_of_size: list[list[int]], outside: dict[int, list[int]]
+) -> bool:
+    """Whether block (p, q) of the two models differs.  The differential
+    terms of every (p, q) monomial go into one dict, keyed by the masks
+    (gamma, sigma) of source and target monomial; the boundary terms of
+    every (p, q+1) cell take them out again, read as coboundary entries
+    (source and target swapped, sign flipped).  An entry that is missing,
+    different, left over or outside the block makes the block differ.  The
+    gammas of a face sigma are the (p - |sigma|)-subsets of the bits
+    outside sigma, so no subset is drawn only to be filtered."""
+    diff_terms = koszul._diff_terms
+    entries: dict[tuple[int, int, int, int], int] = {}
+    for sigma in faces_of_size[q] if q >= 0 else ():
+        for gamma in map(sum, combinations(outside[sigma], p - q)):
+            for sign, (gamma_above, sigma_above) in diff_terms(K, gamma, sigma):
+                entries[gamma, sigma, gamma_above, sigma_above] = sign
+    for sigma in faces_of_size[q + 1] if q < p else ():
+        for gamma in map(sum, combinations(outside[sigma], p - q - 1)):
+            for sign, (face, circles) in _boundary_terms(sigma, gamma):
+                if entries.pop((circles, face, gamma, sigma), None) != -sign:
+                    return True
+    return bool(entries)
 
 
 def homology(K: SimplicialComplex, p: int, q: int) -> list[CellChain]:

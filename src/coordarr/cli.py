@@ -15,11 +15,12 @@ one call the engine keeps no cache, and the oracle one dict keyed by that
 class alone, so it eliminates one index set per class (n + 1 of the 2^n on
 the boundary of the n-simplex).
 Their identity check with the cell model compares every block of the full
-stripes, face J included, and eliminates none; it walks each p-stripe once,
-builds each basis of each model once, and keeps nothing once it returns
-(``corpus`` holds every complex alive).  ``kernel`` and
-``resolvent`` read the cycles of one bidegree of the cell model and no
-table.  The Čech model runs only as the oracle of ``compare`` and
+stripes, face J included, and eliminates none; it reads the terms of each
+monomial and each cell once, from each model's own term formula, into one
+dict of entries per block, builds no basis and no matrix, and keeps
+nothing once it returns (``corpus`` holds every complex alive).
+``kernel`` and ``resolvent`` read the cycles of one bidegree of the cell
+model and no table.  The Čech model runs only as the oracle of ``compare`` and
 ``corpus``, and for the kernels' cocycles.  The oracle takes each index
 set's component from the smaller of two families of facet-position masks,
 the admissible ones or X_I built from the vertex stars, through one
@@ -128,7 +129,9 @@ def _compare_models(
     The rk table over Z is the one every command reports,
     ``koszul.cohomology``; the Čech table over Q is its oracle.  The cell
     table is the rk table, returned only when ``cells.phi_mismatches``
-    finds every block of the two models identical.  ``shapes`` and
+    finds every block of the two models identical, entry by entry: a term
+    of either model that the other lacks, or that lands outside its block,
+    fails the check and does not crash it.  ``shapes`` and
     ``families`` are the caches a batch shares between its complexes.  The
     FAIL lines are returned for the caller to print once its work is done.
     """

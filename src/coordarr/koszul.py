@@ -61,10 +61,11 @@ included, ordered by (sigma mask, gamma mask); the basis comes out in that
 order as it is built, each sigma's gammas taken in mask order.  The cell
 model orders its (sigma, gamma) cells the same way, so the dual-basis
 relabeling between the two models is the identity permutation on each
-block; ``compare`` and ``corpus`` check that identity on every block
-(``cells.phi_mismatches``, one walk per p-stripe that hands each basis to
-the two blocks it bounds) but eliminate none of them.  The table of the
-full stripes is a test reference only.
+block.  ``compare`` and ``corpus`` check that identity on every block
+(``cells.phi_mismatches``) entry by entry, from ``_diff_terms`` and the
+cell model's own term formula, and build neither a basis nor a matrix for
+it, so no command calls ``basis`` or ``differential_matrix``.  The table of
+the full stripes is a test reference only.
 """
 
 from __future__ import annotations
@@ -135,22 +136,13 @@ def _diff_terms(K: SimplicialComplex, gamma: int, sigma: int) -> list[tuple[int,
     return out
 
 
-def differential_matrix(
-    K: SimplicialComplex, p: int, q: int, src: list[Basis] | None = None, dst: list[Basis] | None = None
-) -> ExactMatrix:
-    """Matrix of the differential from the (p, q) basis to the (p, q+1) basis.
-
-    ``src`` and ``dst`` are those two bases when the caller already holds
-    them: the identity check builds each basis once for the two blocks it
-    bounds.
-    """
-    if src is None:
-        src = basis(K, p, q)
-    if dst is None:
-        dst = basis(K, p, q + 1)
-    index = {b: i for i, b in enumerate(dst)}
-    # every target indexes dst and every sign is ±1: fill the entries in place
-    out = ExactMatrix(len(dst), len(src))
+def differential_matrix(K: SimplicialComplex, p: int, q: int) -> ExactMatrix:
+    """Matrix of the differential from the (p, q) basis to the (p, q+1) basis."""
+    src = basis(K, p, q)
+    index = {b: i for i, b in enumerate(basis(K, p, q + 1))}
+    # every target indexes the (p, q+1) basis and every sign is ±1: fill the
+    # entries in place
+    out = ExactMatrix(len(index), len(src))
     entries = out.entries
     for j, (gamma, sigma) in enumerate(src):
         for sign, target in _diff_terms(K, gamma, sigma):

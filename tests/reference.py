@@ -15,7 +15,7 @@ Each keeps its own code rather than calling the engine it checks:
   coboundary as the negated transpose of a built boundary), and the two
   term formulas written with ``elements`` and ``pos_in``
   (``diff_terms_by_position``, ``boundary_terms_by_position``): the routes
-  the stripe walk of ``cells.phi_mismatches`` and the bit-walking term
+  the entry-by-entry ``cells.phi_mismatches`` and the bit-walking term
   functions are held against;
 * the connected components of a vertex set by breadth-first search
   (``components_by_search``), the route the derived components of

@@ -36,6 +36,7 @@ from reference import (
     stripe_table,
     torus_complex,
 )
+from test_koszul import disjoint_unions_with_ghosts
 from test_metamorphic import complexes
 
 
@@ -191,19 +192,73 @@ def test_phi_matrix_identity_all_blocks():
 
 def test_phi_mismatches_sees_sign_fault(monkeypatch):
     # one flipped boundary sign leaves every rank of the edge complex
-    # unchanged; the identity check must still name the broken block, which
-    # is the (2, 1) boundary read as the coboundary out of (2, 0)
-    original = cells.boundary_matrix
-
-    def broken(K, p, q, *args, **kwargs):
-        m = original(K, p, q, *args, **kwargs)
-        if (p, q) == (2, 1) and m.entries:
-            key = min(m.entries)
-            return ExactMatrix(m.rows, m.cols, {**m.entries, key: -m.entries[key]})
-        return m
-
-    monkeypatch.setattr(cells, "boundary_matrix", broken)
+    # unchanged; the identity check must still name the broken block: the
+    # boundary of a (2, 1) cell, read as the coboundary out of (2, 0)
+    monkeypatch.setattr(
+        cells, "_boundary_terms", _at_one(cells._boundary_terms, (mask_of([1]), mask_of([2])), _flip_first)
+    )
     assert cells.phi_mismatches(edge_boundary()) == [(2, 0)]
+
+
+def _at_one(term_function, at: tuple[int, int], change):
+    """Fault: ``term_function`` with the terms of the one basis element
+    ``at`` (its last two arguments) passed through ``change``."""
+
+    def faulty(*args):
+        terms = term_function(*args)
+        return change(terms) if args[-2:] == at else terms
+
+    return faulty
+
+
+def _flip_first(terms: list) -> list:
+    (sign, target), *rest = terms
+    return [(-sign, target), *rest]
+
+
+def _drop_first(terms: list) -> list:
+    return terms[1:]
+
+
+def _single_term_faults(K: SimplicialComplex, p: int, q: int):
+    """The faults of block (p, q) that touch one entry, as (module, name,
+    faulty term function): through each model's term function, the first
+    term of the first source with terms flipped, dropped, or joined by an
+    extra term to a target of the block that source does not reach (when
+    there is one).  The algebra model's sources are the (p, q) monomials;
+    the cell model's are the (p, q+1) cells, whose boundary terms are
+    coboundary entries out of (p, q)."""
+    models = (
+        (koszul, "_diff_terms", koszul.basis(K, p, q), koszul.basis(K, p, q + 1),
+         lambda gamma, sigma: koszul._diff_terms(K, gamma, sigma)),
+        (cells, "_boundary_terms", cells.cells_of_bidegree(K, p, q + 1), cells.cells_of_bidegree(K, p, q),
+         cells._boundary_terms),
+    )
+    for module, name, sources, targets, terms_of in models:
+        at = next(source for source in sources if terms_of(*source))
+        reached = {target for _, target in terms_of(*at)}
+        changes = [_flip_first, _drop_first]
+        extra = next((target for target in targets if target not in reached), None)
+        if extra is not None:
+            changes.append(lambda terms, extra=extra: [*terms, (1, extra)])
+        for change in changes:
+            yield module, name, _at_one(getattr(module, name), at, change)
+
+
+@pytest.mark.parametrize("K", [projective_plane(), full_simplex(3)], ids=["rp2", "simplex2"])
+def test_a_single_term_fault_names_its_block(K):
+    # on every block with entries, face J included (every block of the full
+    # simplex), one changed entry from either model names that block alone,
+    # as the matrix form does
+    blocks = [(p, q) for p in range(K.n + 1) for q in range(p + 1) if koszul.differential_matrix(K, p, q).entries]
+    faults = 0
+    for p, q in blocks:
+        for module, name, faulty in _single_term_faults(K, p, q):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(module, name, faulty)
+                assert cells.phi_mismatches(K) == phi_mismatches_by_matrices(K) == [(p, q)], (p, q, name)
+            faults += 1
+    assert faults > 4 * len(blocks)  # some blocks take an extra term too
 
 
 def _disjoint_pairs(n: int) -> list[tuple[int, int]]:
@@ -267,8 +322,8 @@ def _inject(mp: pytest.MonkeyPatch, fault: str | None, K: SimplicialComplex) -> 
 
 @pytest.mark.parametrize("fault", FAULTS)
 def test_stripe_walk_names_the_blocks_of_the_matrix_form_on_the_corpus(fault):
-    # the stripe walk and the matrix form of the identity check name the
-    # same blocks, on correct code (none) and under each fault (some)
+    # the entry-by-entry identity check and its matrix form name the same
+    # blocks, on correct code (none) and under each fault (some)
     named = 0
     for K in standard_corpus(200, 20260810):
         with pytest.MonkeyPatch.context() as mp:
@@ -279,9 +334,11 @@ def test_stripe_walk_names_the_blocks_of_the_matrix_form_on_the_corpus(fault):
     assert (named > 0) == (fault is not None)
 
 
-@settings(max_examples=60, deadline=None)
-@given(complexes(6), st.sampled_from(FAULTS))
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(complexes(6), disjoint_unions_with_ghosts()), st.sampled_from(FAULTS))
 def test_stripe_walk_names_the_blocks_of_the_matrix_form_on_random_complexes(K, fault):
+    # random complexes, and disjoint unions with ghosts, whose J of several
+    # components and of ghosts only have blocks of their own
     with pytest.MonkeyPatch.context() as mp:
         _inject(mp, fault, K)
         assert cells.phi_mismatches(K) == phi_mismatches_by_matrices(K)

@@ -20,7 +20,8 @@ from coordarr.complexes import SimplicialComplex, card, parse_complex
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS, standard_corpus
 from coordarr.linalg import CheckFailed, ExactMatrix
 from coordarr.resolvents import Resolvent
-from reference import full_kernel
+from reference import all_cells, full_kernel
+from test_cells import _at_one, _flip_first
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,55 +109,70 @@ def test_negative_cech_dimension_fails_the_check(edge_file, tmp_path, monkeypatc
 
 
 def test_compare_detects_injected_sign_fault(edge_file, monkeypatch):
-    # flip one entry of one cellular boundary block: the model stops being a
+    # flip one boundary term of one (2, 1) cell: the model stops being a
     # complex and the comparison must fail, not crash
-    original = cells.boundary_matrix
-
-    def broken(K, p, q, *args, **kwargs):
-        m = original(K, p, q, *args, **kwargs)
-        if (p, q) == (2, 1) and m.entries:
-            key = min(m.entries)
-            flipped = dict(m.entries)
-            flipped[key] = -flipped[key]
-            return ExactMatrix(m.rows, m.cols, flipped)
-        return m
-
-    monkeypatch.setattr(cells, "boundary_matrix", broken)
+    monkeypatch.setattr(cells, "_boundary_terms", _at_one(cells._boundary_terms, (0b01, 0b10), _flip_first))
     assert run(["compare", edge_file]) == 1
 
 
-def test_compare_builds_each_differential_once(edge_file, monkeypatch):
-    # the rk table and the identity check with the cell model read the same
-    # stripes, so every Koszul differential is assembled exactly once
-    calls = []
-    original = koszul.differential_matrix
+def test_a_boundary_term_outside_the_block_fails_the_check(edge_file, monkeypatch, tmp_path, capsys):
+    # a boundary term that drops the moved vertex instead of putting it on
+    # the circles lands outside the cells of its block; compare must name
+    # the blocks, write its artifact and exit 1, not crash
+    boundary_terms = cells._boundary_terms
 
-    def counting(K, p, q, *bases):
-        calls.append((p, q))
-        return original(K, p, q, *bases)
+    def dropping(sigma, gamma):
+        return [(sign, (face, gamma)) for sign, (face, _) in boundary_terms(sigma, gamma)]
 
-    monkeypatch.setattr(koszul, "differential_matrix", counting)
-    assert run(["compare", edge_file]) == 0
-    assert sorted(calls) == [(p, q) for p in range(3) for q in range(-1, p + 1)]
+    monkeypatch.setattr(cells, "_boundary_terms", dropping)
+    out = tmp_path / "compare.json"
+    assert run(["compare", edge_file, "--json", str(out)]) == 1
+    assert json.loads(out.read_text())["checks"]["differentials rk=cell"] == "fail"
+    assert "at (p, q) = [(1, 0), (2, 0)]" in capsys.readouterr().out
 
 
-def test_compare_builds_each_basis_once(tmp_path, monkeypatch):
-    # the identity check shares each (p, q) basis of both models between
-    # the two blocks it bounds
+def test_compare_reads_each_term_once_and_builds_no_block(tmp_path, monkeypatch):
+    # the identity check reads the differential terms of each monomial and
+    # the boundary terms of each cell at most once, on every pair
+    # (sigma, gamma), and builds no basis and no matrix.  The engine's
+    # summands read differential terms of their own, so only the calls made
+    # inside the check count
     path = tmp_path / "sphere6.json"
     path.write_text(json.dumps({"n": 6, "missing_faces": [[1, 2, 3, 4, 5, 6]]}))
-    calls = {"rk": [], "cell": []}
-    for module, name, key in ((koszul, "basis", "rk"), (cells, "cells_of_bidegree", "cell")):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name,
-            lambda K, p, q, original=original, key=key: calls[key].append((p, q)) or original(K, p, q),
-        )
+    read = {"rk": [], "cell": []}
+    checks = []
+    phi_mismatches, diff_terms, boundary_terms = cells.phi_mismatches, koszul._diff_terms, cells._boundary_terms
+
+    def check(K):
+        start = len(read["rk"])
+        mismatches = phi_mismatches(K)
+        checks.append((K, read["rk"][start:]))
+        return mismatches
+
+    def rk_terms(K, gamma, sigma):
+        read["rk"].append((sigma, gamma))
+        return diff_terms(K, gamma, sigma)
+
+    def cell_terms(sigma, gamma):
+        read["cell"].append((sigma, gamma))
+        return boundary_terms(sigma, gamma)
+
+    def builder(*args):
+        raise AssertionError("the identity check builds no basis and no matrix")
+
+    monkeypatch.setattr(cells, "phi_mismatches", check)
+    monkeypatch.setattr(koszul, "_diff_terms", rk_terms)
+    monkeypatch.setattr(cells, "_boundary_terms", cell_terms)
+    for module, name in ((koszul, "basis"), (koszul, "differential_matrix"), (cells, "cells_of_bidegree"),
+                         (cells, "boundary_matrix"), (cells, "coboundary_matrix")):
+        monkeypatch.setattr(module, name, builder)
     assert run(["compare", str(path)]) == 0
-    in_range = {(p, q) for p in range(7) for q in range(p + 1)}
-    for key, seen in calls.items():
+    [(K, rk_read)] = checks
+    every_pair = set(all_cells(K))
+    assert len(every_pair) == 3 ** 6 - 1
+    for key, seen in (("rk", rk_read), ("cell", read["cell"])):
         assert len(seen) == len(set(seen)), key
-        assert in_range <= set(seen), key
+        assert set(seen) == every_pair, key
 
 
 @pytest.mark.parametrize("doc", [
@@ -184,27 +200,35 @@ def _flip_first_entry(m: ExactMatrix) -> ExactMatrix:
 
 def test_identity_check_covers_all_blocks_after_rk_failure(triangle_file, monkeypatch, tmp_path, capsys):
     # a flipped sign in the summand of J = {1, 2, 3} stops the rk model at
-    # its d o d check; a flipped full-stripe block at (2, 0) must still be
-    # named by the identity check, which builds every block
+    # its d o d check; a flipped differential term of the (2, 0) monomial
+    # u1 u2, which no summand reads, must still be named by the identity
+    # check, which reads the terms of every block of both models
     summand = koszul.summand
 
     def broken_summand(K, J):
         for q, m in enumerate(summand(K, J), -1):
             yield _flip_first_entry(m) if (card(J), q) == (3, 0) and m.entries else m
 
-    calls = []
-    differential_matrix = koszul.differential_matrix
+    read = {"rk": set(), "cell": set()}
+    diff_terms = _at_one(koszul._diff_terms, (0b011, 0), _flip_first)
+    boundary_terms = cells._boundary_terms
 
-    def broken_block(K, p, q, *bases):
-        calls.append((p, q))
-        m = differential_matrix(K, p, q, *bases)
-        return _flip_first_entry(m) if (p, q) == (2, 0) and m.entries else m
+    def rk_terms(K, gamma, sigma):
+        read["rk"].add((card(gamma) + card(sigma), card(sigma)))
+        return diff_terms(K, gamma, sigma)
+
+    def cell_terms(sigma, gamma):
+        read["cell"].add((card(gamma) + card(sigma), card(sigma)))
+        return boundary_terms(sigma, gamma)
 
     monkeypatch.setattr(koszul, "summand", broken_summand)
-    monkeypatch.setattr(koszul, "differential_matrix", broken_block)
+    monkeypatch.setattr(koszul, "_diff_terms", rk_terms)
+    monkeypatch.setattr(cells, "_boundary_terms", cell_terms)
     out = tmp_path / "compare.json"
     assert run(["compare", triangle_file, "--json", str(out)]) == 1
-    assert sorted(calls) == [(p, q) for p in range(4) for q in range(-1, p + 1)]
+    # every bidegree that holds a monomial, faces up to the edges
+    every_bidegree = {(p, q) for p in range(4) for q in range(min(p, 2) + 1)}
+    assert read == {"rk": every_bidegree, "cell": every_bidegree}
     checks = json.loads(out.read_text())["checks"]
     assert checks["rk model consistent"] == "fail"
     assert checks["differentials rk=cell"] == "fail"
@@ -427,8 +451,8 @@ def test_tables_never_build_the_full_stripes(edge_file, monkeypatch, capsys):
 
 def test_full_simplex_tables_eliminate_no_entry(tmp_path, monkeypatch):
     # every nonempty J is a face, so the tables reach elimination with empty
-    # maps only, compare's included; its identity check still builds and
-    # compares every block, face J included
+    # maps only, compare's included; its identity check still reads the
+    # terms of every monomial and every cell of both models, face J included
     path = tmp_path / "full4.json"
     path.write_text(json.dumps({"n": 4, "facets": [[1, 2, 3, 4]]}))
     stripes = _recording_stripes(monkeypatch)
@@ -440,18 +464,20 @@ def test_full_simplex_tables_eliminate_no_entry(tmp_path, monkeypatch):
         assert run([argv[0], str(path), *argv[1:]]) == 0
     assert stripes and not any(m.entries for maps in stripes for m in maps)
     assert eliminated == []
-    compared = {"rk": [], "cell": []}
-    for module, name, key in ((koszul, "differential_matrix", "rk"), (cells, "coboundary_matrix", "cell")):
-        original = getattr(module, name)
-        monkeypatch.setattr(
-            module, name,
-            lambda K, p, q, *bases, original=original, key=key: compared[key].append((p, q))
-            or original(K, p, q, *bases),
-        )
+    compared = {"rk": set(), "cell": set()}
+    diff_terms, boundary_terms = koszul._diff_terms, cells._boundary_terms
+    monkeypatch.setattr(
+        koszul, "_diff_terms",
+        lambda K, gamma, sigma: compared["rk"].add((sigma, gamma)) or diff_terms(K, gamma, sigma),
+    )
+    monkeypatch.setattr(
+        cells, "_boundary_terms",
+        lambda sigma, gamma: compared["cell"].add((sigma, gamma)) or boundary_terms(sigma, gamma),
+    )
     assert run(["compare", str(path)]) == 0
     assert eliminated == []
-    every_block = [(p, q) for p in range(5) for q in range(-1, p + 1)]
-    assert compared == {"rk": every_block, "cell": every_block}
+    every_pair = {(sigma, gamma) for sigma in range(16) for gamma in range(16) if not sigma & gamma}
+    assert compared == {"rk": every_pair, "cell": every_pair}
 
 
 def test_bad_node_count_exits_2(edge_file, capsys):
@@ -837,6 +863,14 @@ NOT_ENTERED_BY_A_COMMAND = {
                          "runs it in a subprocess, which the profiler does not see",
     "coordarr.linalg.BigradedTable.torsions": "prints the torsion of a failed compare, "
                                               "so no passing command enters it",
+    "coordarr.koszul.basis": "bound by the benchmark's tracer (perfbench/tracing.py); "
+                             "the identity check reads the terms of each monomial instead",
+    "coordarr.koszul.differential_matrix": "bound by the benchmark's tracer (perfbench/tracing.py); "
+                                           "the identity check builds no matrix",
+    "coordarr.cells.coboundary_matrix": "bound by the benchmark's tracer (perfbench/tracing.py); "
+                                        "the identity check builds no matrix",
+    "coordarr.linalg.ExactMatrix.__eq__": "compares the blocks of the identity check's matrix form "
+                                          "(reference.phi_mismatches_by_matrices)",
 }
 
 
@@ -944,7 +978,7 @@ print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.span
     # the resolvent command reaches build_resolvent through cli's own binding
     assert {"cells.homology", "resolvents.build"} <= set(result["resolvent"])
     assert {
-        "complexes.parse", "koszul.assembly", "cells.assembly", "linalg.snf",
+        "complexes.parse", "cells.assembly", "linalg.snf",
         "linalg.rank_q", "linalg.compose_check", "cech.cohomology", "cech.rank",
         "kernels.build", "cells.homology", "cech.representatives", "cech.pullback",
         "resolvents.build", "resolvents.pair", "cli.to_json", "kernels.quadrature",
