@@ -131,14 +131,12 @@ def test_a_boundary_term_outside_the_block_fails_the_check(edge_file, monkeypatc
     assert "at (p, q) = [(1, 0), (2, 0)]" in capsys.readouterr().out
 
 
-def test_compare_reads_each_term_once_and_builds_no_block(tmp_path, monkeypatch):
-    # the identity check reads the differential terms of each monomial and
-    # the boundary terms of each cell at most once, on every pair
-    # (sigma, gamma), and builds no basis and no matrix.  The engine's
-    # summands read differential terms of their own, so only the calls made
-    # inside the check count
-    path = tmp_path / "sphere6.json"
-    path.write_text(json.dumps({"n": 6, "missing_faces": [[1, 2, 3, 4, 5, 6]]}))
+def _read_terms_of_identity_check(path, monkeypatch, builders):
+    # runs compare on path with every builder in builders made to fail, and
+    # returns the complex and the (sigma, gamma) pairs whose differential
+    # terms and boundary terms the identity check read, in order.  The
+    # engine's summands read differential terms of their own, so only the
+    # calls made inside the check count
     read = {"rk": [], "cell": []}
     checks = []
     phi_mismatches, diff_terms, boundary_terms = cells.phi_mismatches, koszul._diff_terms, cells._boundary_terms
@@ -163,14 +161,40 @@ def test_compare_reads_each_term_once_and_builds_no_block(tmp_path, monkeypatch)
     monkeypatch.setattr(cells, "phi_mismatches", check)
     monkeypatch.setattr(koszul, "_diff_terms", rk_terms)
     monkeypatch.setattr(cells, "_boundary_terms", cell_terms)
-    for module, name in ((koszul, "basis"), (koszul, "differential_matrix"), (cells, "cells_of_bidegree"),
-                         (cells, "boundary_matrix"), (cells, "coboundary_matrix")):
+    for module, name in builders:
         monkeypatch.setattr(module, name, builder)
     assert run(["compare", str(path)]) == 0
     [(K, rk_read)] = checks
+    return K, rk_read, read["cell"]
+
+
+def test_compare_builds_each_differential_once(edge_file, monkeypatch):
+    # the identity check assembles the differentials of both models term by
+    # term: it reads the differential terms of each monomial and the
+    # boundary terms of each cell exactly once, on every pair (sigma,
+    # gamma), and builds no differential matrix of either model
+    K, rk_read, cell_read = _read_terms_of_identity_check(edge_file, monkeypatch, (
+        (koszul, "differential_matrix"), (cells, "boundary_matrix"), (cells, "coboundary_matrix"),
+    ))
+    every_pair = set(all_cells(K))
+    assert len(every_pair) == 3 ** 2 - 1
+    for key, seen in (("rk", rk_read), ("cell", cell_read)):
+        assert len(seen) == len(set(seen)), key
+        assert set(seen) == every_pair, key
+
+
+def test_compare_builds_each_basis_once(tmp_path, monkeypatch):
+    # the identity check draws the monomials and the cells of every (p, q)
+    # from the faces, so it builds no basis of either model, and still
+    # reaches each pair (sigma, gamma) exactly once in both models
+    path = tmp_path / "sphere6.json"
+    path.write_text(json.dumps({"n": 6, "missing_faces": [[1, 2, 3, 4, 5, 6]]}))
+    K, rk_read, cell_read = _read_terms_of_identity_check(path, monkeypatch, (
+        (koszul, "basis"), (cells, "cells_of_bidegree"),
+    ))
     every_pair = set(all_cells(K))
     assert len(every_pair) == 3 ** 6 - 1
-    for key, seen in (("rk", rk_read), ("cell", read["cell"])):
+    for key, seen in (("rk", rk_read), ("cell", cell_read)):
         assert len(seen) == len(set(seen)), key
         assert set(seen) == every_pair, key
 
