@@ -40,11 +40,19 @@ goes to stdout only, never into the artifact.  Every command writes its
 artifact before it prints anything, and prints through ``_print_last``, so
 a reader that closes stdout early changes neither the artifact nor the
 exit code.
+
+``run`` builds the argument parser on its first call and reuses it for
+every later call in the same process, so a batch caller (the benchmark's
+worker, the test suite, a notebook) pays the argparse set-up once, not once
+per command.  Nothing else is kept across calls: ``parse_args`` returns a
+fresh namespace each time, and the commands look up their module-level
+names when they run.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -347,9 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built on the first call and reused by every later one in
+    the process, so a caller that runs many commands pays the argparse
+    set-up once; the parsed arguments are new on each call."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CheckFailed as exc:

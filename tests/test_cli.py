@@ -815,6 +815,94 @@ def test_package_entry_point_is_the_cli(edge_file):
     assert proc.returncode == 0 and proc.stdout.startswith("# Hodge numbers")
 
 
+def test_one_parser_per_process(edge_file, monkeypatch, capsys):
+    # a batch of commands in one process builds the parser once, on the
+    # first call, and importing the CLI builds none
+    cli._parser.cache_clear()
+    builds = []
+    original = cli.build_parser
+
+    def spy():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert [run(argv) for argv in (
+        ["hodge", edge_file], ["kernel", edge_file, "--s", "3"], ["compare", edge_file],
+    )] == [0, 0, 0]
+    assert len(builds) == 1
+    script = """
+import argparse
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from coordarr import cli
+print(len(made), cli._parser.cache_info().currsize)
+"""
+    proc = _python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0"]
+
+
+def _fresh_artifact(tmp_path, name: str, *argv: str) -> bytes:
+    """The --json artifact of one command run by a fresh ``python -m
+    coordarr`` process."""
+    out = tmp_path / name
+    proc = _python("-m", "coordarr", *argv, "--json", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return out.read_bytes()
+
+
+def test_no_option_crosses_calls(edge_file, tmp_path, capsys):
+    # the reused parser hands each call fresh arguments: options given to
+    # one call are not the defaults of the next
+    base = ["verify-kernel", edge_file, "--s", "3", "--f", "1+z1^2*z2^3", "--zeta", "0.3,-0.4"]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run(base + ["--nodes", "64", "--tolerance", "1e-6", "--json", str(first)]) == 0
+    assert run(base + ["--json", str(second)]) == 0
+    given = json.loads(first.read_text())["artifacts"]
+    assert (given["report"][0]["N"], given["tolerance"]) == (64, 1e-6)
+    defaults = json.loads(second.read_text())["artifacts"]
+    assert (defaults["report"][0]["N"], defaults["tolerance"]) == (128, 1e-9)
+    assert second.read_bytes() == _fresh_artifact(tmp_path, "fresh.json", *base)
+
+
+def test_a_usage_error_leaves_the_next_call_intact(edge_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["kernel", edge_file])  # --s is required
+    assert exc.value.code == 2
+    assert "the following arguments are required: --s" in capsys.readouterr().err
+    out = tmp_path / "hodge.json"
+    assert run(["hodge", edge_file, "--json", str(out)]) == 0
+    assert out.read_bytes() == _fresh_artifact(tmp_path, "fresh.json", "hodge", edge_file)
+
+
+def test_bindings_patched_after_the_first_call_take_effect(edge_file, monkeypatch, capsys):
+    # the process parser holds the commands and nothing they load, so a
+    # binding patched later (as the benchmark's tracer patches them) is the
+    # one the next command reaches
+    assert run(["hodge", edge_file]) == 0
+    parsed, built = [], []
+
+    def parse_spy(text):
+        parsed.append(1)
+        return parse_complex(text)
+
+    def build_spy(*args, **kwargs):
+        built.append(1)
+        return resolvents.build_resolvent(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_complex", parse_spy)
+    monkeypatch.setattr(cli, "build_resolvent", build_spy)
+    assert run(["compare", edge_file]) == 0
+    assert (len(parsed), len(built)) == (1, 0)
+    assert run(["resolvent", edge_file, "--p", "2", "--q", "1"]) == 0
+    assert (len(parsed), len(built)) == (2, 1)
+
+
 def _closing_stdout_after(lines: int, *args: str) -> tuple[int, str]:
     """Run a command in a fresh interpreter whose reader takes the given
     number of stdout lines and then closes the pipe; returns the exit code
@@ -958,6 +1046,9 @@ def test_every_public_name_is_reached_by_a_command(tmp_path):
             ]
     defined = _defined_functions()
     entered: set = set()
+    # an earlier test may have built the process parser; the first command
+    # here builds it again, as the first command of a fresh process does
+    cli._parser.cache_clear()
 
     def record(frame, event, arg):
         if event == "call":
