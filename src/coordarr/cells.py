@@ -64,17 +64,16 @@ Cell = tuple[int, int]
 def cells_of_bidegree(K: SimplicialComplex, p: int, q: int) -> list[Cell]:
     """Cells of bidegree (p, q), ordered by (sigma, gamma) mask pair --
     the same order the algebra model uses for its monomials.  Faces come in
-    mask order and each sigma's gammas in mask order, so the list is sorted
-    as it is built."""
-    if q < 0 or p < q or p - q > K.n:
+    mask order and each sigma's gammas, drawn from the bits outside it, in
+    mask order, so the list is sorted as it is built."""
+    if p < q:
         return []
-    gammas = K.k_subsets_by_mask(p - q)
+    bits = [1 << v for v in range(K.n)]
     return [
         (sigma, gamma)
         for sigma in K.faces_sorted
         if card(sigma) == q
-        for gamma in gammas
-        if not gamma & sigma
+        for gamma in sorted(map(sum, combinations([bit for bit in bits if not bit & sigma], p - q)))
     ]
 
 

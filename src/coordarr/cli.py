@@ -2,18 +2,19 @@
 
 Every bigraded table comes from one engine, ``koszul.cohomology``, which
 meets each connected vertex set C of the 1-skeleton once, eliminates each
-C that is not a face, and places its groups with the binomial count of
-the vertex sets J of which C is a component; it adds the extra H~^0
-classes and the unit by counts alone, merges the torsion that meets in one
-bidegree, and checks every p-stripe against the Euler characteristic of
-the f-vector: ``cohomology --model rk``, ``hodge`` and the message of an
-unavailable kernel report from it, and ``compare`` and ``corpus`` check it.
-``corpus`` hands the engine and the Čech oracle one cache each for the whole
-run, so a component shape, or a star family up to a permutation of the
-facet positions, met in many complexes is eliminated once per run.  Within
-one call the engine keeps no cache, and the oracle one dict keyed by that
-class alone, so it eliminates one index set per class (n + 1 of the 2^n on
-the boundary of the n-simplex).
+shape of the C that are not faces once, and places the groups of every
+such C with the binomial count of the vertex sets J of which C is a
+component; it adds the extra H~^0 classes and the unit by counts alone,
+merges the torsion that meets in one bidegree, and checks every p-stripe
+against the Euler characteristic of the f-vector: ``cohomology --model
+rk``, ``hodge`` and the message of an unavailable kernel report from it,
+and ``compare`` and ``corpus`` check it.
+Within one call the engine keeps one dict keyed by the shape of C (15
+eliminations on RP² for its 32 non-face sets and the unit), and the oracle
+one keyed by the star family up to a permutation of the facet positions,
+so it eliminates one index set per class (n + 1 of the 2^n on the boundary
+of the n-simplex).  ``corpus`` hands both one dict each for the whole run,
+so a class met in many complexes is eliminated once per run.
 Their identity check with the cell model compares every block of the full
 stripes, face J included, and eliminates none; it reads the terms of each
 monomial and each cell once, from each model's own term formula, into one

@@ -112,11 +112,6 @@ def k_subsets(n: int, k: int) -> tuple[int, ...]:
     return tuple(mask_of(c) for c in combinations(range(1, n + 1), k))
 
 
-@lru_cache(maxsize=64)
-def _k_subsets_by_mask(n: int, k: int) -> tuple[int, ...]:
-    return tuple(sorted(k_subsets(n, k)))
-
-
 def subsets_of(mask: int) -> Iterator[int]:
     """All submasks of ``mask``, the empty set included."""
     sub = mask
@@ -251,12 +246,6 @@ class SimplicialComplex:
         """All k-element subsets of [n] as masks, in lexicographic order of
         their sorted vertex lists; shared by every complex on n vertices."""
         return k_subsets(self.n, k)
-
-    def k_subsets_by_mask(self, k: int) -> tuple[int, ...]:
-        """The k-element subsets of [n] in increasing mask order, so that
-        pairs (sigma, gamma) listed gamma by gamma for each sigma in face
-        order come out sorted; shared like ``k_subsets``."""
-        return _k_subsets_by_mask(self.n, k)
 
     def __repr__(self) -> str:
         return f"SimplicialComplex(n={self.n}, facets={[list(elements(f)) for f in self.facets]})"

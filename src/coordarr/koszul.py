@@ -33,8 +33,8 @@ no neighbour of C: for C(n - |N[C]|, p - |C|) sets J of size p, N[C] the
 closed neighbourhood of C.  A ghost vertex ({v} not a face) lies in no C.
 
 * a C that is a face is a full simplex, acyclic: it adds nothing.  Every
-  other C is eliminated once, through its own summand (``summand(K, C)``),
-  and its groups go to (|C| + s, q), C(n - |N[C]|, s) times;
+  other C has the groups of its own summand (``summand(K, C)``), which go
+  to (|C| + s, q), C(n - |N[C]|, s) times;
 * a disjoint union has one more free class in H~^0 per component after
   the first (Hatcher, Prop. 2.6).  At (p, 1) these sum to the count above
   over every C, faces included, minus one per J of size p with a vertex:
@@ -45,10 +45,12 @@ closed neighbourhood of C.  A ghost vertex ({v} not a face) lies in no C.
   merged by ``direct_sum_torsion`` from (factors, count) parts, so
   Z/2 + Z/3 comes out as Z/6: the torsion of the whole stripe.
 
-A caller that runs a batch of complexes (``corpus``) may pass a dict it
-owns, keyed by the shape of C (``_shape``): two components of one shape
-have the same summand entry for entry, so the first one eliminated serves
-the batch.  Without that dict nothing is cached.
+Two components of one shape (``_shape``) have the same summand entry for
+entry, so ``cohomology`` keeps the groups in a dict keyed by the shape and
+eliminates each shape once: the first C of a shape serves every later one
+(on RP², 15 eliminations for the 32 non-face sets and the unit).  The dict
+lives for the call, unless the caller passes one it owns to every complex
+of a batch (``corpus``), which then eliminates each shape once per batch.
 
 Each eliminated summand passes ``stripe_cohomology``'s checks: d o d = 0
 and no negative free rank.  The table then passes ``_check_euler``, which
@@ -73,6 +75,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from math import comb
 from typing import ClassVar, Iterator
 
@@ -103,19 +106,18 @@ def basis(K: SimplicialComplex, p: int, q: int) -> list[Basis]:
     """Monomial basis of the (p, q) component, ordered by (sigma, gamma).
 
     All pairs (gamma, sigma) with sigma a face of cardinality q, gamma of
-    cardinality p - q disjoint from sigma; empty when out of range.  Faces
-    come in mask order and each sigma's gammas in mask order, so the list is
-    sorted as it is built.
+    cardinality p - q drawn from the bits outside sigma; empty when out of
+    range.  Faces come in mask order and each sigma's gammas in mask order,
+    so the list is sorted as it is built.
     """
-    if q < 0 or p < q or p - q > K.n:
+    if p < q:
         return []
-    gammas = K.k_subsets_by_mask(p - q)
+    bits = [1 << v for v in range(K.n)]
     return [
         (gamma, sigma)
         for sigma in K.faces_sorted
         if card(sigma) == q
-        for gamma in gammas
-        if not gamma & sigma
+        for gamma in sorted(map(sum, combinations([bit for bit in bits if not bit & sigma], p - q)))
     ]
 
 
@@ -226,31 +228,31 @@ def _shape(K: SimplicialComplex, C: int) -> tuple[int, ...]:
     )
 
 
-def _groups(K: SimplicialComplex, C: int, coeff: str, shapes: Shapes | None) -> list[tuple[int, CohomologyBlock]]:
+def _groups(K: SimplicialComplex, C: int, coeff: str, shapes: Shapes) -> list[tuple[int, CohomologyBlock]]:
     """The nontrivial groups (q, block) of the summand of C: read from
-    ``shapes`` under ``(coeff, _shape(K, C))`` when a complex of the batch
-    has eliminated that shape, else eliminated (and kept there)."""
-    if shapes is not None:
-        key = (coeff, _shape(K, C))
-        if key not in shapes:
-            shapes[key] = _groups(K, C, coeff, None)
-        return shapes[key]
-    return [(q, block) for q, block in enumerate(stripe_cohomology(summand(K, C), coeff)) if not block.is_trivial()]
+    ``shapes`` under ``(coeff, _shape(K, C))`` when a component of that
+    shape was eliminated before, else eliminated and kept there."""
+    key = (coeff, _shape(K, C))
+    if key not in shapes:
+        groups = stripe_cohomology(summand(K, C), coeff)
+        shapes[key] = [(q, block) for q, block in enumerate(groups) if not block.is_trivial()]
+    return shapes[key]
 
 
 def cohomology(K: SimplicialComplex, coeff: str = "Z", shapes: Shapes | None = None) -> BigradedTable:
     """Bigraded cohomology table of the algebra, summed over the connected
     vertex sets C with the binomial multiplicities of the module docstring:
-    the groups of each C that is not a face, eliminated once, the extra
-    H~^0 classes at (p, 1), and the unit.  The torsion meeting in one
+    the groups of each C that is not a face, eliminated once per shape, the
+    extra H~^0 classes at (p, 1), and the unit.  The torsion meeting in one
     bidegree is merged by ``direct_sum_torsion``; the free ranks must pass
     ``_check_euler`` (``CheckFailed`` otherwise).
 
-    ``shapes``, when given, is a dict the caller owns and passes to every
-    complex of a batch: a summand is then looked up there by
-    ``(coeff, _shape(K, C))`` and eliminated only when no complex of the
-    batch has eliminated its shape yet.
+    ``shapes`` holds the groups by ``(coeff, _shape(K, C))``: a fresh dict
+    for this call when not given, else a dict the caller owns and passes to
+    every complex of a batch, so a shape any complex of the batch has
+    eliminated is not eliminated again.
     """
+    shapes = {} if shapes is None else shapes
     n, ghosts = K.n, K.n - card(K.vertex_support)
     neighbors = _neighbors(K)
     summands = [(0, ghosts)]  # (C, how many vertices J - C may hold): the unit, then each non-face C

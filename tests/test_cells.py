@@ -54,6 +54,24 @@ def test_cells_count_point():
     assert len(all_cells(full_simplex(1))) == 3
 
 
+@pytest.mark.parametrize("K", [
+    simplex_boundary(5),
+    projective_plane(),
+    SimplicialComplex.from_vertex_lists(6, [[i, i % 6 + 1] for i in range(1, 7)]),
+    disjoint_points(3),
+], ids=["sphere5", "rp2", "c6", "points3"])
+def test_both_builders_list_each_bidegree_sorted(K):
+    # the cells and the monomials of each bidegree, gammas drawn from the
+    # bits outside sigma, come out sorted by (sigma, gamma) as they are
+    # built: the order in which relabeling between the models is the
+    # identity on every block
+    for p in range(K.n + 1):
+        for q in range(-1, p + 2):
+            expected = [(s, g) for s, g in all_cells(K) if (card(s) + card(g), card(s)) == (p, q)]
+            assert cells.cells_of_bidegree(K, p, q) == expected, (p, q)
+            assert koszul.basis(K, p, q) == [(g, s) for s, g in expected], (p, q)
+
+
 def test_cell_dimension():
     assert cell_dimension((mask_of([1]), mask_of([2]))) == 3
 

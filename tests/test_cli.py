@@ -22,6 +22,7 @@ from coordarr.linalg import CheckFailed, ExactMatrix
 from coordarr.resolvents import Resolvent
 from reference import all_cells, full_kernel
 from test_cells import _at_one, _flip_first
+from test_koszul import _one_set_per_shape
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -275,56 +276,77 @@ def _rp2_and_c8_files(tmp_path) -> list[tuple[str, Path]]:
     return files
 
 
-def _shift_last_non_face_summands(monkeypatch) -> None:
+def _fault_last_non_face_summands(monkeypatch, fault) -> list[int]:
+    """Pass the maps of the component that is the last non-face of its size
+    through ``fault``.  Returns the list of the J the fault reached: a J
+    whose shape the engine has already eliminated never reaches
+    ``summand``."""
+    summand = koszul.summand
+    hits: list[int] = []
+
+    def faulty(K, J):
+        if not _is_last_non_face(K, J):
+            return summand(K, J)
+        hits.append(J)
+        return fault(summand(K, J))
+
+    monkeypatch.setattr(koszul, "summand", faulty)
+    return hits
+
+
+def _shift_last_non_face_summands(monkeypatch) -> list[int]:
     """Move every group of the component that is the last non-face of its
     size from q to q + 2: two empty maps in front of its summand.  The
     alternating sums of the free ranks stay, so the Euler check passes."""
-    summand = koszul.summand
-    monkeypatch.setattr(
-        koszul, "summand",
-        lambda K, J: iter([ExactMatrix(0, 0), ExactMatrix(0, 0), *summand(K, J)])
-        if _is_last_non_face(K, J) else summand(K, J),
-    )
+    return _fault_last_non_face_summands(monkeypatch, lambda maps: iter([ExactMatrix(0, 0), ExactMatrix(0, 0), *maps]))
 
 
 def test_compare_and_corpus_check_the_reported_table(tmp_path, monkeypatch):
     # compare and corpus read the table hodge reports from, so a summand
     # the engine misplaces (here: the component that is the last non-face
     # of its size) shows up as a rank the Čech oracle does not have
-    _shift_last_non_face_summands(monkeypatch)
+    hits = _shift_last_non_face_summands(monkeypatch)
     for name, path in _rp2_and_c8_files(tmp_path):
+        hits.clear()
         out = tmp_path / f"{name}-compare.json"
         assert run(["compare", str(path), "--json", str(out)]) == 1, name
+        assert hits, name
         checks = json.loads(out.read_text())["checks"]
         assert checks["rk model consistent"] == "pass", name
         assert checks["ranks rk=cech"] == "fail", name
+    hits.clear()
     assert run(["corpus", "--random", "0"]) == 1
+    assert hits
 
 
-def _drop_last_non_face_summands(monkeypatch) -> None:
+def _drop_last_non_face_summands(monkeypatch) -> list[int]:
     """Lose the summand of the component that is the last non-face of its
     size."""
-    summand = koszul.summand
-    monkeypatch.setattr(koszul, "summand", lambda K, J: iter(()) if _is_last_non_face(K, J) else summand(K, J))
+    return _fault_last_non_face_summands(monkeypatch, lambda maps: iter(()))
 
 
 def test_a_dropped_summand_fails_the_euler_check(tmp_path, monkeypatch, capsys):
     # a lost summand breaks the alternating sum of its stripe, so hodge
     # exits 1 with no oracle, and compare fails the rk model itself
-    _drop_last_non_face_summands(monkeypatch)
+    hits = _drop_last_non_face_summands(monkeypatch)
     for name, path in _rp2_and_c8_files(tmp_path):
+        hits.clear()
         assert run(["hodge", str(path)]) == 1, name
+        assert hits, name
         assert "Euler characteristic" in capsys.readouterr().err, name
+        hits.clear()
         out = tmp_path / f"{name}-compare.json"
         assert run(["compare", str(path), "--json", str(out)]) == 1, name
+        assert hits, name
         assert json.loads(out.read_text())["checks"]["rk model consistent"] == "fail", name
 
 
 def test_corpus_fail_line_names_the_failed_checks(monkeypatch, capsys):
     # the caches of a corpus run carry one faulty shape into many complexes,
     # so each FAIL line names the check that points at the faulty model
-    _shift_last_non_face_summands(monkeypatch)
+    hits = _shift_last_non_face_summands(monkeypatch)
     assert run(["corpus", "--random", "0"]) == 1
+    assert hits
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL  #")]
     assert fails
     assert all(line.endswith("[ranks rk=cech]") for line in fails), fails
@@ -336,10 +358,11 @@ def test_corpus_caches_live_for_one_run(monkeypatch):
     original = koszul.summand
     for faulty, code in ((True, 1), (False, 0), (True, 1)):
         if faulty:
-            _drop_last_non_face_summands(monkeypatch)
+            hits = _drop_last_non_face_summands(monkeypatch)
         else:
             monkeypatch.setattr(koszul, "summand", original)
         assert run(["corpus", "--random", "0"]) == code, faulty
+        assert not faulty or hits
 
 
 @pytest.mark.parametrize("seed", [20260810, 1305])
@@ -362,24 +385,26 @@ def test_corpus_caches_give_the_per_call_tables(seed):
 
 
 @pytest.mark.parametrize(("name", "commands", "calls"), [
-    ("rp2", ["compare", "hodge"], 33),
-    ("c8", ["compare"], 42),
+    ("rp2", ["compare", "hodge", "cohomology"], 15),
+    ("c8", ["compare"], 27),
 ])
-def test_single_complex_commands_eliminate_each_component_mask(name, commands, calls, tmp_path, monkeypatch):
-    # outside corpus the engine meets each connected set once: one summand
-    # per distinct non-face component, the unit J = {} included, even where
-    # components of one shape recur (RP^2 and C_8 are symmetric)
+def test_single_complex_commands_eliminate_each_component_shape_once(name, commands, calls, tmp_path, monkeypatch):
+    # outside corpus the engine keeps one dict of shapes per call: one
+    # summand per distinct shape of the non-face components, the unit J = {}
+    # included, where components of one shape recur (32 non-face components
+    # of RP^2, 41 of C_8), and the next command eliminates them afresh
     cycle = [[i, i % 8 + 1] for i in range(1, 9)]
     doc = {"rp2": {"n": 6, "facets": PROJECTIVE_PLANE_FACETS}, "c8": {"n": 8, "facets": cycle}}[name]
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(doc))
+    K = parse_complex(doc)
     original = koszul.summand
     for command in commands:
         seen: list[int] = []
         monkeypatch.setattr(koszul, "summand", lambda K, J: seen.append(J) or original(K, J))
         assert run([command, str(path)]) == 0
-        assert len(seen) == len(set(seen)) == calls, command
-        assert 0 in seen
+        assert len(seen) == calls, command
+        _one_set_per_shape(K, seen)
 
 
 def test_hodge_and_kernel_do_not_run_the_cech_table(edge_file, monkeypatch, capsys):
@@ -986,17 +1011,23 @@ NOT_ENTERED_BY_A_COMMAND = {
 }
 
 
-def _defined_functions() -> dict[str, object]:
-    """Every function and method written in a ``coordarr`` module, keyed by
-    qualified name, with the code object whose frame counts as entering it.
-    Methods a dataclass generates are not written in the module's file and
-    drop out; ``__repr__`` serves debugging only and is left out."""
-    modules = [coordarr] + [
+def _modules() -> list:
+    """The ``coordarr`` package and every module in it."""
+    return [coordarr] + [
         importlib.import_module(f"coordarr.{info.name}")
         for info in pkgutil.iter_modules(coordarr.__path__)
     ]
+
+
+def _defined_functions() -> dict[str, object]:
+    """Every function and method written in a ``coordarr`` module, keyed by
+    qualified name, with the code object whose frame counts as entering it.
+    A module-level function under ``functools.cache`` or ``lru_cache``
+    counts through the function it wraps.  Methods a dataclass generates
+    are not written in the module's file and drop out; ``__repr__`` serves
+    debugging only and is left out."""
     out: dict[str, object] = {}
-    for module in modules:
+    for module in _modules():
         candidates = []
         for name, obj in vars(module).items():
             if inspect.isclass(obj):
@@ -1007,7 +1038,7 @@ def _defined_functions() -> dict[str, object]:
                                getattr(attr, "__func__", None)):
                         candidates.append((f"{name}.{attr_name}", fn))
             else:
-                candidates.append((name, obj))
+                candidates.append((name, getattr(obj, "__wrapped__", obj)))
         for name, fn in candidates:
             if inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__:
                 out[f"{module.__name__}.{name}"] = fn.__code__
@@ -1046,9 +1077,13 @@ def test_every_public_name_is_reached_by_a_command(tmp_path):
             ]
     defined = _defined_functions()
     entered: set = set()
-    # an earlier test may have built the process parser; the first command
-    # here builds it again, as the first command of a fresh process does
-    cli._parser.cache_clear()
+    # an earlier test may have filled a module-level cache (the process
+    # parser, the k-subsets); empty every one, so that the first command
+    # enters each cached function as in a fresh process
+    for module in _modules():
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
     def record(frame, event, arg):
         if event == "call":

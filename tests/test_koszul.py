@@ -365,41 +365,85 @@ def test_torsion_of_two_projective_planes_adds_up():
 
 
 def test_torsion_meeting_in_one_bidegree_is_merged(monkeypatch):
-    # two disjoint triangle boundaries whose summands are replaced by
-    # complexes with Z/2 and Z/3 at q = 1: every J holding one triangle
-    # and part of the other meets one of them, and J = [6] meets both.
-    # Each fake keeps the circle's free class at q = 2, so the free ranks
-    # still pass the Euler check
-    K = SimplicialComplex.from_vertex_lists(6, [[1, 2], [1, 3], [2, 3], [4, 5], [4, 6], [5, 6]])
-    factors = {mask_of([1, 2, 3]): 2, mask_of([4, 5, 6]): 3}
+    # a triangle boundary on {1, 2, 3} and the 4-cycle on {4, 5, 6, 7},
+    # two components of distinct shapes, whose summands are replaced by
+    # complexes with Z/2 and Z/3 at q = 1: every J holding one of them and
+    # part of the other meets one factor, and J = [7] meets both.  Each fake
+    # keeps the circle's free class at q = 2, so the free ranks still pass
+    # the Euler check
+    K = SimplicialComplex.from_vertex_lists(7, [[1, 2], [1, 3], [2, 3], [4, 5], [5, 6], [6, 7], [4, 7]])
+    factors = {mask_of([1, 2, 3]): 2, mask_of([4, 5, 6, 7]): 3}
     original = koszul.summand
+    free = koszul.cohomology(K, "Z").ranks()
+    faked = []
 
     def with_torsion(K, J):
         if J not in factors:
             return original(K, J)
+        faked.append(J)
         return iter([ExactMatrix(1, 0), ExactMatrix(1, 1, {(0, 0): factors[J]}), ExactMatrix(1, 1), ExactMatrix(0, 1)])
 
     monkeypatch.setattr(koszul, "summand", with_torsion)
     table = koszul.cohomology(K, "Z")
-    assert table.torsions() == {(3, 1): (6,), (4, 1): (6, 6, 6), (5, 1): (6, 6, 6), (6, 1): (6,)}
-    # the free classes of the components are untouched: #components - 1 per
-    # J, and every 4-set splits into two components
-    assert table.free(6, 1) == 1 and table.free(4, 1) == comb(6, 4)
+    assert sorted(faked) == sorted(factors)
+    assert table.torsions() == {
+        (3, 1): (2,), (4, 1): (2, 2, 2, 6), (5, 1): (2, 2, 2, 6, 6, 6), (6, 1): (2, 6, 6, 6), (7, 1): (6,),
+    }
+    # the free classes are untouched: the fakes keep the circles', and the
+    # extra components add #components - 1 per J, one at J = [7]
+    assert table.ranks() == free
+    assert table.free(7, 1) == 1
 
 
-def test_each_component_of_the_cycle_is_eliminated_once(monkeypatch):
+def _planes(m: int) -> SimplicialComplex:
+    """m disjoint copies of the 6-vertex RP^2, on 6m vertices."""
+    facets = [[v + 6 * i for v in facet] for i in range(m) for facet in PROJECTIVE_PLANE_FACETS]
+    return SimplicialComplex.from_vertex_lists(6 * m, facets)
+
+
+def _one_set_per_shape(K: SimplicialComplex, calls: list[int]) -> None:
+    """Assert that ``calls`` holds one set C per distinct shape of the
+    non-face connected sets of K and the unit, none twice."""
+    components = [C for C, _ in koszul._connected_sets(K, koszul._neighbors(K)) if not K.is_face(C)]
+    shapes = {koszul._shape(K, C) for C in [0, *components]}
+    assert len(calls) == len(set(calls)) == len(shapes)
+    assert set(calls) <= {0, *components}
+    assert {koszul._shape(K, C) for C in calls} == shapes
+
+
+def test_each_component_shape_of_the_cycle_is_eliminated_once(monkeypatch):
     # on C_12 the components of the K_J that are not faces are the arcs of
-    # 3 to 11 vertices and the whole cycle; the unit is the summand of {}
+    # 3 to 11 vertices and the whole cycle; the unit is the summand of {}.
+    # An arc of length l has l shapes: the unwrapped one, and one for each
+    # of the l - 1 places where it passes vertex 12
     n = 12
+    K = _cycle(n)
     calls = _recording_summands(monkeypatch)
-    koszul.cohomology(_cycle(n), "Z")
+    koszul.cohomology(K, "Z")
     arcs = {
         sum(1 << (start + i) % n for i in range(length))
         for start in range(n)
         for length in range(3, n)
     }
-    assert len(calls) == len(set(calls))
-    assert set(calls) == {0, (1 << n) - 1} | arcs
+    assert set(calls) <= {0, (1 << n) - 1} | arcs
+    assert {0, (1 << n) - 1} <= set(calls)
+    assert len(calls) == sum(range(3, n)) + 2
+    _one_set_per_shape(K, calls)
+
+
+@pytest.mark.parametrize(("K", "eliminated"), [(_cycle(12), 65), (_planes(3), 15)], ids=["c12", "rp2x3"])
+def test_the_shapes_of_a_call_die_with_the_call(K, eliminated, monkeypatch):
+    # each call keeps its own dict of shapes: a second call on the same
+    # complex eliminates the same sets again, one per distinct shape (the
+    # three planes of 3 RP^2 share their 14 shapes, and the unit is one)
+    calls = _recording_summands(monkeypatch)
+    koszul.cohomology(K, "Z")
+    first = calls[:]
+    calls.clear()
+    koszul.cohomology(K, "Z")
+    assert set(calls) == set(first)
+    assert len(first) == eliminated
+    _one_set_per_shape(K, first)
 
 
 @pytest.mark.parametrize("n", [*range(8, 15), 20, 24])
