@@ -407,9 +407,11 @@ def representative_cocycles(K: SimplicialComplex, p: int, q: int) -> list[LogCoc
             for vec in quotient_basis(kernel_basis(block), below)
         ]
         # read the stored values back into columns appended to the image
-        # below, and check them by routes other than the _rref that gave
-        # them: the coboundary kills them, and they raise the rank of the
-        # image by their number, so no combination of them is exact
+        # below, and check them apart from the echelon form that gave them:
+        # the sparse product shows that the coboundary kills them, and a
+        # rank, which takes the unit pivots shortest row first, shows that
+        # they raise the rank of the image by their number, so no
+        # combination of them is exact
         row = {mask: i for i, mask in enumerate(cols)}
         entries = dict(below.entries)
         for c, w in enumerate(cocycles, below.cols):

@@ -8,26 +8,27 @@ composable maps into its groups, eliminating each map once, and
 Everything is arbitrary precision and deterministic, with no floating
 point anywhere.
 
-``smith_normal_form`` and ``rank_rational`` share one sparse unit-pivot
-core on row dicts plus a column index (Dumas–Saunders–Villard, "On
-efficient sparse integer matrix Smith normal form computations", J. Symb.
-Comput. 32, 2001), ``_eliminate_units``: it takes every ±1 pivot,
-shortest row first (lowest row index on ties), with unimodular Schur
-updates and no row scaling, so it is valid over Z and over Q alike.  Two
-finishers take the unit-free residual, which on the package's matrices is
-rare and tiny:
+Every elimination works on one representation, the row dicts and column
+index of ``_working_copy``, and changes it by one row operation, the Schur
+update ``_schur_update`` (Dumas–Saunders–Villard, "On efficient sparse
+integer matrix Smith normal form computations", J. Symb. Comput. 32,
+2001).  ``_eliminate_units`` takes every ±1 pivot, shortest row first
+(lowest row index on ties), with no row scaling, so it is valid over Z and
+over Q alike.  Two finishers take the unit-free residual, which on the
+package's matrices is rare and tiny:
 
 * over Z, ``smith_normal_form`` diagonalizes it by smallest-magnitude
   integer row and column operations, which the torsion needs;
-* over Q, ``rank_rational`` hands its rows to ``_rref``.
+* over Q, ``rank_rational`` hands it, in place, to ``_rref``.
 
-Kernel and quotient bases use the same echelon routine, ``_rref`` on sparse
-``Fraction`` rows with every subtraction made by ``_subtract``; the reduced
-echelon form is unique, and so are the representative vectors.  Invariant
-factors are merged with no elimination at all: ``_divisibility_chain``
-folds runs (factor, count) by adjacent gcd/lcm swaps, for the Smith
-residual and for ``direct_sum_torsion``, so a factor met millions of times
-is one run.  ``compose_is_zero`` is the exact sparse product.
+Kernel and quotient bases run ``_rref`` on the whole matrix: it pivots on
+the leftmost columns, as the reduced echelon form must, and keeps integer
+entries until a pivot is not ±1.  The reduced echelon form is unique, and
+so are the representative vectors.  Invariant factors are merged with no
+elimination at all: ``_divisibility_chain`` folds runs (factor, count) by
+adjacent gcd/lcm swaps, for the Smith residual and for
+``direct_sum_torsion``, so a factor met millions of times is one run.
+``compose_is_zero`` is the exact sparse product.
 """
 
 from __future__ import annotations
@@ -90,12 +91,6 @@ class ExactMatrix:
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    def columns(self) -> list[dict[int, Scalar]]:
-        cols: list[dict[int, Scalar]] = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
 
     # -- algebra ---------------------------------------------------------...
 
@@ -165,15 +160,43 @@ def _working_copy(m: ExactMatrix) -> tuple[Rows, ColumnIndex]:
     return rows, colindex
 
 
+def _schur_update(rows: Rows, colindex: ColumnIndex, r: int, prow: Mapping[int, Scalar], pc: int,
+                  inv: Scalar) -> dict[int, Scalar]:
+    """``row -= (row[pc] * inv) * prow`` on row ``r`` in place, for a pivot
+    row ``prow`` held without its pivot column ``pc`` and ``inv`` the
+    inverse of its pivot: the one row operation of the unit phase and of
+    the echelon form.  Fill-in joins the column index, cancelled entries
+    leave it, and a row that vanishes is deleted from ``rows``; the row is
+    returned.
+    """
+    row = rows[r]
+    f = row.pop(pc) * inv
+    for c, v in prow.items():
+        old = row.get(c)
+        if old is None:
+            row[c] = -f * v
+            colindex[c].add(r)
+        else:
+            new = old - f * v
+            if new:
+                row[c] = new
+            else:
+                del row[c]
+                colindex[c].discard(r)
+    if not row:
+        del rows[r]
+    return row
+
+
 def _eliminate_units(rows: Rows, colindex: ColumnIndex, pivots: list[int] | None = None) -> int:
     """Phase 1: pivot on entries ±1 while any is left; return their number.
 
     The pivot row is the shortest row holding a unit, lowest row index
     first; its pivot is the unit whose column is shortest, lowest column
-    first.  Every other row of the pivot column gets the Schur update
-    ``row -= (row[pc] * pv) * prow``, and the pivot row and column are
-    dropped.  No row is scaled, so each step is unimodular: it keeps the
-    rank over Q and adds one invariant factor 1 over Z.  ``rows`` and
+    first.  Every other row of the pivot column gets ``_schur_update``,
+    and the pivot row and column are dropped.  A unit is its own inverse
+    and no row is scaled, so each step is unimodular: it keeps the rank
+    over Q and adds one invariant factor 1 over Z.  ``rows`` and
     ``colindex`` are left holding the unit-free residual.  When ``pivots``
     is a list, the pivot column of every step is appended to it.
 
@@ -208,25 +231,43 @@ def _eliminate_units(rows: Rows, colindex: ColumnIndex, pivots: list[int] | None
         pcol = colindex.pop(pc)
         pcol.discard(pr)
         for r in pcol:
-            row = rows[r]
-            f = row.pop(pc) * pv
-            for c, v in prow.items():
-                old = row.get(c)
-                if old is None:
-                    row[c] = -f * v
-                    colindex[c].add(r)
-                else:
-                    new = old - f * v
-                    if new:
-                        row[c] = new
-                    else:
-                        del row[c]
-                        colindex[c].discard(r)
+            row = _schur_update(rows, colindex, r, prow, pc, pv)
             if row:
                 heappush(heap, (len(row), r))
-            else:
-                del rows[r]
     return units
+
+
+def _rref(rows: Rows, colindex: ColumnIndex) -> tuple[dict[int, dict[int, Scalar]], list[int]]:
+    """Reduced row echelon form of a working copy, consumed in place.
+
+    Columns are taken in increasing order.  The lowest-numbered row that
+    holds a column and has not pivoted yet becomes its pivot row, and every
+    other row holding the column, pivot rows included, gets
+    ``_schur_update``.  Rows are scaled to a leading 1 only at the end, so
+    a ``Fraction`` enters only at a pivot other than ±1.  Returns (reduced,
+    pivots): each pivot row's index mapped to its reduced row, and the
+    pivot columns, both in pivot order.  The reduced echelon form is
+    unique, so the pivot-row rule shows only in the row indices.
+    """
+    if not rows:
+        return {}, []
+    taken: dict[int, tuple[int, Scalar]] = {}  # pivot row -> (pivot column, 1 / pivot)
+    for pc in sorted(c for c, col in colindex.items() if col):
+        col = colindex.pop(pc)
+        pr = min((r for r in col if r not in taken), default=None)
+        if pr is None:
+            continue
+        prow = rows[pr]
+        pv = prow.pop(pc)
+        inv = pv if pv == 1 or pv == -1 else 1 / Fraction(pv)
+        for r in col:
+            if r != pr:
+                _schur_update(rows, colindex, r, prow, pc, inv)
+        taken[pr] = pc, inv
+    # scale to a leading 1; a pivot row held without its pivot may be gone
+    reduced = {pr: {pc: 1, **{c: v * inv for c, v in rows.get(pr, {}).items()}}
+               for pr, (pc, inv) in taken.items()}
+    return reduced, [pc for pc, _ in taken.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +398,9 @@ def rank_rational(m: ExactMatrix, pivots: list[int] | None = None) -> int:
     """Rank over the rationals.
 
     ``_eliminate_units`` takes every ±1 pivot, and ``_rref`` finishes the
-    unit-free residual rows; the rank is the number of pivots of both.  The
-    Schur updates of the unit phase are exact on ``Fraction`` entries too,
-    so rational input needs no scaling.
+    unit-free residual it leaves in place; the rank is the number of
+    pivots of both.  The Schur updates are exact on ``Fraction`` entries
+    too, so rational input needs no scaling.
 
     When ``pivots`` is a list, the unit pivot columns P and then the
     ``_rref`` pivot columns Q are appended to it.  Both phases use row
@@ -369,50 +410,10 @@ def rank_rational(m: ExactMatrix, pivots: list[int] | None = None) -> int:
     """
     rows, colindex = _working_copy(m)
     rank = _eliminate_units(rows, colindex, pivots)
-    residual_pivots = _rref(rows.values())[1]
+    residual_pivots = _rref(rows, colindex)[1]
     if pivots is not None:
         pivots.extend(residual_pivots)
     return rank + len(residual_pivots)
-
-
-def _subtract(row: dict, f: Fraction, pivot_row: Mapping) -> None:
-    """``row -= f * pivot_row`` in place, dropping the entries that cancel:
-    the one subtraction of the echelon routine and of its reductions."""
-    for k, v in pivot_row.items():
-        nv = row.get(k, 0) - f * v
-        if nv:
-            row[k] = nv
-        else:
-            row.pop(k, None)
-
-
-def _rref(rows: Iterable[Mapping]) -> tuple[list[dict], list]:
-    """Reduced row echelon form of the matrix with the given sparse rows.
-
-    Column keys only need to sort; columns are processed in increasing key
-    order, the first remaining row holding a column becomes its pivot row,
-    is scaled to a leading 1 and is subtracted from every other row, reduced
-    or not.  Returns (rows, pivot_columns), rows as sparse ``Fraction``
-    dicts in pivot order.  The reduced echelon form of a row space is
-    unique, so neither the row order nor the pivot-row rule shows in it.
-    """
-    work = [{k: Fraction(v) for k, v in row.items() if v} for row in rows]
-    reduced: list[dict] = []
-    pivots: list = []
-    for c in sorted({k for row in work for k in row}):
-        i = next((i for i, row in enumerate(work) if c in row), None)
-        if i is None:
-            continue
-        pivot_row = work.pop(i)
-        inv = 1 / pivot_row[c]
-        pivot_row = {k: v * inv for k, v in pivot_row.items()}
-        for row in work + reduced:
-            f = row.get(c)
-            if f:
-                _subtract(row, f, pivot_row)
-        reduced.append(pivot_row)
-        pivots.append(c)
-    return reduced, pivots
 
 
 def kernel_basis(m: ExactMatrix) -> list[dict[int, int]]:
@@ -423,14 +424,14 @@ def kernel_basis(m: ExactMatrix) -> list[dict[int, int]]:
     free-column order, each scaled to coprime integers with positive entry
     at the free column.
     """
-    reduced, pivots = _rref(_working_copy(m)[0].values())
+    reduced, pivots = _rref(*_working_copy(m))
     pivot_set = set(pivots)
     basis: list[dict[int, int]] = []
     for free in range(m.cols):
         if free in pivot_set:
             continue
-        vec: dict[int, Fraction] = {free: Fraction(1)}
-        for row, pc in zip(reduced, pivots):
+        vec: dict[int, Scalar] = {free: 1}
+        for row, pc in zip(reduced.values(), pivots):
             coeff = row.get(free)
             if coeff:
                 vec[pc] = -coeff
@@ -441,24 +442,19 @@ def kernel_basis(m: ExactMatrix) -> list[dict[int, int]]:
 def quotient_basis(vectors: list[dict[int, Scalar]], image: ExactMatrix) -> list[dict[int, int]]:
     """Vectors spanning ``span(vectors) mod column-span(image)``.
 
-    ``_rref`` of the image columns, taken as rows, is the echelon basis of
-    the column span.  Each input vector is reduced against it with the same
-    ``_subtract``, and the nonzero rows of ``_rref`` of the reductions come
-    back as primitive integer vectors.  Reducing then combining keeps every
-    output inside span(vectors) + span(image), so when the inputs are
-    cycles and the image is a boundary matrix the outputs are cycles in
-    canonical echelon position.
+    One ``_rref`` runs over the image columns, taken as rows, then the
+    vectors.  The image rows come first, so an image row takes every pivot
+    that an image row yet to pivot holds: they pivot exactly at the pivots
+    of the image's own echelon form.  The reduced rows that vector rows
+    pivot vanish there and lie in span(vectors) + span(image); they come
+    back as primitive integer vectors, so cycles reduced modulo boundaries
+    stay cycles in canonical echelon position.
     """
-    img_rows, img_pivots = _rref(image.columns())
-    reduced: list[dict[int, Scalar]] = []
-    for vec in vectors:
-        work = dict(vec)
-        for row, pc in zip(img_rows, img_pivots):
-            f = work.get(pc)
-            if f:
-                _subtract(work, f, row)
-        reduced.append(work)
-    return [_primitive(row) for row in _rref(reduced)[0]]
+    stacked = {(c, r): v for (r, c), v in image.entries.items()}
+    for i, vec in enumerate(vectors, image.cols):
+        stacked.update(((i, k), v) for k, v in vec.items())
+    reduced = _rref(*_working_copy(ExactMatrix(image.cols + len(vectors), image.rows, stacked)))[0]
+    return [_primitive(row) for r, row in reduced.items() if r >= image.cols]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from coordarr import cells
 from coordarr.complexes import SimplicialComplex
+from coordarr.corpus import projective_plane
 from coordarr.linalg import (
     BigradedTable,
     CohomologyBlock,
@@ -27,11 +28,12 @@ from coordarr.linalg import (
     stripe_cohomology,
 )
 from coordarr import linalg
-from coordarr.linalg import _eliminate_units, _working_copy
+from coordarr.linalg import _eliminate_units, _rref, _working_copy
 from reference import (
     betti,
     from_dense,
     full_stripe,
+    gauss_jordan,
     identity,
     kernel_basis_dense,
     quotient_basis_dense,
@@ -400,7 +402,9 @@ def test_kernel_basis_is_the_gauss_jordan_one(m):
 def test_quotient_basis_is_the_gauss_jordan_one(image, data):
     # some vectors are combinations of image columns, so part of them
     # reduces away
-    columns = image.columns()
+    columns: list[dict[int, int]] = [{} for _ in range(image.cols)]
+    for (r, c), v in image.entries.items():
+        columns[c][r] = v
     coeffs = st.integers(-2, 2)
     vectors = []
     for _ in range(data.draw(st.integers(0, 4))):
@@ -421,6 +425,42 @@ def test_quotient_basis_reduces_image_away():
     vectors = [{0: 1, 1: 1}, {0: 1, 1: -1}]
     reduced = quotient_basis(vectors, image)
     assert len(reduced) == 1  # the first vector is itself in the image
+
+
+def test_echelon_with_unit_pivots_stays_in_the_integers():
+    # row 2 is 2 row 0 + row 1 and row 3 is -row 0 - 3 row 1, so both
+    # vanish; every pivot met in column order is ±1, and columns 2 and 4
+    # are free
+    m = from_dense([
+        [1, 2, 0, 3, -1],
+        [0, -1, 4, 2, 5],
+        [2, 3, 4, 8, 3],
+        [-1, 1, -12, -9, -14],
+        [0, 0, 0, 1, 2],
+    ])
+    reduced, pivots = _rref(*_working_copy(m))
+    assert pivots == [0, 1, 3]
+    assert all(type(v) is int for row in reduced.values() for v in row.values())
+    dense_rows, dense_pivots = gauss_jordan(to_dense(m), m.cols)
+    assert dense_pivots == pivots
+    assert list(reduced.values()) == [{c: v for c, v in enumerate(row) if v} for row in dense_rows]
+    assert kernel_basis(m) == kernel_basis_dense(m)
+
+
+@pytest.mark.parametrize("K", [
+    projective_plane(),
+    SimplicialComplex.from_vertex_lists(5, [[v for v in range(1, 6) if v != w] for w in range(1, 6)]),
+], ids=["rp2", "sphere5"])
+def test_bases_of_every_cell_block_are_the_gauss_jordan_ones(K):
+    # blocks of up to 135 rows, where about half the Schur updates leave a
+    # row that vanishes, and rows that have pivoted hold the columns met
+    # later, so the free columns have no row left to pivot
+    for p in range(K.n + 1):
+        for q in range(p + 1):
+            d_here, d_above = cells.boundary_matrix(K, p, q), cells.boundary_matrix(K, p, q + 1)
+            kernel = kernel_basis(d_here)
+            assert kernel == kernel_basis_dense(d_here), (p, q)
+            assert quotient_basis(kernel, d_above) == quotient_basis_dense(kernel, d_above), (p, q)
 
 
 def test_cohomology_block_free():
@@ -456,8 +496,6 @@ def test_cohomology_block_rejects_nonzero_composition():
 
 
 def _rp2_stripe(p: int) -> list[ExactMatrix]:
-    from coordarr.corpus import projective_plane
-
     return full_stripe(projective_plane(), p)
 
 
