@@ -12,13 +12,15 @@ Every elimination works on one representation, the row dicts and column
 index of ``_working_copy``, and changes it by one row operation, the Schur
 update ``_schur_update`` (Dumas–Saunders–Villard, "On efficient sparse
 integer matrix Smith normal form computations", J. Symb. Comput. 32,
-2001).  ``_eliminate_units`` takes every ±1 pivot, shortest row first
-(lowest row index on ties), with no row scaling, so it is valid over Z and
-over Q alike.  Two finishers take the unit-free residual, which on the
-package's matrices is rare and tiny:
+2001): the unit phase, the echelon form and the Smith residual all write
+their entries through it.  ``_eliminate_units`` takes every ±1 pivot,
+shortest row first (lowest row index on ties), with no row scaling, so it
+is valid over Z and over Q alike.  Two finishers take the unit-free
+residual, which on the package's matrices is rare and tiny:
 
 * over Z, ``smith_normal_form`` diagonalizes it by smallest-magnitude
-  integer row and column operations, which the torsion needs;
+  division with remainder, which the torsion needs, finding each pivot
+  column's rows from the rows themselves, not from the index;
 * over Q, ``rank_rational`` hands it, in place, to ``_rref``.
 
 Kernel and quotient bases run ``_rref`` on the whole matrix: it pivots on
@@ -160,17 +162,17 @@ def _working_copy(m: ExactMatrix) -> tuple[Rows, ColumnIndex]:
     return rows, colindex
 
 
-def _schur_update(rows: Rows, colindex: ColumnIndex, r: int, prow: Mapping[int, Scalar], pc: int,
-                  inv: Scalar) -> dict[int, Scalar]:
-    """``row -= (row[pc] * inv) * prow`` on row ``r`` in place, for a pivot
-    row ``prow`` held without its pivot column ``pc`` and ``inv`` the
-    inverse of its pivot: the one row operation of the unit phase and of
-    the echelon form.  Fill-in joins the column index, cancelled entries
-    leave it, and a row that vanishes is deleted from ``rows``; the row is
-    returned.
+def _schur_update(rows: Rows, colindex: ColumnIndex, r: int, prow: Mapping[int, Scalar],
+                  f: Scalar) -> dict[int, Scalar]:
+    """``row -= f * prow`` on row ``r`` in place, for ``f`` nonzero: the one
+    row operation of the unit phase, the echelon form and the Smith
+    residual.  Fill-in joins the column index, cancelled entries leave it,
+    and a row that vanishes is deleted from ``rows``; the row is returned.
+    The unit phase and the echelon form pop the pivot entry of row ``r``
+    and of ``prow`` first, since their pivot column has left the index; the
+    Smith residual keeps it, so row ``r`` is left with its remainder.
     """
     row = rows[r]
-    f = row.pop(pc) * inv
     for c, v in prow.items():
         old = row.get(c)
         if old is None:
@@ -231,7 +233,7 @@ def _eliminate_units(rows: Rows, colindex: ColumnIndex, pivots: list[int] | None
         pcol = colindex.pop(pc)
         pcol.discard(pr)
         for r in pcol:
-            row = _schur_update(rows, colindex, r, prow, pc, pv)
+            row = _schur_update(rows, colindex, r, prow, rows[r].pop(pc) * pv)
             if row:
                 heappush(heap, (len(row), r))
     return units
@@ -262,7 +264,7 @@ def _rref(rows: Rows, colindex: ColumnIndex) -> tuple[dict[int, dict[int, Scalar
         inv = pv if pv == 1 or pv == -1 else 1 / Fraction(pv)
         for r in col:
             if r != pr:
-                _schur_update(rows, colindex, r, prow, pc, inv)
+                _schur_update(rows, colindex, r, prow, rows[r].pop(pc) * inv)
         taken[pr] = pc, inv
     # scale to a leading 1; a pivot row held without its pivot may be gone
     reduced = {pr: {pc: 1, **{c: v * inv for c, v in rows.get(pr, {}).items()}}
@@ -294,49 +296,39 @@ def smith_normal_form(m: ExactMatrix) -> SnfResult:
 
     Phase 1 (``_eliminate_units``) takes every ±1 pivot it can find with
     unimodular Schur updates; each contributes an invariant factor 1.  The
-    unit-free residual is diagonalized one pivot at a time: take the
-    smallest-magnitude entry (lowest (row, col) on ties), clear its column
-    with row operations and its row with column operations by division with
-    remainder, and retire it once both are clear.  A nonzero remainder is
-    smaller than the pivot and is picked next, so the loop ends.  The
-    residual diagonal goes through ``_divisibility_chain``; the units lead
-    the chain as 1s.  Every pivot is picked by a fixed rule, so the run, not
-    just the result, is deterministic.
+    unit-free residual is diagonalized one pivot at a time, by the same
+    Schur update: take the smallest-magnitude entry (lowest (row, col) on
+    ties) and reduce every other row that holds its column modulo the pivot
+    row.  Once the column holds the pivot alone, column operations touch
+    only the pivot row: it is reduced modulo the pivot, and the pivot is
+    retired if nothing else is left in its row.  Each round thus retires a
+    pivot and deletes its row, or leaves a nonzero remainder smaller than
+    the pivot and so lowers the smallest |entry|, which stays at least 1:
+    the loop ends, whatever the column index holds, since the rows of a
+    column are found by reading the rows.  The residual diagonal goes
+    through ``_divisibility_chain``; the units lead the chain as 1s.  Every
+    pivot is picked by a fixed rule, so the run, not just the result, is
+    deterministic.
     """
     if m.is_rational:
         raise ValueError("Smith normal form needs integer entries; use rank_rational")
     rows, colindex = _working_copy(m)
     units = _eliminate_units(rows, colindex)
 
-    def add(r: int, c: int, delta: int) -> None:
-        # entry (r, c) += delta, keeping the column index; delta is nonzero
-        row = rows[r]
-        v = row.get(c, 0) + delta
-        if v:
-            row[c] = v
-            colindex.setdefault(c, set()).add(r)
-        else:
-            del row[c]
-            colindex[c].discard(r)
-
     diag: list[int] = []
     while rows:
         _, pr, pc = min((abs(v), r, c) for r, row in rows.items() for c, v in row.items())
         prow = rows[pr]
         pv = prow[pc]
-        for r in [r for r in colindex[pc] if r != pr]:
-            q = rows[r][pc] // pv
-            for c, v in prow.items():
-                add(r, c, -q * v)
-            if not rows[r]:
-                del rows[r]
-        for c in [c for c in prow if c != pc]:
-            q = prow[c] // pv
-            for r in list(colindex[pc]):
-                add(r, c, -q * rows[r][pc])
-        if len(prow) == 1 and len(colindex[pc]) == 1:
+        for r in [r for r, row in rows.items() if r != pr and pc in row]:
+            _schur_update(rows, colindex, r, prow, rows[r][pc] // pv)
+        if any(pc in row for r, row in rows.items() if r != pr):
+            continue  # a remainder, smaller than the pivot, is the next pivot
+        # column operations now touch the pivot row alone: reduce it modulo the pivot
+        _schur_update(rows, colindex, pr, {c: v - v % pv for c, v in prow.items() if c != pc}, 1)
+        if len(prow) == 1:
             diag.append(abs(pv))
-            del rows[pr], colindex[pc]
+            del rows[pr]
     chain = [d for d, count in _divisibility_chain((d, 1) for d in diag) for _ in range(count)]
     diag = [1] * units + chain + [0] * (min(m.rows, m.cols) - units - len(diag))
     return SnfResult(tuple(diag))

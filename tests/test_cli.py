@@ -35,9 +35,10 @@ def _env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
 
 
-def _python(*args: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that finds this checkout's ``coordarr``."""
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env())
+def _python(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that finds this checkout's ``coordarr``,
+    killed after ``timeout`` seconds if one is given."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env(), timeout=timeout)
 
 
 @pytest.fixture()
@@ -788,6 +789,15 @@ def test_verify_kernel_evaluates_once(edge_file, tmp_path, monkeypatch):
     assert run(base + ["--tolerance", "0"]) == 1
     assert len(calls) == 2
     assert run(["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "1.0,0"]) == 2
+
+
+def test_verify_kernel_exits_1_on_a_failed_check_in_the_reproduction(edge_file, monkeypatch, capsys):
+    def failing(*args):
+        raise CheckFailed("broken reproduction")
+
+    monkeypatch.setattr(kernels, "verify_reproduction", failing)
+    assert run(["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "0.1,0.2"]) == 1
+    assert "check failed: broken reproduction" in capsys.readouterr().err
 
 
 def test_verify_kernel_input_errors(edge_file):

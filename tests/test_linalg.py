@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import subprocess
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -39,6 +40,7 @@ from reference import (
     quotient_basis_dense,
     to_dense,
 )
+from test_cli import _python
 
 
 def test_snf_diagonal_2_3():
@@ -128,6 +130,25 @@ def test_snf_residual_clears_row_and_column():
     assert smith_normal_form(from_dense([[2], [3]])).diag == (1,)
     assert smith_normal_form(from_dense([[4, 6], [6, 4]])).diag == (2, 10)
     assert smith_normal_form(from_dense([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])).diag == (2, 2, 156)
+
+
+def test_snf_residual_reads_no_column_index():
+    # with an empty index the residual must still find each column's rows;
+    # a fresh interpreter with a time limit turns a loop that spins into a failure
+    code = """
+from collections import defaultdict
+from coordarr import linalg
+working_copy = linalg._working_copy
+linalg._working_copy = lambda m: (working_copy(m)[0], defaultdict(set))
+dense = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+m = linalg.ExactMatrix(3, 3, {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)})
+print(linalg.smith_normal_form(m).diag)
+"""
+    try:
+        done = _python("-c", code, timeout=5)
+    except subprocess.TimeoutExpired:
+        pytest.fail("smith_normal_form did not return within 5 s with an empty column index")
+    assert done.stdout.strip() == "(2, 2, 156)", done.stderr
 
 
 def test_snf_zero_matrix():
@@ -243,11 +264,15 @@ def _determinantal_snf(m: ExactMatrix) -> tuple[int, ...]:
 
 
 @st.composite
-def tiny_int_matrices(draw):
+def tiny_int_matrices(draw, values=st.integers(-6, 6)):
     rows = draw(st.integers(1, 4))
     cols = draw(st.integers(1, 5))
-    values = st.integers(-6, 6)
     return from_dense([[draw(values) for _ in range(cols)] for _ in range(rows)])
+
+
+# no entry is ±1 and some entry is not 0, so every example reaches the Smith residual
+unit_free_matrices = tiny_int_matrices(st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6))).filter(
+    lambda m: not m.is_zero())
 
 
 def test_determinantal_oracle_examples():
@@ -256,7 +281,7 @@ def test_determinantal_oracle_examples():
     assert _determinantal_snf(ExactMatrix(2, 3)) == (0, 0)
 
 
-@given(tiny_int_matrices())
+@given(st.one_of(tiny_int_matrices(), unit_free_matrices))
 @settings(max_examples=150, deadline=None)
 def test_snf_matches_determinantal_divisors(m):
     assert smith_normal_form(m).diag == _determinantal_snf(m)
