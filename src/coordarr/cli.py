@@ -1,46 +1,26 @@
 """Command-line front end.
 
-Every bigraded table comes from one engine, ``koszul.cohomology``, which
-meets each connected vertex set C of the 1-skeleton once, eliminates each
-shape of the C that are not faces once, and places the groups of every
-such C with the binomial count of the vertex sets J of which C is a
-component; it adds the extra H~^0 classes and the unit by counts alone,
-merges the torsion that meets in one bidegree, and checks every p-stripe
-against the Euler characteristic of the f-vector: ``cohomology --model
-rk``, ``hodge`` and the message of an unavailable kernel report from it,
-and ``compare`` and ``corpus`` check it.
-Within one call the engine keeps one dict keyed by the shape of C (15
-eliminations on RP² for its 32 non-face sets and the unit), and the oracle
-one keyed by the star family up to a permutation of the facet positions,
-so it eliminates one index set per class (n + 1 of the 2^n on the boundary
-of the n-simplex).  ``corpus`` hands both one dict each for the whole run,
-so a class met in many complexes is eliminated once per run.
-Their identity check with the cell model compares every block of the full
-stripes, face J included, and eliminates none; it reads the terms of each
-monomial and each cell once, from each model's own term formula, into one
-dict of entries per block, builds no basis and no matrix, and keeps
-nothing once it returns (``corpus`` holds every complex alive).
-``kernel`` and ``resolvent`` read the cycles of one bidegree of the cell
-model and no table.  The Čech model runs only as the oracle of ``compare`` and
-``corpus``, and for the kernels' cocycles.  The oracle takes each index
-set's component from the smaller of two families of facet-position masks,
-the admissible ones or X_I built from the vertex stars, through one
-coboundary and one clearing pass, and never reads the algebra model.
-``resolvent`` builds and validates every piece; ``kernel`` and
-``verify-kernel`` build the top piece only on the flags the pairing can
-read (one on the boundary of a simplex) and check the resolvent identity
-at each kept flag prefix, and ``kernel`` writes only those top tuples to
-its artifact.
+Each ``cmd_*`` is a function of the parsed arguments and the complex read
+from the input path (``None`` for ``corpus``, which reads none).  It
+returns its ``command`` label, its artifacts, its checks (name -> passed)
+and the lines to print, and does no file I/O, no printing and no choice of
+exit code.  ``run`` is the one place that ends a command: it reads and
+parses the input, calls the command, writes the ``--json`` report
+(``command``, ``input_sha256``, ``artifacts``, ``checks``), prints the
+lines through ``_print_last`` and returns the exit code.
 
-Exit codes: 0 on success, 1 when a mathematical check fails (model
-disagreement, a differential that does not square to zero, a broken
-resolvent identity, reproduction outside tolerance, no kernel in the
-requested degree), 2 on unreadable or malformed input.  The --json artifact is
-byte-identical across identical invocations; wall-clock timing therefore
-goes to stdout only, never into the artifact.  Every command writes its
-artifact before it prints anything, and prints through ``_print_last``, so
-a reader that closes stdout early changes neither the artifact nor the
-exit code.
+Exit codes: 0 exactly when every check passes; 1 when a check fails, a
+model raises ``CheckFailed`` (a differential that does not square to zero,
+a broken resolvent identity) or the requested degree has no kernel; 2 on
+unreadable or malformed input, an unwritable ``--json`` path included.
+A usage error raises ``SystemExit(2)`` through argparse; an option value
+that argparse parsed as a list (``--f=--`` on some versions) is one.
+The ``--json`` file holds this run's artifact or nothing: a file left
+there by an earlier run is removed first, unless it is the input itself.
+The artifact is byte-identical across identical invocations; wall-clock
+timing goes to stdout only.  The artifact is written before anything is
+printed, so a reader that closes stdout early (``| head -1``) changes
+neither the artifact nor the exit code.
 
 ``run`` builds the argument parser on its first call and reuses it for
 every later call in the same process, so a batch caller (the benchmark's
@@ -70,22 +50,8 @@ from .resolvents import build_resolvent
 
 OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
 
-
-def _load(path: str) -> tuple[SimplicialComplex, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ComplexError(f"cannot read {path}: {exc}") from exc
-    return parse_complex(text), text
-
-
-def _emit(report: dict, json_path: str | None) -> None:
-    if json_path:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        try:
-            Path(json_path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ComplexError(f"cannot write {json_path}: {exc}") from exc
+#: what a command returns: its label, artifacts, checks and printed lines
+Outcome = tuple[str, object, dict[str, bool], list[str]]
 
 
 def _print_last(*lines: str) -> None:
@@ -105,17 +71,7 @@ def _print_last(*lines: str) -> None:
         os.close(devnull)
 
 
-def _report(command: str, source_text: str, artifacts: dict, checks: dict[str, bool]) -> dict:
-    return {
-        "command": command,
-        "input_sha256": hashlib.sha256(source_text.encode()).hexdigest(),
-        "artifacts": artifacts,
-        "checks": {name: ("pass" if ok else "fail") for name, ok in checks.items()},
-    }
-
-
-def cmd_cohomology(args: argparse.Namespace) -> int:
-    K, text = _load(args.path)
+def cmd_cohomology(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
     coeff = (args.coeff or {"rk": "z", "cech": "q"}[args.model]).upper()
     if args.model == "rk":
         table = koszul.cohomology(K, coeff)
@@ -123,11 +79,8 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         if coeff != "Q":
             raise ComplexError("the Čech model is rational; use --coeff q")
         table = cech.cohomology(K)
-    _emit(_report(f"cohomology {args.model}", text, table.to_json(), {}), args.json)
-    _print_last(
-        f"# bigraded cohomology ({args.model}, coefficients {coeff})", str(table) if table.blocks else "(trivial)"
-    )
-    return OK
+    lines = [f"# bigraded cohomology ({args.model}, coefficients {coeff})", str(table)]
+    return f"cohomology {args.model}", table.to_json(), {}, lines
 
 
 def _compare_models(
@@ -170,36 +123,30 @@ def _compare_models(
     return tables, checks, lines
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    K, text = _load(args.path)
+def cmd_compare(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
     t0 = time.perf_counter()
     tables, checks, lines = _compare_models(K)
     elapsed = time.perf_counter() - t0
-    artifacts = {name: table.to_json() for name, table in tables.items()}
-    _emit(_report("compare", text, artifacts, checks), args.json)
     lines += [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in checks.items()]
     if not checks.get("ranks rk=cech", True):
         lines.append(f"rk:   {tables['rk'].ranks()} {tables['rk'].torsions()}")
         lines.append(f"cech: {tables['cech'].ranks()}")
-    _print_last(*lines, f"({elapsed:.3f}s)")
-    return OK if all(checks.values()) else CHECK_FAILED
+    artifacts = {name: table.to_json() for name, table in tables.items()}
+    return "compare", artifacts, checks, [*lines, f"({elapsed:.3f}s)"]
 
 
-def cmd_hodge(args: argparse.Namespace) -> int:
-    K, text = _load(args.path)
+def cmd_hodge(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
     table = koszul.hodge_table(K)
-    _emit(_report("hodge", text, table.to_json(), {}), args.json)
-    _print_last(
+    lines = [
         "# Hodge numbers h(p, q)",
         *(f"h({p},{q}) = {r}" for (p, q), r in sorted(table.h.items())),
         "# filtration ranks F(k, s) (nonzero)",
         *(f"F({k},{s}) = {r}" for (k, s), r in sorted(table.F.items()) if r),
-    )
-    return OK
+    ]
+    return "hodge", table.to_json(), {}, lines
 
 
-def cmd_resolvent(args: argparse.Namespace) -> int:
-    K, text = _load(args.path)
+def cmd_resolvent(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
     generators = cells.homology(K, args.p, args.q)
     if not 0 <= args.index < len(generators):
         raise ComplexError(
@@ -209,35 +156,27 @@ def cmd_resolvent(args: argparse.Namespace) -> int:
     # build_resolvent validates: a broken identity raises CheckFailed (exit 1)
     resolvent = build_resolvent(K, generators[args.index])
     payload = resolvent.to_json()
-    _emit(_report("resolvent", text, payload, {"identities": True}), args.json)
-    _print_last(
+    lines = [
         f"resolvent of length {resolvent.q} for generator {args.index} "
         f"of bidegree ({args.p},{args.q}); identities hold",
         json.dumps(payload, sort_keys=True, indent=2),
-    )
-    return OK
+    ]
+    return "resolvent", payload, {"identities": True}, lines
 
 
-def cmd_kernel(args: argparse.Namespace) -> int:
-    K, text = _load(args.path)
-    try:
-        data = kernels.build_kernel(K, args.s)
-    except KernelUnavailableError as exc:
-        _print_last(f"FAIL  {exc}")
-        return CHECK_FAILED
+def cmd_kernel(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
+    data = kernels.build_kernel(K, args.s)
     ok = data.check_normalized()
     payload = data.to_json()
-    _emit(_report("kernel", text, payload, {"normalized": ok}), args.json)
-    _print_last(
+    lines = [
         f"kernel for total degree {args.s}: scale ({data.scale})*(2pii)^{-data.n}, "
         f"{len(data.top_piece.values)} top tuples; normalization {'exact' if ok else 'FAIL'}",
         json.dumps(payload, sort_keys=True, indent=2),
-    )
-    return OK if ok else CHECK_FAILED
+    ]
+    return "kernel", payload, {"normalized": ok}, lines
 
 
-def cmd_verify_kernel(args: argparse.Namespace) -> int:
-    K, text = _load(args.path)
+def cmd_verify_kernel(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
     if not 0 <= args.tolerance < math.inf:
         raise ComplexError(f"tolerance must be finite and >= 0, got {args.tolerance}")
     spec = QuadratureSpec(args.nodes)
@@ -250,22 +189,16 @@ def cmd_verify_kernel(args: argparse.Namespace) -> int:
         raise ComplexError(f"zeta needs {K.n} coordinates, got {len(zeta)}")
     if not all(abs(z) < 1.0 for z in zeta):  # also false for nan
         raise ComplexError("evaluation point must lie strictly inside the unit polydisc")
-    try:
-        data = kernels.build_kernel(K, args.s)
-    except KernelUnavailableError as exc:
-        _print_last(f"FAIL  {exc}")
-        return CHECK_FAILED
+    data = kernels.build_kernel(K, args.s)
     report = kernels.verify_reproduction(data, f, [zeta], spec)
     error = report[0]["abs_error"]
     ok = error <= args.tolerance
-    artifacts = {"report": report, "tolerance": args.tolerance}
-    _emit(_report("verify-kernel", text, artifacts, {"reproduction": ok}), args.json)
-    _print_last(f"{'PASS' if ok else 'FAIL'}  |computed - f(zeta)| = {error:.3e} "
-                f"(tolerance {args.tolerance:g}, N = {args.nodes})")
-    return OK if ok else CHECK_FAILED
+    lines = [f"{'PASS' if ok else 'FAIL'}  |computed - f(zeta)| = {error:.3e} "
+             f"(tolerance {args.tolerance:g}, N = {args.nodes})"]
+    return "verify-kernel", {"report": report, "tolerance": args.tolerance}, {"reproduction": ok}, lines
 
 
-def cmd_corpus(args: argparse.Namespace) -> int:
+def cmd_corpus(args: argparse.Namespace, _: None) -> Outcome:
     if args.random < 0:
         raise ComplexError(f"--random must be >= 0, got {args.random}")
     items = corpus.standard_corpus(args.random, args.seed)
@@ -284,8 +217,8 @@ def cmd_corpus(args: argparse.Namespace) -> int:
             failures += 1
             lines.append(f"FAIL  #{i}: {K!r} [{', '.join(failed)}]")
     elapsed = time.perf_counter() - t0
-    _print_last(*lines, f"{len(items) - failures}/{len(items)} complexes agree across models ({elapsed:.1f}s)")
-    return OK if failures == 0 else CHECK_FAILED
+    lines.append(f"{len(items) - failures}/{len(items)} complexes agree across models ({elapsed:.1f}s)")
+    return "corpus", None, {"models agree": failures == 0}, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,9 +290,43 @@ def run(argv: list[str] | None = None) -> int:
     The parser is built on the first call and reused by every later one in
     the process, so a caller that runs many commands pays the argparse
     set-up once; the parsed arguments are new on each call."""
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # some interpreters parse `--f=--` as []
+            parser.error(f"argument --{name}: expected one argument")
+    out = getattr(args, "json", None)
     try:
-        return args.func(args)
+        # the --json file holds this run's artifact or nothing; the input stays
+        if out and os.path.isfile(out) and Path(out).resolve() != Path(args.path).resolve():
+            try:
+                os.remove(out)
+            except OSError as exc:
+                raise ComplexError(f"cannot write {out}: {exc}") from exc
+        K = text = None
+        if "path" in args:
+            try:
+                text = Path(args.path).read_text(encoding="utf-8")
+            except OSError as exc:
+                raise ComplexError(f"cannot read {args.path}: {exc}") from exc
+            K = parse_complex(text)
+        command, artifacts, checks, lines = args.func(args, K)
+        if out:
+            report = {
+                "command": command,
+                "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
+                "artifacts": artifacts,
+                "checks": {name: ("pass" if ok else "fail") for name, ok in checks.items()},
+            }
+            try:
+                Path(out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            except OSError as exc:
+                raise ComplexError(f"cannot write {out}: {exc}") from exc
+        _print_last(*lines)
+        return OK if all(checks.values()) else CHECK_FAILED
+    except KernelUnavailableError as exc:
+        _print_last(f"FAIL  {exc}")
+        return CHECK_FAILED
     except CheckFailed as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED

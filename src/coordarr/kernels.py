@@ -49,6 +49,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import cech, cells, koszul
 from .complexes import SimplicialComplex
+from .linalg import CheckFailed
 from .resolvents import UChain, build_resolvent, pair, resolvent_pairing
 
 __all__ = [
@@ -245,7 +246,8 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
     them, so an empty list is the test that no kernel exists.  The cocycles
     stay on the facet cover.  Each resolvent is built only on the flag
     prefixes that ``_pullback_can_be_nonzero`` keeps, and checked at each
-    of them (``CheckFailed`` on a broken identity); each cocycle is pulled
+    of them (``CheckFailed`` on a broken identity, or when every pairing is
+    zero, which nondegeneracy forbids); each cocycle is pulled
     back to the face cover only at the kept top tuples.  The pruned tuples
     pull back to zero under every cocycle, so the pairings, and with them
     the cycle and cocycle the search settles on, are those of the whole
@@ -273,7 +275,7 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
             raw = resolvent_pairing(resolvent, cocycle)
             if raw:
                 return KernelData(n=n, s=s, cocycle=cocycle, top_piece=resolvent.top, scale=1 / raw)
-    raise KernelUnavailableError(
+    raise CheckFailed(
         "pairing matrix between cycle and cocycle bases is zero; "
         "this contradicts nondegeneracy and indicates a bug"
     )

@@ -1223,3 +1223,78 @@ def test_verify_kernel_refuses_zeta_outside_the_polydisc_before_any_kernel(edge_
     monkeypatch.setattr(kernels, "build_kernel", lambda *args: pytest.fail("built a kernel"))
     assert run(["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "1.0,0"]) == 2
     assert capsys.readouterr().err.count("strictly inside the unit polydisc") == 2
+
+
+def test_a_failed_run_leaves_no_old_artifact(edge_file, full_file, tmp_path, monkeypatch, capsys):
+    # the --json file holds this run's artifact or nothing: an artifact an
+    # earlier run left there must not pass for the verdict of a failed one
+    out = tmp_path / "k.json"
+    assert run(["kernel", edge_file, "--s", "3", "--json", str(out)]) == 0
+    assert run(["kernel", edge_file, "--s", "2", "--json", str(out)]) == 1  # no kernel at s = 2
+    assert not out.exists()
+
+    def failing(self):
+        raise CheckFailed("resolvent identity fails between pieces 0 and 1")
+
+    for argv, code in (
+        (["kernel", full_file, "--s", "1"], 1),  # no kernel
+        (["kernel", edge_file, "--s", "99"], 2),  # bad input
+        (["hodge", str(tmp_path / "missing.json")], 2),  # unreadable input
+        (["resolvent", edge_file, "--p", "2", "--q", "1"], 1),  # a failed check, patched in last
+    ):
+        if argv[0] == "resolvent":
+            monkeypatch.setattr(Resolvent, "validate", failing)
+        out.write_text("old artifact")
+        assert run([*argv, "--json", str(out)]) == code, argv
+        assert not out.exists(), argv
+    # the input itself is never removed, even when the run fails on it
+    bad = tmp_path / "bad.json"
+    bad.write_text("not a complex")
+    assert run(["hodge", str(bad), "--json", str(bad)]) == 2
+    assert bad.read_text() == "not a complex"
+    capsys.readouterr()
+
+
+def _exit_code(argv: list[str]) -> int:
+    """The exit code of one command, a usage error's included."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "{edge}", "--s=--"],
+    ["resolvent", "{edge}", "--p=--", "--q", "1"],
+    ["corpus", "--random=--"],
+    ["verify-kernel", "{edge}", "--s", "3", "--f=--", "--zeta", "0.1,0.2"],
+    ["verify-kernel", "{edge}", "--s", "3", "--f", "1", "--zeta", "0.1,0.2", "--nodes=--"],
+    ["verify-kernel", "{edge}", "--s", "3", "--f", "1", "--zeta=--"],
+], ids=["s", "p", "random", "f", "nodes", "zeta"])
+def test_an_option_value_of_two_dashes_is_a_usage_error(argv, edge_file, capsys):
+    # argparse parses `--opt=--` as an empty list on some interpreters; the
+    # command must refuse it as a usage error, not crash on the list.  Where
+    # '--' is passed through, the command refuses the value itself
+    assert _exit_code([part.format(edge=edge_file) for part in argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_json_path_of_two_dashes_is_refused_where_it_parses_as_a_list(edge_file, tmp_path, monkeypatch, capsys):
+    # where '--' is passed through, it names a file like any other path
+    monkeypatch.chdir(tmp_path)
+    argv = ["hodge", edge_file, "--json=--"]
+    as_list = isinstance(cli._parser().parse_args(argv).json, list)
+    assert _exit_code(argv) == (2 if as_list else 0)
+    assert (tmp_path / "--").exists() != as_list
+
+
+def test_a_zero_pairing_matrix_is_a_failed_check(edge_file, monkeypatch, capsys):
+    # every pairing zero contradicts nondegeneracy: a fault of the program,
+    # not a degree without a kernel
+    monkeypatch.setattr(kernels, "resolvent_pairing", lambda *args: 0)
+    message = "check failed: pairing matrix between cycle and cocycle bases is zero"
+    assert run(["kernel", edge_file, "--s", "3"]) == 1
+    assert message in capsys.readouterr().err
+    assert run(["verify-kernel", edge_file, "--s", "3", "--f", "1", "--zeta", "0.1,0.2"]) == 1
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
