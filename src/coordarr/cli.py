@@ -16,7 +16,9 @@ unreadable or malformed input, an unwritable ``--json`` path included.
 A usage error raises ``SystemExit(2)`` through argparse; an option value
 that argparse parsed as a list (``--f=--`` on some versions) is one.
 The ``--json`` file holds this run's artifact or nothing: a file left
-there by an earlier run is removed first, unless it is the input itself.
+there by an earlier run is removed first, before the arguments are parsed,
+so a usage error leaves none either; a file that another word of the
+command names, the input among them, stays.
 The artifact is byte-identical across identical invocations; wall-clock
 timing goes to stdout only.  The artifact is written before anything is
 printed, so a reader that closes stdout early (``| head -1``) changes
@@ -153,7 +155,8 @@ def cmd_resolvent(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
             f"bidegree ({args.p},{args.q}) has {len(generators)} free generators; "
             f"index {args.index} out of range"
         )
-    # build_resolvent validates: a broken identity raises CheckFailed (exit 1)
+    # build_resolvent checks each piece as it builds it: a broken identity
+    # raises CheckFailed (exit 1)
     resolvent = build_resolvent(K, generators[args.index])
     payload = resolvent.to_json()
     lines = [
@@ -284,6 +287,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _json_parser() -> argparse.ArgumentParser:
+    """Reads the ``--json`` path as the commands do, ``--js`` and
+    ``--json=`` included, and leaves every other word over.  A bare
+    ``--json`` reads as None, so this parse never exits."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("--json", nargs="?")
+    return parser
+
+
 def run(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
@@ -291,18 +304,22 @@ def run(argv: list[str] | None = None) -> int:
     the process, so a caller that runs many commands pays the argparse
     set-up once; the parsed arguments are new on each call."""
     parser = _parser()
-    args = parser.parse_args(argv)
-    for name, value in vars(args).items():
-        if isinstance(value, list):  # some interpreters parse `--f=--` as []
-            parser.error(f"argument --{name}: expected one argument")
-    out = getattr(args, "json", None)
     try:
-        # the --json file holds this run's artifact or nothing; the input stays
-        if out and os.path.isfile(out) and Path(out).resolve() != Path(args.path).resolve():
+        # the --json file holds this run's artifact or nothing, so an old one
+        # goes before a usage error can end the run; a file another word
+        # names, the input among them, stays
+        known, words = _json_parser().parse_known_args(argv)
+        old = known.json
+        if old and os.path.isfile(old) and all(Path(old).resolve() != Path(w).resolve() for w in words):
             try:
-                os.remove(out)
+                os.remove(old)
             except OSError as exc:
-                raise ComplexError(f"cannot write {out}: {exc}") from exc
+                raise ComplexError(f"cannot write {old}: {exc}") from exc
+        args = parser.parse_args(argv)
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # some interpreters parse `--f=--` as []
+                parser.error(f"argument --{name}: expected one argument")
+        out = getattr(args, "json", None)
         K = text = None
         if "path" in args:
             try:

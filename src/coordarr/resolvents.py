@@ -8,7 +8,8 @@ every index of the tuple.  Three operators act on these:
 
 * ``delta_prime``: degree down by one, dimension kept:
   (delta' G)_(T) = (-1)^s * sum over indices i of G_(i, T);
-* ``boundary``: componentwise cell boundary, dimension down by one;
+* the boundary: ``cells.boundary_chain`` on each component, dimension
+  down by one;
 * ``epsilon_prime``: sums the components of a degree-0 chain back into one
   cell chain.
 
@@ -28,10 +29,10 @@ Cardinalities increase strictly along a flag, so the flag order coincides
 with the canonical storage order of tuples.  Every flag has exactly one
 parent, the flag without its first face, so a caller may prune: a prefix
 predicate decides which flags enter each piece, and a refused prefix takes
-every flag that extends it along.  The ``resolvent`` command keeps them all
-and validates the whole resolvent; the kernels keep only the flags whose
-pulled-back cocycle can be nonzero, and for them the identity is checked
-at each kept prefix against all of its children instead.
+every flag that extends it along.  The ``resolvent`` command keeps them
+all; the kernels keep only the flags whose pulled-back cocycle can be
+nonzero.  Either way each piece is checked as it is built, against all of
+its children before any is pruned (``build_resolvent``).
 
 The pairing of a log cochain against a chain of the same degree sums, over
 increasing tuples, the integral of the assigned form over the assigned
@@ -50,13 +51,12 @@ from typing import Callable, Container
 
 from .cells import Cell, CellChain, boundary_chain
 from .cech import LogCochain
-from .complexes import SimplicialComplex, card, elements, intersection, pos_in
+from .complexes import SimplicialComplex, elements, intersection, pos_in
 from .linalg import CheckFailed
 
 __all__ = [
     "UChain",
     "delta_prime",
-    "boundary",
     "epsilon_prime",
     "Resolvent",
     "build_resolvent",
@@ -99,16 +99,6 @@ class UChain:
 
     def is_zero(self) -> bool:
         return not self.values
-
-    def scale(self, factor: int | Fraction) -> "UChain":
-        return UChain(self.degree, self.dimension, {k: c.scale(factor) for k, c in self.values.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UChain)
-            and (self.degree, self.dimension) == (other.degree, other.dimension)
-            and self.values == other.values
-        )
 
     def supported_in_cover(self) -> bool:
         """Support condition: disk directions of every atom lie inside the
@@ -154,15 +144,6 @@ def delta_prime(g: UChain, at: Container[FaceTuple] | None = None) -> UChain:
                 continue
             _add_into(out.setdefault(rest, {}), chain, sign_s * (-1 if j % 2 else 1))
     return _wrap(g.degree - 1, g.dimension, out)
-
-
-def boundary(g: UChain) -> UChain:
-    """Componentwise cell boundary."""
-    return UChain(
-        g.degree,
-        g.dimension - 1,
-        {tup: boundary_chain(chain) for tup, chain in g.values.items()},
-    )
 
 
 def epsilon_prime(g: UChain) -> CellChain:
@@ -224,33 +205,6 @@ class Resolvent:
         """Last piece: degree q, all atoms pure tori of p circle directions."""
         return self.pieces[self.q]
 
-    def validate(self) -> None:
-        """Raise ``CheckFailed`` unless both resolvent identities, the
-        support condition and delta' o delta' = 0 hold."""
-        if not epsilon_prime(self.pieces[0]) == self.source:
-            raise CheckFailed("piece 0 does not reassemble the source cycle")
-        for k in range(self.q):
-            lhs = boundary(self.pieces[k])
-            rhs = delta_prime(self.pieces[k + 1]).scale(-1)
-            if lhs != rhs:
-                raise CheckFailed(f"resolvent identity fails between pieces {k} and {k + 1}")
-        if not boundary(self.top).is_zero():
-            raise CheckFailed("top piece has nonzero boundary")
-        # the identities cannot see a sign error of delta' at odd positions:
-        # on flag-shaped supports those contributions cancel in pairs, and
-        # delta' o delta' vanishes on every whole piece all the same; on one
-        # tuple of piece 2 alone nothing cancels
-        if self.q >= 2 and self.pieces[2].values:
-            tup, chain = min(self.pieces[2].values.items())
-            probe = UChain(2, self.pieces[2].dimension, {tup: chain})
-            if not delta_prime(delta_prime(probe)).is_zero():
-                raise CheckFailed("delta' does not square to zero on piece 2")
-        for k, piece in enumerate(self.pieces):
-            if piece.degree != k or piece.dimension != self.p + self.q - k:
-                raise CheckFailed(f"piece {k} has wrong (degree, dimension)")
-            if not piece.supported_in_cover():
-                raise CheckFailed(f"piece {k} violates the support condition")
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -260,14 +214,10 @@ class Resolvent:
         }
 
 
-def _keep_every_prefix(flag: FaceTuple) -> bool:
-    return True
-
-
 def build_resolvent(
     K: SimplicialComplex,
     cycle: CellChain,
-    keep: Callable[[FaceTuple], bool] = _keep_every_prefix,
+    keep: Callable[[FaceTuple], bool] = lambda flag: True,
 ) -> Resolvent:
     """Resolvent of a closed homogeneous product cycle, by the flag recursion.
 
@@ -276,17 +226,14 @@ def build_resolvent(
 
     ``keep`` is asked about every flag prefix (sigma_k, ..., sigma_0)
     before it enters piece k, and a prefix it refuses is dropped with every
-    flag that extends it.  Every flag has exactly one parent, so the kept
-    tuples carry the same coefficients as in the full build.  With the
-    default, which keeps every prefix, the resolvent is whole and
-    ``validate`` checks it before it is returned.  A pruned resolvent cannot
-    pass ``validate``; instead, at every kept prefix of piece k the identity
-    boundary(piece k) = -delta'(piece k+1) is checked against all of the
-    prefix's children, computed before pruning (no children at the top, so
-    the top chains must be closed).  Only children of the prefix itself
-    reach it under delta' (each other removal leaves a gap in the flag's
-    cardinalities), so this is the full identity at that tuple.  A failure
-    raises ``CheckFailed``.
+    flag that extends it; the default keeps them all.  Every flag has
+    exactly one parent, so the kept tuples carry the same coefficients as
+    in the whole build.  Every build is checked the same way, as it goes:
+    piece 0 must reassemble the cycle and each piece k must agree with all
+    of its children (``_check_at_prefixes``; the top has none, so it must
+    be closed), both before pruning; then each kept piece must satisfy the
+    support condition, and delta' o delta' must vanish on one tuple of
+    piece 2.  A failure raises ``CheckFailed``.
     """
     if cycle.is_zero():
         raise ValueError("cannot resolve the zero chain")
@@ -299,13 +246,18 @@ def build_resolvent(
             raise ValueError(f"disk support {elements(sigma)} is not a face")
     if not boundary_chain(cycle).is_zero():
         raise ValueError("chain is not closed")
-    pruned = keep is not _keep_every_prefix
+
+    def kept(g: UChain) -> UChain:
+        return UChain(g.degree, g.dimension, {flag: chain for flag, chain in g.values.items() if keep(flag)})
 
     # piece 0: group the atoms by their disk support
     grouped: dict[FaceTuple, Terms] = {}
     for (sigma, gamma), c in cycle.terms.items():
         grouped.setdefault((sigma,), {})[(sigma, gamma)] = c
-    pieces = [_wrap(0, p + q, {flag: terms for flag, terms in grouped.items() if keep(flag)})]
+    whole = _wrap(0, p + q, grouped)
+    if not epsilon_prime(whole) == cycle:
+        raise CheckFailed("piece 0 does not reassemble the source cycle")
+    pieces = [kept(whole)]
 
     for k in range(q):
         sign_k = -1 if (p + q - k) % 2 else 1
@@ -321,25 +273,42 @@ def build_resolvent(
                     key = (sigma & ~bit, new_gamma)
                     moved[key] = moved.get(key, 0) + sign_k * sign * c
         children = _wrap(k + 1, p + q - k - 1, values)
-        if pruned:
-            _check_at_prefixes(pieces[k], children, k)
-            children = UChain(k + 1, children.dimension,
-                              {flag: chain for flag, chain in children.values.items() if keep(flag)})
-        pieces.append(children)
+        _check_at_prefixes(pieces[k], children, k)
+        pieces.append(kept(children))
+    _check_at_prefixes(pieces[q], UChain(q + 1, p - 1), q)
 
-    resolvent = Resolvent(cycle, p, q, pieces)
-    if pruned:
-        _check_at_prefixes(resolvent.top, UChain(q + 1, p - 1), q)
-    else:
-        resolvent.validate()
-    return resolvent
+    # the identity reads only removals of a child's first face, blind to a
+    # sign error of delta' at odd positions; on a whole piece delta' o delta'
+    # cancels those in pairs too, but on one tuple of piece 2 nothing cancels
+    if q >= 2 and pieces[2].values:
+        tup, chain = min(pieces[2].values.items())
+        probe = UChain(2, pieces[2].dimension, {tup: chain})
+        if not delta_prime(delta_prime(probe)).is_zero():
+            raise CheckFailed("delta' does not square to zero on piece 2")
+    for k, piece in enumerate(pieces):
+        if not piece.supported_in_cover():
+            raise CheckFailed(f"piece {k} violates the support condition")
+    return Resolvent(cycle, p, q, pieces)
 
 
 def _check_at_prefixes(piece: UChain, children: UChain, k: int) -> None:
-    """boundary(piece k) = -delta'(children) at every tuple of piece k, where
-    ``children`` holds every child of those tuples; raise ``CheckFailed``
-    at the first tuple where it fails.  delta' is computed at the tuples of
-    piece k only: every other tuple it reaches is no kept prefix."""
+    """Raise ``CheckFailed`` unless piece k agrees with ``children``, all
+    of piece k+1 that was built from it, before any pruning.
+
+    Each child must differ from a tuple of piece k by its first face alone,
+    and boundary(piece k) = -delta'(children) must hold at every tuple of
+    piece k, the only tuples where delta' is computed.  The parent check is
+    what makes this the whole identity: the tuples are then flags, and
+    delta' takes a child to its parent and to no other tuple of piece k,
+    since an inner removal leaves a gap in the cardinalities and removing
+    the last face leaves a tuple that does not end at a disk support (all
+    have q vertices).  A chain under a tuple that is no child could pass
+    without it.
+    """
+    for flag in children.values:
+        if flag[1:] not in piece.values:
+            faces = [list(elements(face)) for face in flag]
+            raise CheckFailed(f"piece {k + 1} holds a chain at {faces}, no child of a tuple of piece {k}")
     reached = delta_prime(children, at=piece.values).values
     for flag, chain in piece.values.items():
         if boundary_chain(chain).scale(-1) != reached.get(flag, CellChain()):

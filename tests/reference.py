@@ -25,8 +25,12 @@ Each keeps its own code rather than calling the engine it checks:
   the bigraded splitting, and the pullback of a cocycle over its whole
   support (``full_pullback``, ``representative_cocycle``);
 * the kernel over the whole resolvent (``full_kernel``): the search of
-  ``build_kernel`` with every top tuple built, validated and kept, the
+  ``build_kernel`` with every top tuple built, checked and kept, the
   route the pruned flag recursion is checked against;
+* the resolvent identities compared on whole pieces
+  (``whole_identities_hold``, with the componentwise ``uchain_boundary``,
+  ``uchain_scale`` and ``uchain_equal``), the route the piece-by-piece
+  check of ``build_resolvent`` is held against;
 * the chunked tensor-grid ``torus_quadrature`` the separated rule is
   compared with;
 * the brute-force enumeration of every complex on a few vertices
@@ -697,7 +701,7 @@ def representative_cocycle(K: SimplicialComplex, p: int, q: int, class_index: in
 def full_kernel(K: SimplicialComplex, s: int) -> KernelData:
     """The kernel of ``build_kernel`` with the whole top piece: the same
     cycles and cocycles in the same order, each resolvent built in full and
-    validated, and each cocycle pulled back at every top tuple."""
+    checked, and each cocycle pulled back at every top tuple."""
     n, q = K.n, s - K.n
     facet_cocycles = cech.representative_cocycles(K, n, q)
     for cycle in cells.homology(K, n, q):
@@ -708,6 +712,38 @@ def full_kernel(K: SimplicialComplex, s: int) -> KernelData:
             if raw:
                 return KernelData(n=n, s=s, cocycle=cocycle, top_piece=resolvent.top, scale=1 / raw)
     raise ValueError(f"no kernel in total degree {s}")
+
+
+# ---------------------------------------------------------------------------
+# resolvents compared on whole pieces
+# ---------------------------------------------------------------------------
+
+def uchain_boundary(g: resolvents.UChain) -> resolvents.UChain:
+    """Componentwise cell boundary of a cover chain."""
+    return resolvents.UChain(
+        g.degree, g.dimension - 1, {tup: cells.boundary_chain(chain) for tup, chain in g.values.items()}
+    )
+
+
+def uchain_scale(g: resolvents.UChain, factor: Scalar) -> resolvents.UChain:
+    return resolvents.UChain(g.degree, g.dimension, {tup: chain.scale(factor) for tup, chain in g.values.items()})
+
+
+def uchain_equal(g: resolvents.UChain, h: resolvents.UChain) -> bool:
+    return (g.degree, g.dimension) == (h.degree, h.dimension) and g.values == h.values
+
+
+def whole_identities_hold(res: resolvents.Resolvent) -> bool:
+    """Piece 0 reassembles the cycle, boundary(piece k) = -delta'(piece
+    k+1) on whole pieces, and the top piece is closed."""
+    return (
+        resolvents.epsilon_prime(res.pieces[0]) == res.source
+        and all(
+            uchain_equal(uchain_boundary(res.pieces[k]), uchain_scale(resolvents.delta_prime(res.pieces[k + 1]), -1))
+            for k in range(res.q)
+        )
+        and uchain_boundary(res.top).is_zero()
+    )
 
 
 # ---------------------------------------------------------------------------

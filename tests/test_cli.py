@@ -19,10 +19,10 @@ from coordarr.cli import run
 from coordarr.complexes import SimplicialComplex, card, parse_complex
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS, standard_corpus
 from coordarr.linalg import CheckFailed, ExactMatrix
-from coordarr.resolvents import Resolvent
 from reference import all_cells, full_kernel
 from test_cells import _at_one, _flip_first
 from test_koszul import _one_set_per_shape
+from test_resolvents import _delta_prime_flipped_at_odd_positions, _inject_into_piece
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -550,26 +550,28 @@ def test_resolvent(edge_file, capsys):
 
 
 def test_resolvent_validates_once(edge_file, tmp_path, monkeypatch):
-    # build_resolvent validates; the command reports that verdict
+    # build_resolvent checks each piece once, as it builds it; the command
+    # reports that verdict and checks nothing again
     calls = []
-    original = Resolvent.validate
+    original = resolvents._check_at_prefixes
 
-    def counting(self):
-        calls.append(1)
-        return original(self)
+    def counting(piece, children, k):
+        calls.append(k)
+        return original(piece, children, k)
 
-    monkeypatch.setattr(Resolvent, "validate", counting)
+    monkeypatch.setattr(resolvents, "_check_at_prefixes", counting)
     out = tmp_path / "resolvent.json"
     assert run(["resolvent", edge_file, "--p", "2", "--q", "1", "--json", str(out)]) == 0
-    assert len(calls) == 1
+    assert calls == [0, 1]
     assert json.loads(out.read_text())["checks"] == {"identities": "pass"}
 
 
-def test_resolvent_failed_validation_exits_1(edge_file, tmp_path, monkeypatch, capsys):
-    def failing(self):
-        raise CheckFailed("resolvent identity fails between pieces 0 and 1")
+def _failing_check(piece, children, k):
+    raise CheckFailed("resolvent identity fails between pieces 0 and 1")
 
-    monkeypatch.setattr(Resolvent, "validate", failing)
+
+def test_resolvent_failed_validation_exits_1(edge_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(resolvents, "_check_at_prefixes", _failing_check)
     out = tmp_path / "resolvent.json"
     assert run(["resolvent", edge_file, "--p", "2", "--q", "1", "--json", str(out)]) == 1
     assert "resolvent identity fails" in capsys.readouterr().err
@@ -1233,9 +1235,6 @@ def test_a_failed_run_leaves_no_old_artifact(edge_file, full_file, tmp_path, mon
     assert run(["kernel", edge_file, "--s", "2", "--json", str(out)]) == 1  # no kernel at s = 2
     assert not out.exists()
 
-    def failing(self):
-        raise CheckFailed("resolvent identity fails between pieces 0 and 1")
-
     for argv, code in (
         (["kernel", full_file, "--s", "1"], 1),  # no kernel
         (["kernel", edge_file, "--s", "99"], 2),  # bad input
@@ -1243,7 +1242,7 @@ def test_a_failed_run_leaves_no_old_artifact(edge_file, full_file, tmp_path, mon
         (["resolvent", edge_file, "--p", "2", "--q", "1"], 1),  # a failed check, patched in last
     ):
         if argv[0] == "resolvent":
-            monkeypatch.setattr(Resolvent, "validate", failing)
+            monkeypatch.setattr(resolvents, "_check_at_prefixes", _failing_check)
         out.write_text("old artifact")
         assert run([*argv, "--json", str(out)]) == code, argv
         assert not out.exists(), argv
@@ -1252,6 +1251,47 @@ def test_a_failed_run_leaves_no_old_artifact(edge_file, full_file, tmp_path, mon
     bad.write_text("not a complex")
     assert run(["hodge", str(bad), "--json", str(bad)]) == 2
     assert bad.read_text() == "not a complex"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fault", ["delta_prime", "nonchild"])
+@pytest.mark.parametrize("argv", [["resolvent", "--p", "4", "--q", "3"], ["kernel", "--s", "7"]],
+                         ids=["resolvent", "kernel"])
+def test_a_fault_in_the_resolvent_build_exits_1_with_no_artifact(argv, fault, tmp_path, monkeypatch, capsys):
+    # the pruned build of the kernel is checked as the whole one is: delta'
+    # with its odd positions flipped, and a copy of a top chain stored under
+    # a tuple that is no child, both on the sphere's (4, 3) resolvent
+    path = tmp_path / "sphere4.json"
+    path.write_text(json.dumps({"n": 4, "missing_faces": [[1, 2, 3, 4]]}))
+    if fault == "delta_prime":
+        monkeypatch.setattr(resolvents, "delta_prime", _delta_prime_flipped_at_odd_positions)
+    else:
+        _inject_into_piece(monkeypatch, 4, 3, 3, fault)
+    out = tmp_path / "out.json"
+    assert run([argv[0], str(path), *argv[1:], "--json", str(out)]) == 1
+    assert "check failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", [["--json", "{}"], ["--js", "{}"], ["--json={}"]],
+                         ids=["json", "abbreviated", "equals"])
+def test_a_usage_error_leaves_no_old_artifact(spelling, edge_file, tmp_path, capsys):
+    # argparse exits before the command runs, and still the --json file must
+    # not keep an earlier run's artifact
+    out = tmp_path / "k.json"
+
+    def to(path):
+        return [part.format(path) for part in spelling]
+
+    for usage in ([], ["--s", "3", "--bogus"]):  # --s missing; an unknown option
+        assert run(["kernel", edge_file, "--s", "3", *to(out)]) == 0
+        assert _exit_code(["kernel", edge_file, *usage, *to(out)]) == 2
+        assert not out.exists(), usage
+    # neither the input named as the --json path nor a directory is removed
+    assert _exit_code(["hodge", edge_file, "--bogus", *to(edge_file)]) == 2
+    assert Path(edge_file).is_file()
+    assert _exit_code(["hodge", edge_file, "--bogus", *to(tmp_path)]) == 2
+    assert tmp_path.is_dir()
     capsys.readouterr()
 
 

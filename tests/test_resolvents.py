@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 
 from coordarr import cech, cells
 from coordarr import resolvents as rv
-from coordarr.complexes import SimplicialComplex, card, mask_of
+from coordarr.complexes import SimplicialComplex, card, mask_of, pos_in
+from coordarr.corpus import PROJECTIVE_PLANE_FACETS
 from coordarr.linalg import CheckFailed, ExactMatrix, rank_rational
 from reference import (
     cochain_coboundary,
@@ -17,6 +19,10 @@ from reference import (
     representative_cocycle,
     simplex_boundary,
     torus_complex,
+    uchain_boundary,
+    uchain_equal,
+    uchain_scale,
+    whole_identities_hold,
 )
 
 
@@ -61,7 +67,7 @@ def test_epsilon_prime():
 
 def test_boundary_delegates_componentwise():
     g = rv.UChain(0, 3, {(mask_of([1]),): cells.CellChain({(mask_of([1]), mask_of([2])): 1})})
-    out = rv.boundary(g)
+    out = uchain_boundary(g)
     assert out.values[(mask_of([1]),)].terms == {(0, mask_of([1, 2])): -1}
 
 
@@ -85,69 +91,115 @@ def test_resolvent_edge_boundary_explicit():
     }
     # identities, explicitly
     assert rv.epsilon_prime(res.pieces[0]) == res.source
-    assert rv.boundary(res.pieces[0]) == rv.delta_prime(res.pieces[1]).scale(-1)
+    assert uchain_equal(uchain_boundary(res.pieces[0]), uchain_scale(rv.delta_prime(res.pieces[1]), -1))
 
 
 def test_resolvent_of_boundary_cycle():
     K = edge_boundary()
     b = cells.boundary_chain(cells.CellChain({(mask_of([1]), mask_of([2])): 2}))
-    res = rv.build_resolvent(K, b)
-    res.validate()
+    assert whole_identities_hold(rv.build_resolvent(K, b))
 
 
-def test_validate_raises_check_failed():
-    # a sign flipped in the last piece breaks the resolvent identity: a
-    # failed mathematical check, kept apart from bad input
-    res = rv.build_resolvent(edge_boundary(), s3_cycle())
-    res.pieces[1] = res.pieces[1].scale(-1)
-    with pytest.raises(CheckFailed, match="resolvent identity"):
-        res.validate()
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_validate_sees_one_flipped_atom_in_a_middle_piece(k):
-    # the in-place accumulation must keep every identity sign-exact: one
-    # atom of one middle piece of the ∂Δ⁴ resolvent negated breaks one
-    K = simplex_boundary(4)
-    res = rv.build_resolvent(K, cells.homology(K, 4, 3)[0])
-    res.validate()
-    piece = res.pieces[k]
-    tup = min(piece.values)
-    chain = piece.values[tup]
-    cell = min(chain.terms)
-    piece.values[tup] = cells.CellChain({**chain.terms, cell: -chain.terms[cell]})
-    with pytest.raises(CheckFailed, match="resolvent identity"):
-        res.validate()
-
-
-def _delta_prime_flipped_at_odd_positions(g):
+def _delta_prime_flipped_at_odd_positions(g, at=None):
     """``delta_prime`` with the sign of every odd removal position flipped."""
     sign_s = -1 if g.dimension % 2 else 1
     out = {}
     for tup, chain in g.values.items():
         for j in range(len(tup)):
-            rv._add_into(out.setdefault(tup[:j] + tup[j + 1 :], {}), chain, sign_s)
+            rest = tup[:j] + tup[j + 1 :]
+            if at is None or rest in at:
+                rv._add_into(out.setdefault(rest, {}), chain, sign_s)
     return rv._wrap(g.degree - 1, g.dimension, out)
 
 
-@pytest.mark.parametrize(
-    ("K", "p", "q"),
-    [
-        (simplex_boundary(4), 4, 3),
-        (SimplicialComplex.from_vertex_lists(6, [[i, i % 6 + 1] for i in range(1, 7)]), 6, 2),
-    ],
-    ids=["sphere4", "cycle6"],
-)
-def test_validate_sees_delta_prime_flipped_at_odd_positions(K, p, q, monkeypatch):
-    res = rv.build_resolvent(K, cells.homology(K, p, q)[0])
-    monkeypatch.setattr(rv, "delta_prime", _delta_prime_flipped_at_odd_positions)
-    # on the flag-shaped pieces the flipped terms cancel in pairs: every
-    # resolvent identity, and delta' o delta' on each whole piece, still hold
-    for k in range(q):
-        assert rv.boundary(res.pieces[k]) == rv.delta_prime(res.pieces[k + 1]).scale(-1)
-    assert all(rv.delta_prime(rv.delta_prime(piece)).is_zero() for piece in res.pieces[2:])
-    with pytest.raises(CheckFailed, match="does not square to zero"):
-        res.validate()
+def _one_atom(values, factor):
+    """``values`` with the first atom at the first tuple times ``factor``."""
+    tup = min(values)
+    terms = values[tup].terms
+    cell = min(terms)
+    return {**values, tup: cells.CellChain({**terms, cell: factor * terms[cell]})}
+
+
+#: faults written into one piece as the build wraps it
+PIECE_FAULTS = {
+    "flip": lambda values: _one_atom(values, -1),
+    "drop": lambda values: _one_atom(values, 0),
+    "double": lambda values: _one_atom(values, 2),
+    "negate": lambda values: {tup: chain.scale(-1) for tup, chain in values.items()},
+    # a copy of the first chain under its tuple reversed, which is no child
+    "nonchild": lambda values: {**values, tuple(reversed(min(values))): values[min(values)]},
+}
+
+
+def _inject_into_piece(monkeypatch, p, q, level, fault):
+    """Rewrite piece ``level`` of a (p, q) resolvent where the build wraps
+    it, before any check or pruning reads it.  ``_wrap`` also returns the
+    values of delta', but only a piece has degree + dimension = p + q."""
+    wrap = rv._wrap
+
+    def faulty(degree, dimension, values):
+        g = wrap(degree, dimension, values)
+        if (degree, dimension) == (level, p + q - level):
+            return rv.UChain(degree, dimension, PIECE_FAULTS[fault](g.values))
+        return g
+
+    monkeypatch.setattr(rv, "_wrap", faulty)
+
+
+#: the complexes the faults are injected on, with the bidegree resolved
+FAULTED = {
+    "sphere4": (simplex_boundary(4), 4, 3),
+    "cycle6": (SimplicialComplex.from_vertex_lists(6, [[i, i % 6 + 1] for i in range(1, 7)]), 6, 2),
+    "rp2": (SimplicialComplex.from_vertex_lists(6, PROJECTIVE_PLANE_FACETS), 5, 2),
+}
+
+
+@functools.cache
+def _faulted_cycle(name):
+    K, p, q = FAULTED[name]
+    return cells.homology(K, p, q)[0]
+
+
+def _faults():
+    for name, (K, p, q) in FAULTED.items():
+        for v in range(1, K.n + 1):
+            yield pytest.param(name, "pos_in", v, id=f"{name}-pos_in+1-at-{v}")
+        for fault in PIECE_FAULTS:
+            # piece 0 has no parents, so no tuple of it is a non-child
+            for level in range(fault == "nonchild", q + 1):
+                yield pytest.param(name, fault, level, id=f"{name}-{fault}-{level}")
+        yield pytest.param(name, "delta_prime", None, id=f"{name}-delta_prime-flipped-at-odd-positions")
+
+
+@pytest.mark.parametrize(("name", "fault", "at"), list(_faults()))
+def test_a_fault_in_the_build_raises_check_failed(name, fault, at, monkeypatch):
+    # each fault changes the resolvent, or (delta') the operator the checks
+    # read; the checks made while building must raise on every one
+    K, p, q = FAULTED[name]
+    cycle = _faulted_cycle(name)
+    if fault == "pos_in":
+        if not any(sigma >> (at - 1) & 1 for sigma, _gamma in cycle.terms):
+            pytest.skip(f"no disk support holds vertex {at}: the build never moves it")
+        monkeypatch.setattr(rv, "pos_in", lambda mask, i: pos_in(mask, i) + (i == at))
+    elif fault == "delta_prime":
+        monkeypatch.setattr(rv, "delta_prime", _delta_prime_flipped_at_odd_positions)
+    else:
+        _inject_into_piece(monkeypatch, p, q, at, fault)
+    with pytest.raises(CheckFailed):
+        rv.build_resolvent(K, cycle)
+
+
+def test_delta_prime_flipped_at_odd_positions_keeps_the_whole_identities():
+    # why the build probes delta' o delta' on one tuple: on the flag-shaped
+    # pieces the flipped terms cancel in pairs, so every resolvent identity,
+    # and delta' o delta' on each whole piece, hold all the same
+    for name in ("sphere4", "cycle6"):
+        K, p, q = FAULTED[name]
+        res = rv.build_resolvent(K, _faulted_cycle(name))
+        flipped = _delta_prime_flipped_at_odd_positions
+        for k in range(q):
+            assert uchain_equal(uchain_boundary(res.pieces[k]), uchain_scale(flipped(res.pieces[k + 1]), -1))
+        assert all(flipped(flipped(piece)).is_zero() for piece in res.pieces[2:])
 
 
 def test_resolvent_of_torus_cycle_has_length_zero():
@@ -180,7 +232,7 @@ def test_resolvent_identities_across_sample_generators():
         for (p, q) in homology_table(K).ranks():
             for g in cells.homology(K, p, q):
                 res = rv.build_resolvent(K, g)
-                res.validate()
+                assert whole_identities_hold(res)
                 assert res.q == q
                 for k, piece in enumerate(res.pieces):
                     assert piece.degree == k
@@ -320,7 +372,7 @@ def test_pairing_relation_boundary_side():
         g = _random_uchain(K, rng, degree=t)
         if not w.values or g.is_zero():
             continue
-        assert rv.pair(w, rv.boundary(g)) == 0
+        assert rv.pair(w, uchain_boundary(g)) == 0
 
 
 def test_pairing_invariance_under_boundary_shift():
