@@ -24,9 +24,14 @@ the algebra model's differential matrices; ``phi_mismatches`` compares the
 two on every block, face J included, entry by entry and without
 eliminating any, which is the working check on both sign conventions (a
 flipped sign shows up even when every rank survives it).  It builds no
-basis and no matrix: each block is one dict of (source, target) entries,
-filled from the algebra model's terms and emptied again by the cell
-model's, so a missing, extra or different entry names the block.  Both
+basis and no matrix.  Both differentials preserve the support J = sigma +
+gamma, so it walks each vertex set J once, with the faces inside it: the
+summand of J is one dict of (source, target) entries, filled from the
+algebra model's terms and emptied again by the cell model's, so a
+missing, extra or different entry names its block (|J|, q).  Both term
+formulas read K only through whether sigma + i, a subset of J, is a face,
+so a summand's result is fixed by J and the faces of K inside J; a batch
+(``corpus``) keeps it under that key and checks each summand once.  The
 term formulas walk the set bits of a mask lowest first (``x & -x``); the
 sign comes from the number of bits below, with no vertex list.
 ``boundary_matrix`` and ``coboundary_matrix`` build the blocks as
@@ -161,54 +166,76 @@ def boundary_chain(chain: CellChain) -> CellChain:
     return CellChain(out)
 
 
-def phi_mismatches(K: SimplicialComplex) -> list[tuple[int, int]]:
+#: the q at which the summand of J differs, by (J, faces of K inside J) (``phi_mismatches``)
+Checked = dict[tuple[int, tuple[int, ...]], frozenset[int]]
+
+
+def phi_mismatches(K: SimplicialComplex, checked: Checked | None = None) -> list[tuple[int, int]]:
     """The bidegrees (p, q), p in 0..n and q in -1..p, where the algebra
     model's differential (``koszul._diff_terms``, the summands of face J
     included) differs from the cell coboundary, signs included.
 
-    Each block is compared entry by entry (``_block_differs``), not
-    eliminated, and from each model's own term formula; no basis or matrix
-    is built and nothing outlives the call.  With no mismatch, the
-    relabeling of each monomial u_gamma v_sigma as the dual cocell of
-    (sigma, gamma) commutes with the differentials, and the cell cohomology
-    is the algebra model's table by construction.
+    Both differentials preserve J = sigma + gamma, so the check walks each
+    J in [n] once, grown one vertex above its top at a time, with the faces
+    inside it grown alongside: those inside J + v are those inside J and
+    each sigma + v that is a face.  Each summand is compared entry by entry
+    (``_summand_differs``), not eliminated, and from each model's own term
+    formula; no basis or matrix is built.  With no mismatch, the relabeling
+    of each monomial u_gamma v_sigma as the dual cocell of (sigma, gamma)
+    commutes with the differentials, and the cell cohomology is the algebra
+    model's table by construction.
+
+    Both term formulas read K only through whether sigma + i is a face, with
+    sigma + i inside J, so a summand's result is fixed by J and the faces of
+    K inside J.  ``checked``, keyed by exactly that pair, keeps the result
+    for every later complex of a batch (``corpus``).  Without it nothing
+    outlives the call: J never repeats within one complex.
     """
-    faces_of_size: list[list[int]] = [[] for _ in range(K.n + 1)]
-    for sigma in K.faces_sorted:
-        faces_of_size[card(sigma)].append(sigma)
-    bits = [1 << v for v in range(K.n)]
-    outside = {sigma: [bit for bit in bits if not bit & sigma] for sigma in K.faces}
-    return [
-        (p, q)
-        for p in range(K.n + 1)
-        for q in range(-1, p + 1)
-        if _block_differs(K, p, q, faces_of_size, outside)
-    ]
+    faces = K.faces
+    n = K.n
+    differs: set[tuple[int, int]] = set()
+    stack = [(0, [0])]
+    while stack:
+        J, inside = stack.pop()
+        if checked is None:
+            qs = _summand_differs(K, J, inside)
+        else:
+            key = (J, tuple(inside))
+            qs = checked.get(key)
+            if qs is None:
+                qs = checked[key] = _summand_differs(K, J, inside)
+        if qs:
+            p = card(J)
+            differs.update((p, q) for q in qs)
+        for v in range(J.bit_length(), n):
+            bit = 1 << v
+            stack.append((J | bit, inside + [sigma | bit for sigma in inside if sigma | bit in faces]))
+    return sorted(differs)
 
 
-def _block_differs(
-    K: SimplicialComplex, p: int, q: int, faces_of_size: list[list[int]], outside: dict[int, list[int]]
-) -> bool:
-    """Whether block (p, q) of the two models differs.  The differential
-    terms of every (p, q) monomial go into one dict, keyed by the masks
-    (gamma, sigma) of source and target monomial; the boundary terms of
-    every (p, q+1) cell take them out again, read as coboundary entries
-    (source and target swapped, sign flipped).  An entry that is missing,
-    different, left over or outside the block makes the block differ.  The
-    gammas of a face sigma are the (p - |sigma|)-subsets of the bits
-    outside sigma, so no subset is drawn only to be filtered."""
-    diff_terms = koszul._diff_terms
+def _summand_differs(K: SimplicialComplex, J: int, inside: list[int]) -> frozenset[int]:
+    """The q at which the summand of J differs between the two models, its
+    sources (J - sigma, sigma) taken over the faces sigma inside J.  The
+    differential terms of every monomial go into one dict, keyed by the
+    masks (gamma, sigma) of source and target monomial; the boundary terms
+    of every cell take them out again, read as coboundary entries (source
+    and target swapped, sign flipped).  An entry that is missing, different,
+    left over or outside the summand marks its block: q is |sigma| of a
+    left-over monomial source, |sigma| - 1 of a failing cell source."""
+    diff_terms, boundary_terms = koszul._diff_terms, _boundary_terms
     entries: dict[tuple[int, int, int, int], int] = {}
-    for sigma in faces_of_size[q] if q >= 0 else ():
-        for gamma in map(sum, combinations(outside[sigma], p - q)):
-            for sign, (gamma_above, sigma_above) in diff_terms(K, gamma, sigma):
-                entries[gamma, sigma, gamma_above, sigma_above] = sign
-    for sigma in faces_of_size[q + 1] if q < p else ():
-        for gamma in map(sum, combinations(outside[sigma], p - q - 1)):
-            for sign, (face, circles) in _boundary_terms(sigma, gamma):
-                if entries.pop((circles, face, gamma, sigma), None) != -sign:
-                    return True
-    return bool(entries)
+    for sigma in inside:
+        gamma = J ^ sigma
+        for sign, (gamma_above, sigma_above) in diff_terms(K, gamma, sigma):
+            entries[gamma, sigma, gamma_above, sigma_above] = sign
+    qs = set()
+    for sigma in inside:
+        gamma = J ^ sigma
+        for sign, (face, circles) in boundary_terms(sigma, gamma):
+            if entries.pop((circles, face, gamma, sigma), None) != -sign:
+                qs.add(card(sigma) - 1)
+    qs.update(card(sigma) for _, sigma, _, _ in entries)
+    return frozenset(qs)
 
 
 def homology(K: SimplicialComplex, p: int, q: int) -> list[CellChain]:

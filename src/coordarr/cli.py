@@ -86,7 +86,10 @@ def cmd_cohomology(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
 
 
 def _compare_models(
-    K: SimplicialComplex, shapes: koszul.Shapes | None = None, families: cech.Families | None = None
+    K: SimplicialComplex,
+    shapes: koszul.Shapes | None = None,
+    families: cech.Families | None = None,
+    checked: cells.Checked | None = None,
 ) -> tuple[dict[str, BigradedTable], dict[str, bool], list[str]]:
     """Tables, checks and FAIL lines of the model comparison.
 
@@ -95,9 +98,11 @@ def _compare_models(
     table is the rk table, returned only when ``cells.phi_mismatches``
     finds every block of the two models identical, entry by entry: a term
     of either model that the other lacks, or that lands outside its block,
-    fails the check and does not crash it.  ``shapes`` and
-    ``families`` are the caches a batch shares between its complexes.  The
-    FAIL lines are returned for the caller to print once its work is done.
+    fails the check and does not crash it.  ``shapes``, ``families`` and
+    ``checked`` are the caches a batch shares between its complexes: the
+    engine's summand groups, the oracle's families and the identity check's
+    summands of J.  The FAIL lines are returned for the caller to print once
+    its work is done.
     """
     tables: dict[str, BigradedTable] = {}
     checks: dict[str, bool] = {}
@@ -114,7 +119,7 @@ def _compare_models(
         except CheckFailed as exc:
             checks[f"{name} model consistent"] = False
             lines.append(f"FAIL  {name} model: {exc}")
-    mismatches = cells.phi_mismatches(K)
+    mismatches = cells.phi_mismatches(K, checked)
     checks["differentials rk=cell"] = not mismatches
     if mismatches:
         lines.append(f"FAIL  cell coboundary differs from the rk differential at (p, q) = {mismatches}")
@@ -207,13 +212,15 @@ def cmd_corpus(args: argparse.Namespace, _: None) -> Outcome:
     items = corpus.standard_corpus(args.random, args.seed)
     lines: list[str] = []
     failures = 0
-    # one cache per model for this run only: a complex of the batch reads
-    # what an earlier one eliminated, and no later command sees either
+    # one cache per model and one for the identity check, for this run
+    # only: a complex of the batch reads what an earlier one eliminated or
+    # checked, and no later command sees any of them
     shapes: koszul.Shapes = {}
     families: cech.Families = {}
+    checked: cells.Checked = {}
     t0 = time.perf_counter()
     for i, K in enumerate(items):
-        _, checks, fail_lines = _compare_models(K, shapes, families)
+        _, checks, fail_lines = _compare_models(K, shapes, families, checked)
         lines += fail_lines
         failed = [name for name, ok in checks.items() if not ok]
         if failed:

@@ -65,9 +65,12 @@ model orders its (sigma, gamma) cells the same way, so the dual-basis
 relabeling between the two models is the identity permutation on each
 block.  ``compare`` and ``corpus`` check that identity on every block
 (``cells.phi_mismatches``) entry by entry, from ``_diff_terms`` and the
-cell model's own term formula, and build neither a basis nor a matrix for
-it, so no command calls ``basis`` or ``differential_matrix``.  The table of
-the full stripes is a test reference only.
+cell model's own term formula, one summand J at a time, face J included,
+and build neither a basis nor a matrix for it, so no command calls
+``basis`` or ``differential_matrix``.  ``corpus`` keeps a third cache for
+the batch, next to the shapes and the Čech families: the check's result
+per J and faces of K inside J, so each summand is checked once per run.
+The table of the full stripes is a test reference only.
 """
 
 from __future__ import annotations

@@ -12,11 +12,12 @@ Each keeps its own code rather than calling the engine it checks:
   ``phi``), its full cell list and its all-bidegree ``homology_table``;
 * the identity check between the two models in its matrix form
   (``phi_mismatches_by_matrices``: each basis sorted per block, the cell
-  coboundary as the negated transpose of a built boundary), and the two
-  term formulas written with ``elements`` and ``pos_in``
-  (``diff_terms_by_position``, ``boundary_terms_by_position``): the routes
-  the entry-by-entry ``cells.phi_mismatches`` and the bit-walking term
-  functions are held against;
+  coboundary as the negated transpose of a built boundary, every block
+  over all J at once), and the two term formulas written with
+  ``elements`` and ``pos_in`` (``diff_terms_by_position``,
+  ``boundary_terms_by_position``): the routes the per-J, entry-by-entry
+  ``cells.phi_mismatches`` and the bit-walking term functions are held
+  against;
 * the connected components of a vertex set by breadth-first search
   (``components_by_search``), the route the derived components of
   ``koszul.cohomology`` are held against;

@@ -19,7 +19,7 @@ from coordarr.cli import run
 from coordarr.complexes import SimplicialComplex, card, parse_complex
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS, standard_corpus
 from coordarr.linalg import CheckFailed, ExactMatrix
-from reference import all_cells, full_kernel
+from reference import all_cells, full_kernel, phi_mismatches_by_matrices
 from test_cells import _at_one, _flip_first
 from test_koszul import _one_set_per_shape
 from test_resolvents import _delta_prime_flipped_at_odd_positions, _inject_into_piece
@@ -143,9 +143,9 @@ def _read_terms_of_identity_check(path, monkeypatch, builders):
     checks = []
     phi_mismatches, diff_terms, boundary_terms = cells.phi_mismatches, koszul._diff_terms, cells._boundary_terms
 
-    def check(K):
+    def check(K, checked=None):
         start = len(read["rk"])
-        mismatches = phi_mismatches(K)
+        mismatches = phi_mismatches(K, checked)
         checks.append((K, read["rk"][start:]))
         return mismatches
 
@@ -354,8 +354,9 @@ def test_corpus_fail_line_names_the_failed_checks(monkeypatch, capsys):
 
 
 def test_corpus_caches_live_for_one_run(monkeypatch):
-    # a fault in the summands fails this run only: the next run eliminates
-    # afresh, and a fault injected after a clean run is not hidden by it
+    # a fault in the summands or in one term formula fails this run only:
+    # the next run eliminates and checks afresh, and a fault injected after
+    # a clean run is not hidden by it
     original = koszul.summand
     for faulty, code in ((True, 1), (False, 0), (True, 1)):
         if faulty:
@@ -364,25 +365,83 @@ def test_corpus_caches_live_for_one_run(monkeypatch):
             monkeypatch.setattr(koszul, "summand", original)
         assert run(["corpus", "--random", "0"]) == code, faulty
         assert not faulty or hits
+    monkeypatch.setattr(koszul, "summand", original)
+    boundary_terms = cells._boundary_terms
+    for faulty, code in ((False, 0), (True, 1), (False, 0)):
+        faulty_terms = _at_one(boundary_terms, (0b01, 0b10), _flip_first)
+        monkeypatch.setattr(cells, "_boundary_terms", faulty_terms if faulty else boundary_terms)
+        assert run(["corpus", "--random", "0"]) == code, faulty
 
 
 @pytest.mark.parametrize("seed", [20260810, 1305])
-def test_corpus_caches_give_the_per_call_tables(seed):
+def test_corpus_caches_give_the_per_call_tables(seed, monkeypatch):
     # in either order of the corpus, a table built on the caches of a run
-    # equals the one built with no shared cache, byte for byte
+    # equals the one built with no shared cache, byte for byte; so do the
+    # blocks the identity check names, on clean code and under a flipped
+    # first term of u1 u2 (none where vertices 1 and 2 are ghosts), which
+    # fails the same complexes at the same blocks
     items = standard_corpus(200, seed)
+    diff_terms = koszul._diff_terms
+    faulty_terms = _at_one(diff_terms, (0b011, 0), lambda terms: terms and _flip_first(terms))
+
+    def identity_checks(order, checked_of):
+        out = {}
+        for name, terms in (("phi", diff_terms), ("phi fault", faulty_terms)):
+            monkeypatch.setattr(koszul, "_diff_terms", terms)
+            checked = checked_of()
+            out[name] = [cells.phi_mismatches(K, checked) for K in order]
+        monkeypatch.setattr(koszul, "_diff_terms", diff_terms)
+        return out
+
     per_call = {
         coeff: [koszul.cohomology(K, coeff).to_json() for K in items] for coeff in ("Z", "Q")
     }
     per_call["cech"] = [cech.cohomology(K).to_json() for K in items]
+    per_call.update(identity_checks(items, lambda: None))
+    assert not any(per_call["phi"])
+    assert 0 < sum(map(bool, per_call["phi fault"])) < len(items)
+    monkeypatch.setattr(koszul, "_diff_terms", faulty_terms)
+    assert per_call["phi fault"] == [phi_mismatches_by_matrices(K) for K in items]
+    monkeypatch.setattr(koszul, "_diff_terms", diff_terms)
     for order in (items, items[::-1]):
         shapes: koszul.Shapes = {}
         families: cech.Families = {}
         shared = {coeff: [koszul.cohomology(K, coeff, shapes).to_json() for K in order] for coeff in ("Z", "Q")}
         shared["cech"] = [cech.cohomology(K, families).to_json() for K in order]
+        shared.update(identity_checks(order, dict))
         if order is not items:
             shared = {name: tables[::-1] for name, tables in shared.items()}
         assert shared == per_call
+
+
+@pytest.mark.parametrize(("seed", "shared", "per_call"), [(20260810, 17_637, 70_984), (1305, 19_054, 75_222)])
+def test_corpus_checks_each_summand_once_per_run(seed, shared, per_call, monkeypatch):
+    # with one cache over the corpus, the identity check reads the terms of
+    # each pair once per distinct (J, faces of K inside J), about a quarter
+    # as many times as with none
+    items = standard_corpus(200, seed)
+    calls = {"rk": 0, "cell": 0}
+    diff_terms, boundary_terms = koszul._diff_terms, cells._boundary_terms
+
+    def rk_terms(K, gamma, sigma):
+        calls["rk"] += 1
+        return diff_terms(K, gamma, sigma)
+
+    def cell_terms(sigma, gamma):
+        calls["cell"] += 1
+        return boundary_terms(sigma, gamma)
+
+    monkeypatch.setattr(koszul, "_diff_terms", rk_terms)
+    monkeypatch.setattr(cells, "_boundary_terms", cell_terms)
+    for K in items:
+        assert cells.phi_mismatches(K) == []
+    assert calls == {"rk": per_call, "cell": per_call}
+    calls.update(rk=0, cell=0)
+    checked: cells.Checked = {}
+    for K in items:
+        assert cells.phi_mismatches(K, checked) == []
+    assert calls == {"rk": shared, "cell": shared}
+    assert sum(len(inside) for _, inside in checked) == shared
 
 
 @pytest.mark.parametrize(("name", "commands", "calls"), [
