@@ -314,14 +314,17 @@ def run(argv: list[str] | None = None) -> int:
     try:
         # the --json file holds this run's artifact or nothing, so an old one
         # goes before a usage error can end the run; a file another word
-        # names, the input among them, stays
+        # names, the input among them, stays.  Only a word that exists can
+        # name it, so only those are resolved
         known, words = _json_parser().parse_known_args(argv)
         old = known.json
-        if old and os.path.isfile(old) and all(Path(old).resolve() != Path(w).resolve() for w in words):
-            try:
-                os.remove(old)
-            except OSError as exc:
-                raise ComplexError(f"cannot write {old}: {exc}") from exc
+        if old and os.path.isfile(old):
+            target = Path(old).resolve()
+            if not any(os.path.exists(w) and Path(w).resolve() == target for w in words):
+                try:
+                    os.remove(old)
+                except OSError as exc:
+                    raise ComplexError(f"cannot write {old}: {exc}") from exc
         args = parser.parse_args(argv)
         for name, value in vars(args).items():
             if isinstance(value, list):  # some interpreters parse `--f=--` as []

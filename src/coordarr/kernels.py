@@ -11,10 +11,11 @@ representation is assembled from the three finite models:
   the pairing and the reproduction formula read nothing else, and the full
   pullback grows like (faces/facets)^(s-n+1);
 * the top resolvent piece of a dual product cycle, a degree-(s-n) cover
-  chain all of whose atoms are the full torus, built only on the flags
-  where some facet cocycle can pull back to nonzero.  The whole piece has
-  n! tuples on the boundary of the simplex on n vertices, and the pairing
-  reads one of them;
+  chain all of whose atoms are the full torus, built only on the flag
+  prefixes that can still be completed to a full flag where some facet
+  cocycle pulls back to nonzero.  The whole piece has n! tuples on the
+  boundary of the simplex on n vertices, and the pairing reads one of
+  them; there the build keeps one tuple in each piece;
 * the exact pairing of the two, a nonzero rational multiple c of
   (2 pi i)^n; the scale is the rational 1/c, and the normalization is
   scale * (2 pi i)^-n.
@@ -41,6 +42,7 @@ with an exact oracle (evaluate the polynomial at zeta).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -48,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import cech, cells, koszul
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, elements
 from .linalg import CheckFailed
 from .resolvents import UChain, build_resolvent, pair, resolvent_pairing
 
@@ -200,12 +202,12 @@ class KernelData:
     """Normalized data of one integral representation.
 
     ``top_piece`` holds the top resolvent piece on the kept flags only,
-    those where some facet cocycle can pull back to nonzero; its
-    coefficients there are those of the whole piece.  ``cocycle`` holds the
-    pulled-back cocycle on those tuples (its nonzero values there), which
-    is exactly what ``raw_pairing`` and ``evaluate_representation`` sum
-    over, so the pairing is that of the whole piece.  The cocycle
-    has form degree n, so the pairing is ``raw_pairing() * (2 pi i)^n`` and
+    those where some facet cocycle can pull back to nonzero, built from the
+    prefixes of these flags alone; its coefficients there are those of the
+    whole piece.  ``cocycle`` holds the pulled-back cocycle on those tuples
+    (its nonzero values there), which is exactly what ``raw_pairing`` and
+    ``evaluate_representation`` sum over, so the pairing is that of the
+    whole piece.  The cocycle has form degree n, so the pairing is ``raw_pairing() * (2 pi i)^n`` and
     the normalization ``scale * (2 pi i)^-n``: the powers cancel by
     construction, and only the rational factors are stored.
     """
@@ -245,14 +247,15 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
     the one bidegree (n, s-n) of the cell model, and there are h(n, s-n) of
     them, so an empty list is the test that no kernel exists.  The cocycles
     stay on the facet cover.  Each resolvent is built only on the flag
-    prefixes that ``_pullback_can_be_nonzero`` keeps, and checked at each
-    of them (``CheckFailed`` on a broken identity, or when every pairing is
-    zero, which nondegeneracy forbids); each cocycle is pulled
-    back to the face cover only at the kept top tuples.  The pruned tuples
-    pull back to zero under every cocycle, so the pairings, and with them
-    the cycle and cocycle the search settles on, are those of the whole
-    resolvent.  A total degree outside 0..2n is bad input (``ValueError``),
-    refused before any work.
+    prefixes that ``_pullback_can_be_nonzero`` keeps, those that can still
+    be completed to a full flag where some facet cocycle can pull back to
+    nonzero, and checked at each of them (``CheckFailed`` on a broken
+    identity, or when every pairing is zero, which nondegeneracy forbids);
+    each cocycle is pulled back to the face cover only at the kept top
+    tuples.  The pruned tuples pull back to zero under every cocycle, so
+    the pairings, and with them the cycle and cocycle the search settles
+    on, are those of the whole resolvent.  A total degree outside 0..2n is
+    bad input (``ValueError``), refused before any work.
     """
     n = K.n
     if not 0 <= s <= 2 * n:
@@ -284,14 +287,21 @@ def build_kernel(K: SimplicialComplex, s: int) -> KernelData:
 def _pullback_can_be_nonzero(
     K: SimplicialComplex, facet_cocycles: list[cech.LogCochain]
 ) -> Callable[[tuple[int, ...]], bool]:
-    """Predicate on resolvent flag prefixes: false when every flag that
-    extends the prefix pulls back to zero under every facet cocycle.
+    """Predicate on resolvent flag prefixes: true exactly when some full
+    flag that extends the prefix pulls back to nonzero under some facet
+    cocycle.
 
     The pullback at a face tuple T is the facet cochain at r(T), with r the
-    first containing facet.  It vanishes when two faces of T share r, or
-    when the facets r(T) are not a support tuple.  An extension only adds
-    faces, so once a prefix repeats a facet, or its facets lie in no
-    support tuple, every extension does the same.
+    first containing facet.  It is nonzero under some cocycle exactly when
+    the faces of T have pairwise distinct facets r and these make up a
+    support tuple.  A prefix (sigma_k, ..., sigma_0) extends as
+    ``build_resolvent`` extends it, one vertex dropped per step down to the
+    empty face, and it is kept when some such completion qualifies: a
+    recursion over (smallest face, facets seen so far) that gives up as
+    soon as the facets repeat or lie in no support tuple, memoized for the
+    life of the predicate.  A full flag is its own only completion, so the
+    kept top tuples are exactly those that pull back to nonzero, and every
+    kept prefix has a kept child.
     """
     position = {facet: i for i, facet in enumerate(K.facets)}
     supports = set()
@@ -299,14 +309,26 @@ def _pullback_can_be_nonzero(
         for tup in w.values:
             supports.add(sum(1 << position[facet] for facet in tup))
 
+    @functools.cache
+    def bit(face: int) -> int:
+        return 1 << position[K.containing_facet(face)]
+
+    @functools.cache
+    def can_complete(face: int, seen: int) -> bool:
+        # seen holds r of face and of every larger face of the flag
+        children = (face & ~(1 << (i - 1)) for i in elements(face))
+        return any(seen & support == seen for support in supports) and (
+            not face or any(not seen & bit(c) and can_complete(c, seen | bit(c)) for c in children)
+        )
+
     def keep(prefix: tuple[int, ...]) -> bool:
         seen = 0
         for face in prefix:
-            bit = 1 << position[K.containing_facet(face)]
-            if seen & bit:
+            b = bit(face)
+            if seen & b:
                 return False
-            seen |= bit
-        return any(seen & support == seen for support in supports)
+            seen |= b
+        return can_complete(prefix[0], seen)
 
     return keep
 

@@ -30,9 +30,10 @@ with the canonical storage order of tuples.  Every flag has exactly one
 parent, the flag without its first face, so a caller may prune: a prefix
 predicate decides which flags enter each piece, and a refused prefix takes
 every flag that extends it along.  The ``resolvent`` command keeps them
-all; the kernels keep only the flags whose pulled-back cocycle can be
-nonzero.  Either way each piece is checked as it is built, against all of
-its children before any is pruned (``build_resolvent``).
+all; the kernels keep only the prefixes that can still be completed to a
+full flag whose pulled-back cocycle can be nonzero.  Either way each piece
+is checked as it is built, against all of its children before any is
+pruned (``build_resolvent``).
 
 The pairing of a log cochain against a chain of the same degree sums, over
 increasing tuples, the integral of the assigned form over the assigned

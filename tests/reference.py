@@ -502,33 +502,37 @@ def phi_mismatches_by_matrices(K: SimplicialComplex) -> list[tuple[int, int]]:
     in -1..p, the algebra model's differential block and the negated
     transpose of the (p, q+1) cell boundary block, each built on its own
     from freshly sorted bases through the modules' term functions, compared
-    as matrices.  ``cells.phi_mismatches`` must name the same blocks."""
+    as matrices.  A term outside the block's cells has no entry, so its
+    block differs.  ``cells.phi_mismatches`` must name the same blocks."""
 
-    def rk_block(p: int, q: int) -> ExactMatrix:
+    def rk_block(p: int, q: int) -> ExactMatrix | None:
         src = [(g, s) for s, g in _sorted_pairs(K, p, q)]
         index = {(g, s): i for i, (s, g) in enumerate(_sorted_pairs(K, p, q + 1))}
         entries = {}
         for j, (gamma, sigma) in enumerate(src):
             for sign, target in koszul._diff_terms(K, gamma, sigma):
+                if target not in index:
+                    return None
                 entries[(index[target], j)] = sign
         return ExactMatrix(len(index), len(src), entries)
 
-    def cell_coboundary(p: int, q: int) -> ExactMatrix:
+    def cell_coboundary(p: int, q: int) -> ExactMatrix | None:
         src, dst = _sorted_pairs(K, p, q + 1), _sorted_pairs(K, p, q)
         index = {c: i for i, c in enumerate(dst)}
         entries = {}
         for j, (sigma, gamma) in enumerate(src):
             for sign, target in cells._boundary_terms(sigma, gamma):
+                if target not in index:
+                    return None
                 entries[(index[target], j)] = sign
         boundary = ExactMatrix(len(dst), len(src), entries)
         return ExactMatrix(len(src), len(dst), {(c, r): -v for (r, c), v in boundary.entries.items()})
 
-    return [
-        (p, q)
-        for p in range(K.n + 1)
-        for q in range(-1, p + 1)
-        if rk_block(p, q) != cell_coboundary(p, q)
-    ]
+    def differs(p: int, q: int) -> bool:
+        rk, cell = rk_block(p, q), cell_coboundary(p, q)
+        return rk is None or cell is None or rk != cell
+
+    return [(p, q) for p in range(K.n + 1) for q in range(-1, p + 1) if differs(p, q)]
 
 
 def phi(a: RkElement) -> CellCochain:

@@ -230,6 +230,9 @@ def _at_one(term_function, at: tuple[int, int], change):
 
 
 def _flip_first(terms: list) -> list:
+    """The terms with the first sign flipped; no terms stay no terms."""
+    if not terms:
+        return terms
     (sign, target), *rest = terms
     return [(-sign, target), *rest]
 

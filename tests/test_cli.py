@@ -131,6 +131,9 @@ def test_a_boundary_term_outside_the_block_fails_the_check(edge_file, monkeypatc
     assert run(["compare", edge_file, "--json", str(out)]) == 1
     assert json.loads(out.read_text())["checks"]["differentials rk=cell"] == "fail"
     assert "at (p, q) = [(1, 0), (2, 0)]" in capsys.readouterr().out
+    # the matrix form names the same blocks
+    K = parse_complex(Path(edge_file).read_text())
+    assert cells.phi_mismatches(K) == phi_mismatches_by_matrices(K) == [(1, 0), (2, 0)]
 
 
 def _read_terms_of_identity_check(path, monkeypatch, builders):
@@ -382,7 +385,7 @@ def test_corpus_caches_give_the_per_call_tables(seed, monkeypatch):
     # fails the same complexes at the same blocks
     items = standard_corpus(200, seed)
     diff_terms = koszul._diff_terms
-    faulty_terms = _at_one(diff_terms, (0b011, 0), lambda terms: terms and _flip_first(terms))
+    faulty_terms = _at_one(diff_terms, (0b011, 0), _flip_first)
 
     def identity_checks(order, checked_of):
         out = {}
@@ -1352,6 +1355,32 @@ def test_a_usage_error_leaves_no_old_artifact(spelling, edge_file, tmp_path, cap
     assert _exit_code(["hodge", edge_file, "--bogus", *to(tmp_path)]) == 2
     assert tmp_path.is_dir()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spelling", ["dot", "symlink"])
+def test_the_input_named_as_the_json_path_in_another_spelling_stays(spelling, edge_file, tmp_path, monkeypatch):
+    # the --json path and the input are compared as resolved paths, so the
+    # input stays when one of them is spelled with a './' prefix or is a
+    # symlink to the other
+    monkeypatch.chdir(tmp_path)
+    input_path, json_path = "edge.json", "./edge.json"
+    if spelling == "symlink":
+        input_path, json_path = "link.json", "edge.json"
+        os.symlink("edge.json", input_path)
+    text = Path(edge_file).read_text()
+    assert _exit_code(["hodge", input_path, "--bogus", "--json", json_path]) == 2
+    assert Path(edge_file).read_text() == text
+
+
+def test_a_symlink_loop_named_next_to_an_old_artifact_is_an_input_error(edge_file, tmp_path, monkeypatch, capsys):
+    # a word that names no file is not resolved, so a symlink loop is the
+    # unreadable input it is, with the old artifact gone
+    monkeypatch.chdir(tmp_path)
+    os.symlink("loop", "loop")
+    assert run(["kernel", edge_file, "--s", "3", "--json", "k.json"]) == 0
+    assert run(["hodge", "loop", "--json", "k.json"]) == 2
+    assert "cannot read loop" in capsys.readouterr().err
+    assert not Path("k.json").exists()
 
 
 def _exit_code(argv: list[str]) -> int:

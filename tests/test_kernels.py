@@ -8,7 +8,8 @@ from coordarr import cech, cells, linalg
 from coordarr import kernels as kn
 from coordarr.complexes import SimplicialComplex, mask_of
 from coordarr.corpus import PROJECTIVE_PLANE_FACETS
-from reference import full_kernel, full_simplex, simplex_boundary, torus_quadrature
+from coordarr.resolvents import build_resolvent
+from reference import all_complexes_brute_force, full_kernel, full_simplex, simplex_boundary, torus_quadrature
 from test_metamorphic import complexes
 
 
@@ -196,9 +197,32 @@ def test_boundary_simplex_7_kernel_on_top_piece_support():
 # -- the top piece on demand -----------------------------------------------------
 
 
+def _assert_pruning_is_exact(K, s):
+    """For every cycle of bidegree (n, s - n), the build under the kernel's
+    predicate keeps at the top the tuples of the whole build whose first
+    containing facets are pairwise distinct and make up a support tuple of
+    some facet cocycle, and every tuple it keeps below the top has a kept
+    child."""
+    n, q = K.n, s - K.n
+    facet_cocycles = cech.representative_cocycles(K, n, q)
+    supports = {frozenset(tup) for w in facet_cocycles for tup in w.values}
+    for cycle in cells.homology(K, n, q):
+        pruned = build_resolvent(K, cycle, kn._pullback_can_be_nonzero(K, facet_cocycles))
+        qualifying = set()
+        for tup in build_resolvent(K, cycle).top.values:
+            facets = frozenset(K.containing_facet(face) for face in tup)
+            if len(facets) == len(tup) and facets in supports:
+                qualifying.add(tup)
+        assert set(pruned.top.values) == qualifying
+        for piece, children in zip(pruned.pieces, pruned.pieces[1:]):
+            assert set(piece.values) <= {child[1:] for child in children.values}
+
+
 def _assert_on_demand_equals_full(K, s):
     """Same scale and cocycle as the full build; the kept top tuples hold
-    every tuple the pairing reads, with the full build's coefficients."""
+    every tuple the pairing reads, with the full build's coefficients, and
+    the pruning is exact."""
+    _assert_pruning_is_exact(K, s)
     data = kn.build_kernel(K, s)
     full = full_kernel(K, s)
     assert data.scale == full.scale
@@ -230,6 +254,37 @@ def test_on_demand_kernel_equals_the_full_build_on_random_complexes(K):
     for s in range(K.n, 2 * K.n + 1):
         if cells.homology(K, K.n, s - K.n):
             _assert_on_demand_equals_full(K, s)
+
+
+def test_on_demand_kernel_equals_the_full_build_on_every_complex_on_up_to_4_vertices():
+    # a lookahead that tries only the lowest vertex of a face drops every
+    # qualifying top tuple of some cycle in seven of these 118 cases
+    cases = [
+        (K, s)
+        for n in range(1, 5)
+        for K in all_complexes_brute_force(n)
+        for s in range(n, 2 * n + 1)
+        if cells.homology(K, n, s - n)
+    ]
+    assert len(cases) == 118
+    for K, s in cases:
+        _assert_on_demand_equals_full(K, s)
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_boundary_simplex_kernel_resolvent_holds_one_tuple_per_piece(n, monkeypatch):
+    # one flag reaches the one top tuple the pairing reads, and the
+    # pruning keeps that flag alone
+    built = []
+    original = kn.build_resolvent
+
+    def recording(K, cycle, keep):
+        built.append(original(K, cycle, keep))
+        return built[-1]
+
+    monkeypatch.setattr(kn, "build_resolvent", recording)
+    assert kn.build_kernel(simplex_boundary(n), 2 * n - 1).check_normalized()
+    assert [[len(piece.values) for piece in resolvent.pieces] for resolvent in built] == [[1] * n]
 
 
 @pytest.mark.parametrize(
@@ -272,7 +327,7 @@ def test_boundary_simplex_9_kernel_keeps_one_flag(monkeypatch):
     data = kn.build_kernel(simplex_boundary(9), 17)
     assert data.check_normalized()
     assert len(data.top_piece.values) == len(data.cocycle.values) == 1
-    assert len(kept) <= 2**9 - 1
+    assert len(kept) == 9
 
 # -- reproduction --------------------------------------------------------------------
 
