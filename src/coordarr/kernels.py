@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import cech, cells, koszul
-from .complexes import SimplicialComplex, elements
+from .complexes import SimplicialComplex
 from .linalg import CheckFailed
 from .resolvents import UChain, build_resolvent, pair, resolvent_pairing
 
@@ -316,10 +316,17 @@ def _pullback_can_be_nonzero(
     @functools.cache
     def can_complete(face: int, seen: int) -> bool:
         # seen holds r of face and of every larger face of the flag
-        children = (face & ~(1 << (i - 1)) for i in elements(face))
-        return any(seen & support == seen for support in supports) and (
-            not face or any(not seen & bit(c) and can_complete(c, seen | bit(c)) for c in children)
-        )
+        if not any(seen & support == seen for support in supports):
+            return False
+        rest = face
+        while rest:
+            vertex = rest & -rest
+            rest ^= vertex
+            child = face ^ vertex
+            b = bit(child)
+            if not seen & b and can_complete(child, seen | b):
+                return True
+        return not face
 
     def keep(prefix: tuple[int, ...]) -> bool:
         seen = 0
