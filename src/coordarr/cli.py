@@ -7,7 +7,11 @@ and the lines to print, and does no file I/O, no printing and no choice of
 exit code.  ``run`` is the one place that ends a command: it reads and
 parses the input, calls the command, writes the ``--json`` report
 (``command``, ``input_sha256``, ``artifacts``, ``checks``), prints the
-lines through ``_print_last`` and returns the exit code.
+lines through ``_print_last`` and returns the exit code.  The report is
+streamed into its file by one ``json.dump``, so no string of the whole
+report is built.  stdout holds the lines for a person; ``resolvent`` and
+``kernel`` add an echo of their payload only when no ``--json`` path is
+given, so each run encodes an artifact once.
 
 Exit codes: 0 exactly when every check passes; 1 when a check fails, a
 model raises ``CheckFailed`` (a differential that does not square to zero,
@@ -18,7 +22,9 @@ that argparse parsed as a list (``--f=--`` on some versions) is one.
 The ``--json`` file holds this run's artifact or nothing: a file left
 there by an earlier run is removed first, before the arguments are parsed,
 so a usage error leaves none either; a file that another word of the
-command names, the input among them, stays.
+command names, the input among them, stays.  A symlink at the ``--json``
+path is never removed (``/dev/stdout`` is one): a run writes through it,
+and a run that ends without a report leaves its target as it was.
 The artifact is byte-identical across identical invocations; wall-clock
 timing goes to stdout only.  The artifact is written before anything is
 printed, so a reader that closes stdout early (``| head -1``) changes
@@ -161,14 +167,14 @@ def cmd_resolvent(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
             f"index {args.index} out of range"
         )
     # build_resolvent checks each piece as it builds it: a broken identity
-    # raises CheckFailed (exit 1)
+    # raises CheckFailed (exit 1).  The payload is echoed to stdout only when
+    # no --json file takes it, so each run encodes it once
     resolvent = build_resolvent(K, generators[args.index])
     payload = resolvent.to_json()
-    lines = [
-        f"resolvent of length {resolvent.q} for generator {args.index} "
-        f"of bidegree ({args.p},{args.q}); identities hold",
-        json.dumps(payload, sort_keys=True, indent=2),
-    ]
+    lines = [f"resolvent of length {resolvent.q} for generator {args.index} "
+             f"of bidegree ({args.p},{args.q}); identities hold"]
+    if not args.json:
+        lines.append(json.dumps(payload, sort_keys=True, indent=2))
     return "resolvent", payload, {"identities": True}, lines
 
 
@@ -176,11 +182,10 @@ def cmd_kernel(args: argparse.Namespace, K: SimplicialComplex) -> Outcome:
     data = kernels.build_kernel(K, args.s)
     ok = data.check_normalized()
     payload = data.to_json()
-    lines = [
-        f"kernel for total degree {args.s}: scale ({data.scale})*(2pii)^{-data.n}, "
-        f"{len(data.top_piece.values)} top tuples; normalization {'exact' if ok else 'FAIL'}",
-        json.dumps(payload, sort_keys=True, indent=2),
-    ]
+    lines = [f"kernel for total degree {args.s}: scale ({data.scale})*(2pii)^{-data.n}, "
+             f"{len(data.top_piece.values)} top tuples; normalization {'exact' if ok else 'FAIL'}"]
+    if not args.json:
+        lines.append(json.dumps(payload, sort_keys=True, indent=2))
     return "kernel", payload, {"normalized": ok}, lines
 
 
@@ -318,7 +323,7 @@ def run(argv: list[str] | None = None) -> int:
         # name it, so only those are resolved
         known, words = _json_parser().parse_known_args(argv)
         old = known.json
-        if old and os.path.isfile(old):
+        if old and os.path.isfile(old) and not os.path.islink(old):
             target = Path(old).resolve()
             if not any(os.path.exists(w) and Path(w).resolve() == target for w in words):
                 try:
@@ -346,7 +351,9 @@ def run(argv: list[str] | None = None) -> int:
                 "checks": {name: ("pass" if ok else "fail") for name, ok in checks.items()},
             }
             try:
-                Path(out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+                with open(out, "w", encoding="utf-8") as fh:
+                    json.dump(report, fh, sort_keys=True, indent=2)
+                    fh.write("\n")
             except OSError as exc:
                 raise ComplexError(f"cannot write {out}: {exc}") from exc
         _print_last(*lines)

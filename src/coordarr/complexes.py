@@ -262,7 +262,8 @@ def parse_complex(document: str | dict) -> SimplicialComplex:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        # a document nested too deep for the decoder raises RecursionError
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ComplexError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ComplexError(f"expected a JSON object, got {type(document).__name__}")

@@ -773,20 +773,33 @@ def test_a_corrupted_kernel_cocycle_exits_1(fault, message, tmp_path, monkeypatc
     assert not out.exists()
 
 
-def test_kernel_serialized_once_for_stdout_and_artifact(edge_file, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(("argv", "owner"), [
+    (["kernel", "--s", "3"], kernels.KernelData),
+    (["resolvent", "--p", "2", "--q", "1"], resolvents.Resolvent),
+], ids=["kernel", "resolvent"])
+def test_payload_serialized_once_for_stdout_or_artifact(argv, owner, edge_file, tmp_path, monkeypatch, capsys):
+    # with --json the file takes the payload and stdout holds the summary
+    # line alone; without it the payload is echoed after that line, encoded
+    # as in the report.  Either way the payload is built once
     calls = []
-    original = kernels.KernelData.to_json
+    original = owner.to_json
 
     def counting(self):
         calls.append(1)
         return original(self)
 
-    monkeypatch.setattr(kernels.KernelData, "to_json", counting)
-    out = tmp_path / "kernel.json"
-    assert run(["kernel", edge_file, "--s", "3", "--json", str(out)]) == 0
+    monkeypatch.setattr(owner, "to_json", counting)
+    command = [argv[0], edge_file, *argv[1:]]
+    out = tmp_path / "out.json"
+    assert run([*command, "--json", str(out)]) == 0
     assert len(calls) == 1
-    printed = capsys.readouterr().out.split("\n", 1)[1]
-    assert json.loads(printed) == json.loads(out.read_text())["artifacts"]
+    printed = capsys.readouterr().out
+    summary = printed.splitlines()[0]
+    assert printed == summary + "\n"
+    artifacts = json.loads(out.read_text())["artifacts"]
+    assert run(command) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == f"{summary}\n{json.dumps(artifacts, sort_keys=True, indent=2)}\n"
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -1174,11 +1187,14 @@ def test_every_public_name_is_reached_by_a_command(tmp_path):
     assert sorted(missed - set(NOT_ENTERED_BY_A_COMMAND)) == []
 
 
-def test_benchmark_trace_bindings_still_exist(edge_file, triangle_file):
+def test_benchmark_trace_bindings_still_exist(edge_file, triangle_file, tmp_path):
     # the benchmark's tracer patches coordarr functions by module attribute;
     # a renamed binding must fail here, not silently break a traced run.  The
     # edge's tables eliminate no entry (its one non-face J splits into two
-    # points), so the triangle brings the Smith form and the rational rank
+    # points), so the triangle brings the Smith form and the rational rank.
+    # The tracer stands in for cli's json module, so the --json runs check
+    # that a traced run still writes the artifacts an untraced one writes
+    traced = {name: str(tmp_path / f"traced-{name}.json") for name in ("kernel", "resolvent")}
     script = f"""
 import json, sys
 sys.path.insert(0, {str(ROOT / "perfbench")!r})
@@ -1189,16 +1205,22 @@ tracing.install(recorder)
 codes = [cli.run(argv) for argv in (
     ["compare", {edge_file!r}], ["hodge", {edge_file!r}], ["kernel", {edge_file!r}, "--s", "3"],
     ["compare", {triangle_file!r}], ["hodge", {triangle_file!r}],
-    ["verify-kernel", {edge_file!r}, "--s", "3", "--f", "1+z1*z2", "--zeta", "0.3,-0.4"])]
+    ["verify-kernel", {edge_file!r}, "--s", "3", "--f", "1+z1*z2", "--zeta", "0.3,-0.4"],
+    ["kernel", {edge_file!r}, "--s", "3", "--json", {traced["kernel"]!r}])]
 start = len(recorder.spans)
 codes.append(cli.run(["resolvent", {edge_file!r}, "--p", "2", "--q", "1"]))
+codes.append(cli.run(["resolvent", {edge_file!r}, "--p", "2", "--q", "1", "--json", {traced["resolvent"]!r}]))
 print(json.dumps({{"codes": codes, "spans": sorted({{s[0] for s in recorder.spans}}),
                   "resolvent": sorted({{s[0] for s in recorder.spans[start:]}})}}))
 """
     proc = _python("-c", script)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0] * 7
+    assert result["codes"] == [0] * 9
+    untraced = tmp_path / "untraced.json"
+    for argv in (["kernel", edge_file, "--s", "3"], ["resolvent", edge_file, "--p", "2", "--q", "1"]):
+        assert run([*argv, "--json", str(untraced)]) == 0
+        assert Path(traced[argv[0]]).read_bytes() == untraced.read_bytes(), argv
     # the resolvent command reaches build_resolvent through cli's own binding
     assert {"cells.homology", "resolvents.build"} <= set(result["resolvent"])
     assert {
@@ -1370,6 +1392,35 @@ def test_the_input_named_as_the_json_path_in_another_spelling_stays(spelling, ed
     text = Path(edge_file).read_text()
     assert _exit_code(["hodge", input_path, "--bogus", "--json", json_path]) == 2
     assert Path(edge_file).read_text() == text
+
+
+def test_a_symlink_at_the_json_path_stays_and_takes_the_artifact(edge_file, tmp_path, monkeypatch, capsys):
+    # the old-artifact guard removes a regular file only: a symlink at the
+    # --json path (/dev/stdout is one) stays, its target untouched by a
+    # usage error, and a run writes its artifact through it
+    monkeypatch.chdir(tmp_path)
+    Path("old.json").write_text("old artifact")
+    os.symlink("old.json", "link.json")
+    assert _exit_code(["kernel", edge_file, "--json", "link.json"]) == 2  # --s missing
+    assert os.path.islink("link.json")
+    assert Path("old.json").read_text() == "old artifact"
+    assert run(["kernel", edge_file, "--s", "3", "--json", "link.json"]) == 0
+    assert os.path.islink("link.json")
+    assert run(["kernel", edge_file, "--s", "3", "--json", "plain.json"]) == 0
+    assert Path("old.json").read_bytes() == Path("plain.json").read_bytes()
+    capsys.readouterr()
+
+
+def test_a_document_nested_too_deep_is_an_input_error(tmp_path, capsys):
+    # the decoder runs out of recursion on it: bad input (exit 2), not a
+    # failed check, and an old artifact still goes
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out.json"
+    out.write_text("old artifact")
+    assert run(["hodge", str(deep), "--json", str(out)]) == 2
+    assert "input error: invalid JSON" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_symlink_loop_named_next_to_an_old_artifact_is_an_input_error(edge_file, tmp_path, monkeypatch, capsys):
